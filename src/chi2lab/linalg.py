@@ -1,14 +1,19 @@
 """Dense complex Hermitian linear algebra on raw ndarrays.
 
-The eigensolver is a cyclic Jacobi iteration.  At the target scale
-(d <= 16) it is deterministic across platforms and keeps high relative
-accuracy on graded positive matrices, which downstream divergence code
-relies on when second arguments are nearly singular.
+The eigensolver is a Jacobi iteration in round-robin order: each round
+applies up to d/2 disjoint rotations as one unitary (Brent and Luk, SIAM
+J. Sci. Stat. Comput. 6, 1985).  At the target scale (d <= 16) it is
+deterministic and keeps high relative accuracy on graded positive
+matrices (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which
+downstream divergence code relies on when second arguments are nearly
+singular.  Norms are not eigensolves: ``op_norm`` takes the largest
+singular value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +29,8 @@ __all__ = [
     "spectral_decomposition",
 ]
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """Return (M + M*) / 2."""
@@ -38,15 +45,48 @@ def hs_norm(mat: np.ndarray) -> float:
 def op_norm(mat: np.ndarray) -> float:
     """Operator norm, i.e. the largest singular value.
 
-    Computed as sqrt(lmax(M* M)) through the Jacobi solver so that every
-    norm in the package goes through the same deterministic code path.
+    Taken from the singular values (LAPACK SVD), which neither squares
+    the condition number nor under- or overflows the way ``M* M`` does.
     """
     m = np.asarray(mat, dtype=np.complex128)
     if m.size == 0 or not m.any():
         return 0.0
-    gram = m.conj().T @ m
-    w, _ = jacobi_eigh(hermitian_part(gram))
-    return float(np.sqrt(max(w[0], 0.0)))
+    return float(np.linalg.norm(m, 2))
+
+
+@lru_cache(maxsize=None)
+def _round_robin_plan(d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Raveled ``d x d`` indices for one round-robin Jacobi sweep.
+
+    With ``n = d + d % 2`` players, round ``k`` of the ``n - 1`` rounds
+    pairs ``k`` with ``n - 1`` and ``(k + i) % (n - 1)`` with
+    ``(k - i) % (n - 1)`` for ``0 < i < n / 2`` (the circle method), so
+    each pair ``p < q`` meets exactly once per sweep and no index occurs
+    twice in a round.  For odd ``d`` the pair holding the padding index
+    ``d`` is dropped.  A round of ``m`` pairs is stored as the indices of
+    ``[(p, p)..., (q, q)..., (p, q)..., (q, p)...]``, each block of
+    length ``m``.  The second value indexes every off-diagonal entry.
+    """
+    n = d + d % 2
+    rounds = []
+    for k in range(n - 1):
+        pairs = [(k, n - 1)] + [
+            ((k + i) % (n - 1), (k - i) % (n - 1)) for i in range(1, n // 2)
+        ]
+        pairs = [(min(x), max(x)) for x in pairs if max(x) < d]
+        p, q = np.array(pairs, dtype=np.intp).T
+        rounds.append(
+            np.concatenate([p * (d + 1), q * (d + 1), p * d + q, q * d + p])
+        )
+    off = np.flatnonzero(~np.eye(d, dtype=bool))
+    for idx in (*rounds, off):
+        idx.flags.writeable = False
+    return tuple(rounds), off
+
+
+def _off_norm(a: np.ndarray, off: np.ndarray) -> float:
+    x = a.take(off)
+    return float(np.sqrt(np.vdot(x, x).real))
 
 
 def jacobi_eigh(
@@ -55,7 +95,14 @@ def jacobi_eigh(
     max_sweeps: int = DEFAULT_TOL.jacobi_sweeps,
     off_factor: float = DEFAULT_TOL.jacobi_off,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix by round-robin Jacobi rotations.
+
+    Each sweep visits every pair ``p < q`` once, in the rounds of
+    ``_round_robin_plan``.  The rotations of a round touch disjoint rows
+    and columns, so each is computed from entries no other rotation of
+    the round changes, and the round is applied as one unitary ``J``:
+    ``a <- J* a J``, ``v <- v J``.  This is cyclic Jacobi with another
+    pair order.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in decreasing order
     and eigenvectors in the columns of ``v``.  Convergence is declared
@@ -64,55 +111,51 @@ def jacobi_eigh(
     """
     a = np.array(mat, dtype=np.complex128)
     d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
+    eye = np.eye(d, dtype=np.complex128)
+    v = eye.copy()
     scale = float(np.linalg.norm(a))
     if d == 1 or scale == 0.0:
         w = np.real(np.diag(a)).copy()
         order = np.argsort(-w, kind="stable")
         return w[order], v[:, order]
     thresh = off_factor * scale
+    rounds, off_idx = _round_robin_plan(d)
     converged = False
     for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= thresh:
+        if _off_norm(a, off_idx) <= thresh:
             converged = True
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # a <- J* a J with the nontrivial block
-                # [[c, s*phase], [-s*conj(phase), c]] on rows/cols (p, q)
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = c * v[:, p] - s * np.conj(phase) * v[:, q]
-                vcol_q = s * phase * v[:, p] + c * v[:, q]
-                v[:, p] = vcol_p
-                v[:, q] = vcol_q
+        for idx in rounds:
+            m = len(idx) // 4
+            entries = a.take(idx)
+            app = entries[:m].real
+            aqq = entries[m : 2 * m].real
+            apq = entries[2 * m : 3 * m]
+            # k = 2 sign(aqq - app) / (|aqq - app| + hypot(aqq - app, 2 r)),
+            # so t = k r = tan(theta) is the smaller root (|t| <= 1) and
+            # k apq = t * phase.  A lane with apq == 0 gets t == 0 (no
+            # rotation).  Flooring the denominator at the smallest normal
+            # double keeps out 0 / 0 and keeps k finite; it alters only lanes
+            # whose entries are subnormal themselves.
+            diff = aqq - app
+            r = np.abs(apq)
+            k = np.copysign(2.0, diff) / np.maximum(
+                np.abs(diff) + np.hypot(diff, 2.0 * r), _TINY
+            )
+            t = k * r
+            c = 1.0 / np.hypot(1.0, t)
+            cu = c * k * apq
+            # J has the block [[c, c t phase], [-conj(c t phase), c]] on (p, q)
+            j = eye.copy()
+            j.put(idx, np.concatenate([c, c, cu, -cu.conj()]))
+            a = j.conj().T @ a @ j
+            v = v @ j
+            # the rotated diagonal (Rutishauser's update) and the
+            # annihilated pair, set exactly
+            tr = t * r
+            a.put(idx, np.concatenate([app - tr, aqq + tr, np.zeros(2 * m)]))
     if not converged:
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        off = _off_norm(a, off_idx)
         if off > thresh:
             raise SolverFailure(
                 f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "

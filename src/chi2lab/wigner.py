@@ -119,7 +119,7 @@ def _sample_pairs(d: int, samples: int, seed: int):
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         pairs.append((q[:, 0], q[:, 1]))
-    return pairs[:max(samples, len(pairs))]
+    return pairs
 
 
 def check_orthogonality_preservation(
@@ -153,7 +153,7 @@ def check_transition_probabilities(
         vp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vr = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         pairs.append((vp, vr))
-    for vp, vr in pairs[:max(samples, len(pairs))]:
+    for vp, vr in pairs:
         p = RankOneProjection(vp)
         r = RankOneProjection(vr)
         residual = abs(xi(p).overlap(xi(r)) - p.overlap(r))

@@ -15,8 +15,14 @@ from chi2lab import (
     support_contained,
     support_projection,
 )
-from chi2lab.ensembles import random_hermitian, random_psd
-from chi2lab.linalg import hs_norm, jacobi_eigh, op_norm
+from chi2lab.ensembles import haar_unitary, random_hermitian, random_psd
+from chi2lab.linalg import (
+    _round_robin_plan,
+    hermitian_part,
+    hs_norm,
+    jacobi_eigh,
+    op_norm,
+)
 
 
 def test_eigh_diagonal_orders_descending():
@@ -43,7 +49,7 @@ def test_eigh_2x2_hand_solved():
     np.testing.assert_allclose(spec.projections[1], minus, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 16])
 def test_jacobi_matches_numpy(d):
     rng = np.random.default_rng(d)
     m = random_hermitian(d, rng)
@@ -58,6 +64,97 @@ def test_jacobi_sweep_cap_raises():
     m = random_hermitian(5, rng)
     with pytest.raises(SolverFailure):
         jacobi_eigh(m, max_sweeps=1)
+
+
+def _graded_pd(d, rng):
+    """B = D H D with H Haar-conjugated, eigenvalues in [0.25, 1.25], and
+    D a permuted grading over 5 decades: condition number near 1e10."""
+    u = haar_unitary(d, rng)
+    h = hermitian_part((u * rng.uniform(0.25, 1.25, d)) @ u.conj().T)
+    grading = 10.0 ** -np.linspace(0.0, 5.0, d)
+    grading = grading[rng.permutation(d)]
+    return h * np.outer(grading, grading)
+
+
+def _reference_eigenvalues(b):
+    """Eigenvalues of b, decreasing, computed by mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    d = b.shape[0]
+    with mpmath.workdps(40):
+        m = mpmath.matrix(d, d)
+        for i in range(d):
+            for j in range(d):
+                m[i, j] = mpmath.mpc(b[i, j].real, b[i, j].imag)
+        eigs = mpmath.eigh(m, eigvals_only=True)
+        return np.array(sorted((float(e) for e in eigs), reverse=True))
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_jacobi_relative_accuracy_on_graded_matrices(d):
+    # Jacobi keeps every eigenvalue of D H D to high relative accuracy
+    # (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), where a
+    # normwise backward-stable solver only bounds the error by eps * lmax
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):
+        b = _graded_pd(d, rng)
+        ref = _reference_eigenvalues(b)
+        assert ref[0] / ref[-1] > 1e9
+        w, _ = jacobi_eigh(b)
+        assert np.max(np.abs(w - ref) / ref) <= 1e-13
+
+
+def test_round_robin_plan_visits_each_pair_once_per_sweep():
+    for d in range(2, 18):
+        rounds, off = _round_robin_plan(d)
+        assert len(rounds) == d + d % 2 - 1
+        seen = []
+        for idx in rounds:
+            m = len(idx) // 4
+            p, q = np.divmod(idx[2 * m : 3 * m], d)
+            assert np.all(p < q)
+            # disjoint pairs: no index twice in a round
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * m
+            np.testing.assert_array_equal(idx[:m], p * (d + 1))
+            np.testing.assert_array_equal(idx[m : 2 * m], q * (d + 1))
+            np.testing.assert_array_equal(idx[3 * m :], q * d + p)
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+        diag = np.arange(d) * (d + 1)
+        np.testing.assert_array_equal(np.setdiff1d(np.arange(d * d), diag), off)
+
+
+def test_jacobi_trivial_inputs_return_early():
+    w, v = jacobi_eigh(np.array([[2.5]]), max_sweeps=0)
+    assert w.tolist() == [2.5]
+    assert v.tolist() == [[1.0]]
+    w, v = jacobi_eigh(np.zeros((3, 3)), max_sweeps=0)
+    assert w.tolist() == [0.0, 0.0, 0.0]
+    assert v.tolist() == np.eye(3).tolist()
+
+
+def test_jacobi_is_bitwise_deterministic():
+    m = random_hermitian(7, np.random.default_rng(11))
+    w1, v1 = jacobi_eigh(m)
+    w2, v2 = jacobi_eigh(m.copy())
+    assert w1.tobytes() == w2.tobytes()
+    assert v1.tobytes() == v2.tobytes()
+
+
+def test_jacobi_zero_and_subnormal_lanes():
+    # the first round at d = 4 rotates the pairs (0, 3) and (1, 2); the
+    # lane (1, 2) has tied diagonal entries and an entry that is zero or
+    # subnormal, while the live lane (0, 3) keeps the sweep going
+    for a12 in (0.0, 1e-310):
+        m = np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)
+        m[0, 3] = m[3, 0] = 0.5
+        m[0, 2] = m[2, 0] = 0.3
+        m[1, 3] = 0.25 + 0.25j
+        m[3, 1] = 0.25 - 0.25j
+        m[1, 2] = m[2, 1] = a12
+        w, v = jacobi_eigh(m)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(m)[::-1], atol=1e-14)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-14)
 
 
 def test_reassembly_invariant():
@@ -159,6 +256,13 @@ def test_norms_examples():
     assert abs(hs - 5.0) < 1e-13
     assert abs(op - 4.0) < 1e-12
     assert norms(np.zeros((2, 2))) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_op_norm_extreme_scales(scale):
+    # M* M would underflow to zero or overflow to inf at these scales
+    assert op_norm(scale * np.eye(3)) == scale
+    assert op_norm(scale * np.diag([3.0, -4.0])) == pytest.approx(4.0 * scale, rel=1e-14)
 
 
 def test_hs_majorizes_op():
