@@ -29,8 +29,6 @@ __all__ = [
     "distinguish_from_jensen",
 ]
 
-_ENDPOINT_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class FDistinguisherReport:
@@ -115,8 +113,7 @@ def distinguish_from_f_divergence(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
-    endpoint = alpha <= _ENDPOINT_EPS or alpha >= 1.0 - _ENDPOINT_EPS
-    if endpoint:
+    if alpha.is_endpoint:
         checks = min(budget, 50)
         worst = 0.0
         for _ in range(checks):

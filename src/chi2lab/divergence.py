@@ -36,6 +36,9 @@ __all__ = [
 #: finite divergence payloads may round as low as -EPS_DIV before we reject
 EPS_DIV = 1e-10
 
+#: orders within this distance of 0 or 1 count as endpoint orders
+_ENDPOINT_EPS = 1e-9
+
 
 class Alpha(float):
     """Order parameter of the divergence family, a real in [0, 1]."""
@@ -45,6 +48,15 @@ class Alpha(float):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {v}")
         return super().__new__(cls, v)
+
+    @property
+    def is_endpoint(self) -> bool:
+        """Whether the order sits at 0 or 1 (within 1e-9).
+
+        There the power functions t^-a (1-t)^(a-1) and (1-t)^-a t^(a-1)
+        collapse onto 1/(1-t) and 1/t.
+        """
+        return self <= _ENDPOINT_EPS or self >= 1.0 - _ENDPOINT_EPS
 
 
 @dataclass(frozen=True)
@@ -163,13 +175,34 @@ def chi2_limit_probe(
     return out
 
 
+def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np.ndarray:
+    """Read-only ``(2n, n)`` stack ``[D^-alpha; D^(alpha-1)]`` of D.
+
+    Built from the spectrum once per (operator, alpha) and cached on the
+    immutable operator beside its spectrum.
+    """
+    stacks = d.__dict__.setdefault("_query_stacks", {})
+    stack = stacks.get(alpha)
+    if stack is None:
+        stack = np.vstack([
+            spec.power(-alpha, support_rel=0.0),
+            spec.power(alpha - 1.0, support_rel=0.0),
+        ])
+        stack.flags.writeable = False
+        stacks[alpha] = stack
+    return stack
+
+
 def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     """Shifted rank-one query tr(R D^-alpha) * tr(R D^(alpha-1)).
 
     For unit-trace D this equals chi2(R, D, alpha) + 1.  It is monotone
     in how the projection loads the eigenspaces of D, which makes it the
-    extremal-query objective for spectral reconstruction.  Costs one
-    (cached) eigendecomposition of D plus O(d^2) per call.
+    extremal-query objective for spectral reconstruction.  The order,
+    the dimensions and positive definiteness of D are checked on every
+    call.  The two powers of D are built once per (D, alpha) from D's
+    cached eigendecomposition; after that a call in dimension n costs
+    one ``(2n, n)`` matrix-vector product and two inner products, O(n^2).
     """
     alpha = Alpha(alpha)
     if r.dim != d.dim:
@@ -177,11 +210,8 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     spec = d.spectrum()
     _require_pd(spec, d.tol)
     v = r.vector
-    s_neg = 0.0
-    s_one = 0.0
-    for lam, proj in zip(spec.eigenvalues, spec.projections):
-        w = float(np.vdot(v, proj @ v).real)
-        w = max(w, 0.0)
-        s_neg += w * lam ** (-alpha)
-        s_one += w * lam ** (alpha - 1.0)
+    u = _query_stack(d, spec, float(alpha)) @ v
+    n = v.shape[0]
+    s_neg = max(float(np.vdot(v, u[:n]).real), 0.0)
+    s_one = max(float(np.vdot(v, u[n:]).real), 0.0)
     return s_neg * s_one

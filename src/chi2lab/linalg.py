@@ -31,6 +31,25 @@ __all__ = [
 
 _TINY = np.finfo(np.float64).tiny
 
+#: a largest entry within 2^-SAFE_EXP .. 2^SAFE_EXP squares and sums
+#: without under- or overflow at d <= 16; outside it, norms and
+#: eigensolves first rescale by an exact power of two
+_SAFE_EXP = 300
+
+
+def _prescale_exponent(m: np.ndarray) -> int:
+    """Exponent ``e`` with ``2^-e * max |m_ij|`` in [0.5, 1), or 0 when
+    the largest entry is already in the safe range, zero or not finite."""
+    amax = float(np.abs(m).max()) if m.size else 0.0
+    if 2.0**-_SAFE_EXP <= amax <= 2.0**_SAFE_EXP or not 0.0 < amax < np.inf:
+        return 0
+    return int(np.frexp(amax)[1])
+
+
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """Complex ``m * 2^e``, exact unless an entry leaves the normal range."""
+    return np.ldexp(np.ascontiguousarray(m).view(np.float64), e).view(np.complex128)
+
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """Return (M + M*) / 2."""
@@ -38,8 +57,17 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(mat: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr M M*)."""
-    return float(np.linalg.norm(np.asarray(mat, dtype=np.complex128)))
+    """Hilbert-Schmidt (Frobenius) norm sqrt(tr M M*).
+
+    Matrices whose largest entry lies outside the safe range are scaled
+    by an exact power of two first, so the squares neither underflow
+    nor overflow.
+    """
+    m = np.asarray(mat, dtype=np.complex128)
+    e = _prescale_exponent(m)
+    if e == 0:
+        return float(np.linalg.norm(m))
+    return float(np.ldexp(np.linalg.norm(_ldexp(m, -e)), e))
 
 
 def op_norm(mat: np.ndarray) -> float:
@@ -108,8 +136,21 @@ def jacobi_eigh(
     and eigenvectors in the columns of ``v``.  Convergence is declared
     when the off-diagonal Hilbert-Schmidt norm drops below
     ``off_factor * ||M||_HS``; running out of sweeps raises SolverFailure.
+    A matrix whose largest entry lies outside the safe range is solved
+    scaled by an exact power of two, and ``w`` scaled back, so tiny
+    matrices are rotated rather than taken as already diagonal and huge
+    ones do not overflow.
     """
     a = np.array(mat, dtype=np.complex128)
+    e = _prescale_exponent(a)
+    if e == 0:
+        return _jacobi(a, max_sweeps, off_factor)
+    w, v = _jacobi(_ldexp(a, -e), max_sweeps, off_factor)
+    return np.ldexp(w, e), v
+
+
+def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_eigh`` on a complex array it may overwrite."""
     d = a.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     v = eye.copy()

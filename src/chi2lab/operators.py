@@ -157,7 +157,7 @@ class RankOneProjection:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise ValueError("vector entries must be finite")
         n = float(np.linalg.norm(v))
         if n < 1e-12:

@@ -248,10 +248,11 @@ def _optimize_rank_one(g, d: int, cfg: SphereOptConfig, sign: float) -> SphereOp
     basis = _subspace_basis(d, cfg.subspace)
     k = basis.shape[1]
     tol = DEFAULT_TOL
+    # x = (re, im) in R^(2k) lifts to basis @ (re + i im) = lift @ x
+    lift = np.hstack([basis, 1j * basis])
 
     def fun(x: np.ndarray) -> float:
-        v = basis @ _complex_of(x)
-        return sign * float(g(RankOneProjection(v, tol)))
+        return sign * float(g(RankOneProjection(lift @ x, tol)))
 
     rng = np.random.default_rng(cfg.seed)
     best: tuple[float, np.ndarray] | None = None
@@ -264,7 +265,7 @@ def _optimize_rank_one(g, d: int, cfg: SphereOptConfig, sign: float) -> SphereOp
         if best is None or f < best[0]:
             best = (f, x)
     f, x = best
-    proj = RankOneProjection(basis @ _complex_of(x), tol)
+    proj = RankOneProjection(lift @ x, tol)
     return SphereOptResult(proj, sign * f, any_converged)
 
 

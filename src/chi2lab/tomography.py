@@ -41,7 +41,6 @@ from .oracle import DivergenceOracle
 
 __all__ = ["ProbeSchedule", "probe_state", "quadratic_form_tomography"]
 
-_ENDPOINT_EPS = 1e-9
 _HALF_EPS = 1e-9
 
 
@@ -88,10 +87,10 @@ def probe_state(p: RankOneProjection, t: float, d: int,
     return _unchecked(NonsingularDensity, mat, tol=tol, spectrum=spec)
 
 
-def _basis_matrix(alpha: float, ts: np.ndarray) -> np.ndarray:
+def _basis_matrix(alpha: Alpha, ts: np.ndarray) -> np.ndarray:
     """Columns: [1, 1/t, 1/(1-t), (power functions)] with degenerates dropped."""
     cols = [np.ones_like(ts), 1.0 / ts, 1.0 / (1.0 - ts)]
-    if alpha <= _ENDPOINT_EPS or alpha >= 1.0 - _ENDPOINT_EPS:
+    if alpha.is_endpoint:
         pass  # both power functions collapse onto 1/t and 1/(1-t)
     elif abs(alpha - 0.5) < _HALF_EPS:
         cols.append(ts ** (-alpha) * (1.0 - ts) ** (alpha - 1.0))
@@ -123,7 +122,7 @@ def quadratic_form_tomography(
             f"schedule has {len(schedule)} probes but the fit needs "
             f"{basis.shape[1]} basis functions"
         )
-    endpoint = alpha <= _ENDPOINT_EPS or alpha >= 1.0 - _ENDPOINT_EPS
+    endpoint = alpha.is_endpoint
     probes = projection_family(d, tol)
     overlaps = np.empty(d * d)
     for idx, p in enumerate(probes):

@@ -15,7 +15,15 @@ from chi2lab import (
     chi2_shifted,
     quadratic_relative_entropy,
 )
-from chi2lab.ensembles import random_nonsingular_density, random_pd, random_psd
+from chi2lab.divergence import _query_stack
+from chi2lab.ensembles import (
+    haar_unitary,
+    random_nonsingular_density,
+    random_pd,
+    random_psd,
+)
+from chi2lab.linalg import SpectralDecomposition
+from chi2lab.operators import NonsingularDensity, _unchecked
 
 
 def reference_chi2(a, b, alpha):
@@ -81,6 +89,13 @@ def test_alpha_validation():
         Alpha(1.5)
     with pytest.raises(ValueError):
         chi2(PsdOperator(np.eye(2)), PdOperator(np.eye(2)), -0.1)
+
+
+def test_alpha_endpoint_window():
+    for a in (0.0, 1e-9, 1.0 - 1e-9, 1.0):
+        assert Alpha(a).is_endpoint
+    for a in (2e-9, 0.25, 0.5, 1.0 - 2e-9):
+        assert not Alpha(a).is_endpoint
 
 
 def test_quadratic_relative_entropy_alias():
@@ -180,6 +195,86 @@ def test_shifted_consistency_with_chi2():
         r = RankOneProjection(v)
         direct = chi2(PsdOperator(r.matrix), dens, 0.25) + 1.0
         assert abs(chi2_shifted(r, dens, 0.25) - direct) <= 1e-10
+
+
+def _degenerate_state(rng):
+    # eigenvalue 0.35 has multiplicity 2
+    u = haar_unitary(4, rng)
+    return NonsingularDensity((u * np.array([0.35, 0.35, 0.2, 0.1])) @ u.conj().T)
+
+
+def test_shifted_matches_eigenprojection_sum():
+    rng = np.random.default_rng(9)
+    dens = _degenerate_state(rng)
+    spec = dens.spectrum()
+    assert 2 in spec.multiplicities
+    for alpha in (0.0, 1e-9, 0.5, 1.0):
+        for _ in range(10):
+            v = RankOneProjection(rng.standard_normal(4) + 1j * rng.standard_normal(4)).vector
+            s_neg = s_one = 0.0
+            for lam, proj in zip(spec.eigenvalues, spec.projections):
+                w = max(float(np.vdot(v, proj @ v).real), 0.0)
+                s_neg += w * lam ** (-alpha)
+                s_one += w * lam ** (alpha - 1.0)
+            got = chi2_shifted(RankOneProjection(v), dens, alpha)
+            assert abs(got - s_neg * s_one) <= 1e-12 * s_neg * s_one
+
+
+def test_shifted_query_stack_is_cached_and_read_only():
+    dens = random_nonsingular_density(3, np.random.default_rng(1))
+    spec = dens.spectrum()
+    stack = _query_stack(dens, spec, 0.25)
+    assert stack is _query_stack(dens, spec, 0.25)
+    assert stack.shape == (6, 3)
+    np.testing.assert_allclose(stack[:3], spec.power(-0.25), atol=1e-14)
+    np.testing.assert_allclose(stack[3:], spec.power(-0.75), atol=1e-14)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
+
+
+def test_shifted_checks_run_on_every_query():
+    singular = _unchecked(PdOperator, np.diag([1.0, 0.0]))
+    r = RankOneProjection([1.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            chi2_shifted(r, singular, 0.5)
+    assert "_query_stacks" not in singular.__dict__
+    dens = random_nonsingular_density(3, np.random.default_rng(2))
+    chi2_shifted(RankOneProjection([1.0, 0.0, 0.0]), dens, 0.5)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            chi2_shifted(r, dens, 0.5)
+        with pytest.raises(ValueError):
+            chi2_shifted(RankOneProjection([1.0, 0.0, 0.0]), dens, 1.5)
+
+
+def test_repeated_queries_cost_one_factorization(monkeypatch):
+    import chi2lab.linalg as linalg
+
+    calls = {"jacobi": 0, "power": 0}
+    jacobi, power = linalg.jacobi_eigh, SpectralDecomposition.power
+
+    def counted_jacobi(*args, **kwargs):
+        calls["jacobi"] += 1
+        return jacobi(*args, **kwargs)
+
+    def counted_power(self, *args, **kwargs):
+        calls["power"] += 1
+        return power(self, *args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    probes = [RankOneProjection(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+              for _ in range(50)]
+    mat = random_nonsingular_density(4, rng).mat
+    monkeypatch.setattr(linalg, "jacobi_eigh", counted_jacobi)
+    monkeypatch.setattr(SpectralDecomposition, "power", counted_power)
+    dens = NonsingularDensity(mat)
+    assert calls["jacobi"] == 1
+    for alpha in (0.25, 0.75):
+        for r in probes:
+            chi2_shifted(r, dens, alpha)
+    assert calls == {"jacobi": 1, "power": 4}
 
 
 def test_divergence_value_tagging():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from chi2lab import (
 )
 from chi2lab.ensembles import haar_unitary, random_hermitian, random_psd
 from chi2lab.linalg import (
+    _jacobi,
     _round_robin_plan,
     hermitian_part,
     hs_norm,
@@ -263,6 +266,36 @@ def test_op_norm_extreme_scales(scale):
     # M* M would underflow to zero or overflow to inf at these scales
     assert op_norm(scale * np.eye(3)) == scale
     assert op_norm(scale * np.diag([3.0, -4.0])) == pytest.approx(4.0 * scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160])
+def test_extreme_scales_match_scaled_lapack(scale):
+    # the squares of these entries underflow to zero or overflow to inf
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 4, 7):
+        m = random_hermitian(d, rng)
+        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs = hs_norm(scale * m)
+            w, v = jacobi_eigh(scale * m)
+        assert hs / scale == pytest.approx(np.linalg.norm(m), rel=1e-14)
+        np.testing.assert_allclose(w / scale, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
+        np.testing.assert_allclose((v * (w / scale)) @ v.conj().T, m, atol=1e-13)
+
+
+def test_normal_scales_skip_the_prescale_bitwise():
+    m = 3.0 * random_hermitian(6, np.random.default_rng(19))
+    assert hs_norm(m) == float(np.linalg.norm(m))
+    w, v = jacobi_eigh(m)
+    w0, v0 = _jacobi(m.astype(complex), 100, 1e-14)
+    assert w.tobytes() == w0.tobytes()
+    assert v.tobytes() == v0.tobytes()
+    # an exact power-of-two scale outside the safe range changes only w's exponent
+    ws, vs = jacobi_eigh(2.0**-990 * m)
+    assert ws.tobytes() == np.ldexp(w, -990).tobytes()
+    assert vs.tobytes() == v.tobytes()
 
 
 def test_hs_majorizes_op():

@@ -81,6 +81,21 @@ def test_rank_one_projection_normalizes():
         RankOneProjection([0.0, 0.0])
 
 
+def test_rank_one_projection_validation():
+    for bad in (complex(0.0, np.inf), complex(0.0, -np.inf), complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            RankOneProjection(np.array([1.0, bad]))
+    for tiny in ([0.0, 0.0, 0.0], [1e-13, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="zero"):
+            RankOneProjection(tiny)
+    p = RankOneProjection([3.0, 4.0j, 0.0])
+    assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-15
+    np.testing.assert_allclose(p.vector, [0.6, 0.8j, 0.0], atol=1e-16)
+    assert not p.vector.flags.writeable
+    with pytest.raises(ValueError):
+        p.vector[0] = 1.0
+
+
 def test_projection_family_size_and_completeness():
     for d in (2, 3, 4):
         family = projection_family(d)
