@@ -2,8 +2,10 @@
 
 Subcommands: divergence, suite, demo, distinguish, tomography, peel,
 decompile.  Matrices travel as matrix JSON files; reports print as text
-by default and as JSON with --json.  Exit codes: 0 success, 1 check or
-invariant failure, 2 usage or parse error.
+by default and as JSON with --json.  The subcommands that read numerical
+tolerances (divergence, tomography, peel, decompile) take repeatable
+--tol NAME=VALUE overrides, parsed once before the handler runs.  Exit
+codes: 0 success, 1 check or invariant failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,19 +63,6 @@ def _default_seed() -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed per-invocation settings shared by the subcommand handlers."""
-
-    alpha: float | None = None
-    dim: int | None = None
-    seed: int = 0
-    trials: int = 1
-    tolerances: Tolerances = DEFAULT_TOL
-    output: str = "text"
-    inputs: tuple[str, ...] = ()
-
-
 def _parse_tolerances(pairs) -> Tolerances:
     if not pairs:
         return DEFAULT_TOL
@@ -91,23 +79,7 @@ def _parse_tolerances(pairs) -> Tolerances:
                 f"unknown tolerance {name!r}; choose from {sorted(names)}"
             )
         overrides[name] = int(value) if name == "jacobi_sweeps" else value
-    return DEFAULT_TOL.override(**overrides)
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        alpha=getattr(args, "alpha", None),
-        dim=getattr(args, "dim", None),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        tolerances=_parse_tolerances(getattr(args, "tol", None)),
-        output="json" if args.json else "text",
-        inputs=tuple(
-            p for p in (getattr(args, "a", None), getattr(args, "b", None),
-                        getattr(args, "hidden", None))
-            if p
-        ),
-    )
+    return dataclasses.replace(DEFAULT_TOL, **overrides)
 
 
 def _fmt(value: float) -> str:
@@ -124,8 +96,7 @@ def _emit(args, obj: dict, text: str) -> None:
 
 
 def cmd_divergence(args) -> int:
-    cfg = _run_config(args)
-    tol = cfg.tolerances
+    tol = args.tol
     a_mat = load_matrix(args.a)
     b_mat = load_matrix(args.b)
     if args.kind == "chi2":
@@ -152,19 +123,7 @@ def cmd_suite(args) -> int:
 def cmd_demo(args) -> int:
     if args.which == "first-var":
         rows = demo_first_variable_discontinuity(args.alpha, args.n_max)
-        obj = {
-            "which": "first-var",
-            "rows": [
-                {
-                    "n": r.n,
-                    "support_contained": r.support_contained,
-                    "extended_value": r.extended_value,
-                    "probe_value": r.probe_value,
-                    "limit_point_value": r.limit_point_value,
-                }
-                for r in rows
-            ],
-        }
+        obj = {"which": "first-var", "rows": [dataclasses.asdict(r) for r in rows]}
         lines = [f"{'n':>4} {'supp(A_n) in supp(P)':>22} {'extended':>9} "
                  f"{'probe at 1e-7':>14} {'at the limit':>13}"]
         for r in rows:
@@ -179,16 +138,7 @@ def cmd_demo(args) -> int:
     obj = {
         "which": "second-var",
         "note": SECOND_VARIABLE_NOTE,
-        "rows": [
-            {
-                "n": r.n,
-                "numeric": r.numeric,
-                "closed_form": r.closed_form,
-                "relative_error": r.relative_error,
-                "distance_to_limit": r.distance_to_limit,
-            }
-            for r in rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rows],
         "all_match": ok,
     }
     lines = [f"{'n':>4} {'numeric':>14} {'closed form':>14} "
@@ -241,12 +191,11 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_tomography(args) -> int:
-    cfg = _run_config(args)
-    hidden = PsdOperator(load_matrix(args.hidden), cfg.tolerances)
+    hidden = PsdOperator(load_matrix(args.hidden), args.tol)
     schedule = ProbeSchedule(tuple(args.schedule)) if args.schedule else ProbeSchedule()
     oracle = chi2_oracle(hidden, args.alpha, noise_sigma=args.noise, seed=args.seed)
     recovered = quadratic_form_tomography(
-        oracle, hidden.dim, args.alpha, schedule, cfg.tolerances
+        oracle, hidden.dim, args.alpha, schedule, args.tol
     )
     drift = op_norm(recovered.mat - hidden.mat)
     obj = {
@@ -263,11 +212,10 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_peel(args) -> int:
-    run_cfg = _run_config(args)
-    hidden = PdOperator(load_matrix(args.hidden), run_cfg.tolerances)
+    hidden = PdOperator(load_matrix(args.hidden), args.tol)
     oracle = rank_one_query_oracle(hidden, args.alpha, noise_sigma=args.noise, seed=args.seed)
     cfg = SphereOptConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    spec = spectral_peel(oracle, hidden.dim, args.alpha, cfg, run_cfg.tolerances)
+    spec = spectral_peel(oracle, hidden.dim, args.alpha, cfg, args.tol)
     reference = eigh(hidden)
     drift = op_norm(spec.reassemble() - hidden.mat)
     obj = {
@@ -308,7 +256,7 @@ def cmd_decompile(args) -> int:
     if args.dim is not None and args.dim != dim:
         raise ValueError(f"--dim {args.dim} conflicts with the supplied matrix ({dim})")
     cfg = DecompileConfig(seed=args.seed)
-    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, cfg)
+    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, cfg, args.tol)
     text_lines = [
         f"recovered kind: {report.recovered.kind}",
         f"trace residual:        {report.trace_preservation_residual:.3e}",
@@ -334,22 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _default_seed()
 
-    def add_common(p):
+    def add_common(p, tol: bool = False):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--output", help="write the report to a file instead of stdout")
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="NAME=VALUE",
-            help="override a numerical tolerance (repeatable)",
-        )
+        if tol:
+            p.add_argument(
+                "--tol",
+                action="append",
+                metavar="NAME=VALUE",
+                help="override a numerical tolerance (repeatable)",
+            )
 
     p = sub.add_parser("divergence", help="divergence between two matrix JSON files")
     p.add_argument("a", help="first operator (matrix JSON)")
     p.add_argument("b", help="second operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--kind", choices=("chi2", "f", "bregman", "jensen"), default="chi2")
-    add_common(p)
+    add_common(p, tol=True)
     p.set_defaults(fn=cmd_divergence)
 
     p = sub.add_parser("suite", help="run the randomized property suite")
@@ -383,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", type=float, nargs="+", default=None)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=seed)
-    add_common(p)
+    add_common(p, tol=True)
     p.set_defaults(fn=cmd_tomography)
 
     p = sub.add_parser("peel", help="recover a spectrum from extremal rank-one queries")
@@ -393,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=seed)
-    add_common(p)
+    add_common(p, tol=True)
     p.set_defaults(fn=cmd_peel)
 
     p = sub.add_parser("decompile", help="decompile a divergence-preserving map")
@@ -402,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=seed)
-    add_common(p)
+    add_common(p, tol=True)
     p.set_defaults(fn=cmd_decompile)
 
     return parser
@@ -415,12 +364,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        _validate_args(parser, args)
+        _validate_args(args)
         return args.fn(args)
-    except MatrixFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (MatrixFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except Chi2LabError as exc:
@@ -428,7 +374,9 @@ def main(argv=None) -> int:
         return CHECK_FAILURE
 
 
-def _validate_args(parser, args) -> None:
+def _validate_args(args) -> None:
+    if hasattr(args, "tol"):
+        args.tol = _parse_tolerances(args.tol)
     if args.command == "suite":
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")

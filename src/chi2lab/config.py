@@ -1,12 +1,13 @@
 """Numerical tolerances shared across the package.
 
 All thresholds are overridable per call site by passing a modified
-``Tolerances``; the defaults below are the shipped contract.
+``Tolerances``, e.g. ``dataclasses.replace(DEFAULT_TOL, psd=1e-5)``; the
+defaults below are the shipped contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,6 @@ class Tolerances:
     jacobi_off: float = 1e-14
     #: Jacobi sweep cap; exceeding it raises SolverFailure
     jacobi_sweeps: int = 100
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOL = Tolerances()

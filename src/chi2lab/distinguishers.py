@@ -10,7 +10,7 @@ the family is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,14 +40,7 @@ class FDistinguisherReport:
     samples_used: int
 
     def to_obj(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "dim": self.dim,
-            "equality": self.equality,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "samples_used": self.samples_used,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -64,15 +57,7 @@ class BregmanDistinguisherReport:
         return self.fit_residual >= 0.1
 
     def to_obj(self) -> dict:
-        return {
-            "probe_t": self.probe_t,
-            "dim": self.dim,
-            "s_grid": list(self.s_grid),
-            "values": list(self.values),
-            "fit_residual": self.fit_residual,
-            "control_residual": self.control_residual,
-            "non_quadratic": self.non_quadratic,
-        }
+        return {**asdict(self), "non_quadratic": self.non_quadratic}
 
 
 @dataclass(frozen=True)
@@ -87,16 +72,7 @@ class JensenDistinguisherReport:
     jensen_gap: float
 
     def to_obj(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "dim": self.dim,
-            "a": self.a,
-            "b": self.b,
-            "forward": self.forward,
-            "backward": self.backward,
-            "gap": self.gap,
-            "jensen_gap": self.jensen_gap,
-        }
+        return asdict(self)
 
 
 def distinguish_from_f_divergence(

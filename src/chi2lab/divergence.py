@@ -205,8 +205,7 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     one ``(2n, n)`` matrix-vector product and two inner products, O(n^2).
     """
     alpha = Alpha(alpha)
-    if r.dim != d.dim:
-        raise DimensionMismatch(f"dim {r.dim} vs {d.dim}")
+    _require_same_dim(r, d)
     spec = d.spectrum()
     _require_pd(spec, d.tol)
     v = r.vector

@@ -12,7 +12,7 @@ singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -242,36 +242,34 @@ class SpectralDecomposition:
     def lmin(self) -> float:
         return self.eigenvalues[-1]
 
-    def reassemble(self) -> np.ndarray:
-        out = np.zeros_like(self.projections[0])
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out = out + lam * proj
+    def _projection_sum(self, weights) -> np.ndarray:
+        """``sum_j w_j P_j`` over the clusters whose weight is not None."""
+        # np.zeros, not np.zeros_like, whose Python-level dispatch adds
+        # about 1.7 us to each of the thousands of power() calls a
+        # property suite makes
+        first = self.projections[0]
+        out = np.zeros(first.shape, first.dtype)
+        for w, proj in zip(weights, self.projections):
+            if w is not None:
+                out = out + w * proj
         return out
+
+    def reassemble(self) -> np.ndarray:
+        return self._projection_sum(self.eigenvalues)
 
     def apply(self, fn) -> np.ndarray:
         """Standard operator function sum_j f(lambda_j) P_j."""
-        out = np.zeros_like(self.projections[0])
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out = out + fn(lam) * proj
-        return out
+        return self._projection_sum([fn(lam) for lam in self.eigenvalues])
 
     def shift(self, offset: float) -> "SpectralDecomposition":
         """Decomposition of M + offset * I (same projections)."""
-        return SpectralDecomposition(
-            tuple(lam + offset for lam in self.eigenvalues),
-            self.projections,
-            self.multiplicities,
-        )
+        return replace(self, eigenvalues=tuple(lam + offset for lam in self.eigenvalues))
 
     def scale(self, factor: float) -> "SpectralDecomposition":
         """Decomposition of factor * M for factor > 0."""
         if factor <= 0.0:
             raise ValueError("scale factor must be positive")
-        return SpectralDecomposition(
-            tuple(factor * lam for lam in self.eigenvalues),
-            self.projections,
-            self.multiplicities,
-        )
+        return replace(self, eigenvalues=tuple(factor * lam for lam in self.eigenvalues))
 
     def power(
         self,
@@ -287,33 +285,19 @@ class SpectralDecomposition:
         ``pseudo=True``, otherwise SingularOperator is raised.
         """
         cutoff = support_rel * max(self.lmax, 0.0)
-        out = np.zeros_like(self.projections[0])
-        skipped = False
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            if lam > cutoff:
-                out = out + (lam**p) * proj
-            else:
-                skipped = True
-        if skipped and p < 0.0 and not pseudo:
+        weights = [lam**p if lam > cutoff else None for lam in self.eigenvalues]
+        if None in weights and p < 0.0 and not pseudo:
             raise SingularOperator(
                 "negative power of a singular operator; pass pseudo=True "
                 "for the support-restricted pseudo-power"
             )
-        return out
+        return self._projection_sum(weights)
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
-        """Orthogonal projection onto the span of the above-cutoff eigenspaces."""
+        """Orthogonal projection onto the span of the above-cutoff eigenspaces
+        (zero for the zero operator)."""
         cutoff = support_rel * max(self.lmax, 0.0)
-        out = np.zeros_like(self.projections[0])
-        any_above = False
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            if lam > cutoff:
-                out = out + proj
-                any_above = True
-        if not any_above:
-            # zero operator: empty support
-            return np.zeros_like(self.projections[0])
-        return out
+        return self._projection_sum([1.0 if lam > cutoff else None for lam in self.eigenvalues])
 
     def is_positive_definite(self, pd_rel: float = DEFAULT_TOL.pd) -> bool:
         return self.lmax > 0.0 and self.lmin > pd_rel * self.lmax

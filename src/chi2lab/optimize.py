@@ -1,10 +1,19 @@
 """Constrained minimization used by reconstruction and verification.
 
-Objectives arrive as black-box oracles, so every solver here uses
-central finite-difference gradients (the decompiler cannot assume an
-analytic form).  Searches are multi-start with deterministic seeding;
-failure to converge is reported through a flag, never an exception, and
-the best value found is still returned.
+Every search runs one loop, ``_descend``: gradient descent with the
+two-point (Barzilai-Borwein) step and a monotone backtracking safeguard,
+started from several deterministically seeded points.  The loop has two
+geometries.  On the unit sphere (rank-one projections, and states
+parametrized as G G* / tr(G G*)) the gradient is projected onto the
+tangent space and every candidate is retracted by normalization (Absil,
+Mahony and Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
+2008).  In free space (the positive definite cone, parametrized as
+G G* + floor * I) steps are taken as they come.
+
+Objectives arrive as black-box oracles, so gradients are central finite
+differences (the decompiler cannot assume an analytic form).  Failure to
+converge is reported through a flag, never an exception, and the best
+value found is still returned.
 """
 
 from __future__ import annotations
@@ -34,23 +43,25 @@ __all__ = [
     "maximize_over_states",
 ]
 
+#: a sphere step shorter than this ends a descent
+_STEP_TOL = 1e-12
+#: two consecutive gains at or below this end a descent
+_VALUE_TOL = 1e-10
+#: central finite-difference step
+_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class SphereOptConfig:
     restarts: int = 32
     max_iters: int = 500
-    step_tol: float = 1e-12
-    value_tol: float = 1e-10
     #: optional projection matrix restricting the search to a subspace
     subspace: np.ndarray | None = None
     seed: int = 0
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.step_tol <= 0 or self.value_tol <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,9 +70,7 @@ class ConeOptConfig:
     boundary_floor: float = 1e-8
     max_iters: int = 400
     restarts: int = 8
-    value_tol: float = 1e-10
     seed: int = 0
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.boundary_floor <= 0:
@@ -94,7 +103,8 @@ class StateOptResult:
     converged: bool
 
 
-def _fd_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
+def _fd_grad(fun, x: np.ndarray) -> np.ndarray:
+    h = _FD_STEP
     g = np.empty(x.size)
     for i in range(x.size):
         old = x[i]
@@ -107,105 +117,68 @@ def _fd_grad(fun, x: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _descend_on_sphere(fun, x0: np.ndarray, max_iters: int, step_tol: float,
-                       value_tol: float, h: float) -> tuple[float, np.ndarray, bool]:
-    """Projected gradient descent on the unit sphere of R^n.
+def _descend(fun, x0: np.ndarray, max_iters: int,
+             on_sphere: bool) -> tuple[float, np.ndarray, bool]:
+    """Two-point (Barzilai-Borwein) gradient descent, on the sphere or free.
 
-    Steps use the two-point (Barzilai-Borwein) size with a monotone
-    backtracking safeguard; without it, nearly degenerate spectra make
-    plain gradient descent crawl.
+    Steps use a monotone backtracking safeguard; without it, nearly
+    degenerate spectra make plain gradient descent crawl.  On the unit
+    sphere of R^n the gradient is projected onto the tangent space, a
+    trial step stays under one radian, candidates are retracted by
+    normalization and a step shorter than ``_STEP_TOL`` ends the run.
     """
-    x = x0 / np.linalg.norm(x0)
-    f = fun(x)
-    prev_x = prev_grad = None
-    eta = 0.25
-    converged = False
-    stall = 0
-    for _ in range(max_iters):
-        grad = _fd_grad(fun, x, h)
-        grad -= np.dot(grad, x) * x
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            converged = True
-            break
-        if prev_grad is not None:
-            s = x - prev_x
-            y = grad - prev_grad
-            sy = float(np.dot(s, y))
-            yy = float(np.dot(y, y))
-            if sy > 0.0 and yy > 0.0:
-                eta = sy / yy
-        # keep the trial displacement under one radian on the sphere
-        eta = min(eta, 0.8 / gnorm)
-        improved = False
-        while eta * gnorm > 0.25 * step_tol:
-            cand = x - eta * grad
-            cand /= np.linalg.norm(cand)
-            fc = fun(cand)
-            if fc < f:
-                improved = True
-                break
-            eta /= 2.0
-        if not improved:
-            converged = True
-            break
-        prev_x, prev_grad = x, grad
-        moved = float(np.linalg.norm(cand - x))
-        gain = f - fc
-        x, f = cand, fc
-        eta = min(eta * 2.0, 1e6)
-        if moved <= step_tol:
-            converged = True
-            break
-        if gain <= value_tol:
-            stall += 1
-            if stall >= 2:
-                converged = True
-                break
-        else:
-            stall = 0
-    return f, x, converged
-
-
-def _descend_free(fun, x0: np.ndarray, max_iters: int, value_tol: float,
-                  h: float) -> tuple[float, np.ndarray, bool]:
-    """Unconstrained gradient descent with a two-point adaptive step."""
-    x = x0.copy()
-    f = fun(x)
-    prev_x = prev_grad = None
-    converged = False
-    eta = 0.25
-    stall = 0
-    for _ in range(max_iters):
-        grad = _fd_grad(fun, x, h)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            converged = True
-            break
-        if prev_grad is not None:
-            s = x - prev_x
-            y = grad - prev_grad
-            sy = float(np.dot(s, y))
-            yy = float(np.dot(y, y))
-            if sy > 0.0 and yy > 0.0:
-                eta = sy / yy
-        improved = False
-        while eta * gnorm > 1e-14:
-            cand = x - eta * grad
-            fc = fun(cand)
-            if fc < f:
-                improved = True
-                break
-            eta /= 2.0
-        if not improved:
-            converged = True
-            break
-        prev_x, prev_grad = x, grad
-        gain = f - fc
-        x, f = cand, fc
+    if on_sphere:
+        x = x0 / np.linalg.norm(x0)
+        step_floor, step_cap = 0.25 * _STEP_TOL, 1e6
+    else:
+        x = x0.copy()
         # quartic landscapes flatten toward the minimum; let the step grow
-        eta = min(eta * 2.0, 1e9)
-        if gain <= value_tol:
+        step_floor, step_cap = 1e-14, 1e9
+    f = fun(x)
+    prev_x = prev_grad = None
+    eta = 0.25
+    converged = False
+    stall = 0
+    for _ in range(max_iters):
+        grad = _fd_grad(fun, x)
+        if on_sphere:
+            grad -= np.dot(grad, x) * x
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm == 0.0:
+            converged = True
+            break
+        if prev_grad is not None:
+            s = x - prev_x
+            y = grad - prev_grad
+            sy = float(np.dot(s, y))
+            yy = float(np.dot(y, y))
+            if sy > 0.0 and yy > 0.0:
+                eta = sy / yy
+        if on_sphere:
+            # keep the trial displacement under one radian on the sphere
+            eta = min(eta, 0.8 / gnorm)
+        improved = False
+        while eta * gnorm > step_floor:
+            cand = x - eta * grad
+            if on_sphere:
+                cand /= np.linalg.norm(cand)
+            fc = fun(cand)
+            if fc < f:
+                improved = True
+                break
+            eta /= 2.0
+        if not improved:
+            converged = True
+            break
+        short_step = on_sphere and float(np.linalg.norm(cand - x)) <= _STEP_TOL
+        prev_x, prev_grad = x, grad
+        gain = f - fc
+        x, f = cand, fc
+        eta = min(eta * 2.0, step_cap)
+        if short_step:
+            converged = True
+            break
+        if gain <= _VALUE_TOL:
             stall += 1
             if stall >= 2:
                 converged = True
@@ -213,6 +186,15 @@ def _descend_free(fun, x0: np.ndarray, max_iters: int, value_tol: float,
         else:
             stall = 0
     return f, x, converged
+
+
+def _multistart(fun, starts, max_iters: int,
+                on_sphere: bool) -> tuple[float, np.ndarray, bool]:
+    """Descend from every start: the first best (value, point), and
+    whether any run converged."""
+    runs = [_descend(fun, x0, max_iters, on_sphere) for x0 in starts]
+    f, x, _ = min(runs, key=lambda run: run[0])
+    return f, x, any(run[2] for run in runs)
 
 
 def _complex_of(x: np.ndarray) -> np.ndarray:
@@ -255,16 +237,8 @@ def _optimize_rank_one(g, d: int, cfg: SphereOptConfig, sign: float) -> SphereOp
         return sign * float(g(RankOneProjection(lift @ x, tol)))
 
     rng = np.random.default_rng(cfg.seed)
-    best: tuple[float, np.ndarray] | None = None
-    any_converged = False
-    for x0 in _sphere_starts(k, cfg.restarts, rng):
-        f, x, conv = _descend_on_sphere(
-            fun, x0, cfg.max_iters, cfg.step_tol, cfg.value_tol, cfg.fd_step
-        )
-        any_converged = any_converged or conv
-        if best is None or f < best[0]:
-            best = (f, x)
-    f, x = best
+    starts = _sphere_starts(k, cfg.restarts, rng)
+    f, x, any_converged = _multistart(fun, starts, cfg.max_iters, True)
     proj = RankOneProjection(lift @ x, tol)
     return SphereOptResult(proj, sign * f, any_converged)
 
@@ -308,14 +282,7 @@ def infimum_over_pd(g, d: int, cfg: ConeOptConfig | None = None) -> ConeOptResul
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     while len(starts) < cfg.restarts:
         starts.append(0.7 * rng.standard_normal(2 * d * d))
-    best = None
-    any_converged = False
-    for x0 in starts:
-        f, x, conv = _descend_free(fun, x0, cfg.max_iters, cfg.value_tol, cfg.fd_step)
-        any_converged = any_converged or conv
-        if best is None or f < best[0]:
-            best = (f, x)
-    f, x = best
+    f, x, any_converged = _multistart(fun, starts, cfg.max_iters, False)
     xmat = assemble(x)
     w, _ = jacobi_eigh(xmat)
     # an eigenvalue within 1e-5 of zero (on the unit scale) means the
@@ -344,15 +311,6 @@ def maximize_over_states(g, d: int, cfg: ConeOptConfig | None = None) -> StateOp
 
     rng = np.random.default_rng(cfg.seed)
     starts = _sphere_starts(d * d, cfg.restarts, rng)
-    best = None
-    any_converged = False
-    for x0 in starts:
-        f, x, conv = _descend_on_sphere(
-            fun, x0, cfg.max_iters, 1e-12, cfg.value_tol, cfg.fd_step
-        )
-        any_converged = any_converged or conv
-        if best is None or f < best[0]:
-            best = (f, x)
-    f, x = best
+    f, x, any_converged = _multistart(fun, starts, cfg.max_iters, True)
     state = _unchecked(DensityOperator, state_of(x), tol=tol)
     return StateOptResult(state, -f, any_converged)

@@ -12,6 +12,8 @@ handling for degenerate spectra).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
@@ -62,15 +64,7 @@ def spectral_peel(
             subspace = hermitian_part(eye - stack @ stack.conj().T)
         else:
             subspace = None
-        run_cfg = SphereOptConfig(
-            restarts=cfg.restarts,
-            max_iters=cfg.max_iters,
-            step_tol=cfg.step_tol,
-            value_tol=cfg.value_tol,
-            subspace=subspace,
-            seed=cfg.seed + len(found),
-            fd_step=cfg.fd_step,
-        )
+        run_cfg = replace(cfg, subspace=subspace, seed=cfg.seed + len(found))
         result = minimize_over_rank_one(oracle.query, d, run_cfg)
         if not result.converged:
             raise ReconstructionError(

@@ -8,7 +8,7 @@ shipped baseline is zero failures on default seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,10 +47,8 @@ class PropertyReport:
 def _conjugated(op, u: np.ndarray, cls):
     """UAU* with the spectrum rotated instead of recomputed."""
     spec = op.spectrum()
-    rotated = SpectralDecomposition(
-        spec.eigenvalues,
-        tuple(hermitian_part(u @ p @ u.conj().T) for p in spec.projections),
-        spec.multiplicities,
+    rotated = replace(
+        spec, projections=tuple(hermitian_part(u @ p @ u.conj().T) for p in spec.projections)
     )
     return _unchecked(cls, rotated.reassemble(), tol=op.tol, spectrum=rotated)
 
@@ -264,18 +262,7 @@ def run_property_suite(alphas, dims, trials: int, seed: int) -> list[PropertyRep
 def reports_to_obj(reports) -> dict:
     return {
         "failures": sum(r.failures for r in reports),
-        "properties": [
-            {
-                "name": r.name,
-                "alpha": r.alpha,
-                "dim": r.dim,
-                "trials": r.trials,
-                "failures": r.failures,
-                "worst_residual": r.worst_residual,
-                "witness": r.witness,
-            }
-            for r in reports
-        ],
+        "properties": [asdict(r) for r in reports],
     }
 
 

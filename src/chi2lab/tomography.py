@@ -41,9 +41,6 @@ from .oracle import DivergenceOracle
 
 __all__ = ["ProbeSchedule", "probe_state", "quadratic_form_tomography"]
 
-_HALF_EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class ProbeSchedule:
     """Interior probe weights t; all distinct, strictly inside (0, 1)."""
@@ -90,13 +87,12 @@ def probe_state(p: RankOneProjection, t: float, d: int,
 def _basis_matrix(alpha: Alpha, ts: np.ndarray) -> np.ndarray:
     """Columns: [1, 1/t, 1/(1-t), (power functions)] with degenerates dropped."""
     cols = [np.ones_like(ts), 1.0 / ts, 1.0 / (1.0 - ts)]
-    if alpha.is_endpoint:
-        pass  # both power functions collapse onto 1/t and 1/(1-t)
-    elif abs(alpha - 0.5) < _HALF_EPS:
+    # at the endpoints both power functions collapse onto 1/t and
+    # 1/(1-t); at alpha = 1/2 they coincide
+    if not alpha.is_endpoint:
         cols.append(ts ** (-alpha) * (1.0 - ts) ** (alpha - 1.0))
-    else:
-        cols.append(ts ** (-alpha) * (1.0 - ts) ** (alpha - 1.0))
-        cols.append((1.0 - ts) ** (-alpha) * ts ** (alpha - 1.0))
+        if abs(alpha - 0.5) >= 1e-9:
+            cols.append((1.0 - ts) ** (-alpha) * ts ** (alpha - 1.0))
     return np.vstack(cols).T
 
 

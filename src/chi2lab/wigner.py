@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
+from .ensembles import haar_unitary
 from .errors import InconsistentSymmetry, NotASymmetry
 from .linalg import op_norm
 from .operators import PdOperator, RankOneProjection, _unchecked, projection_family
@@ -106,18 +107,18 @@ def conjugation_projection_map(conj: ConjugationMap) -> ProjectionMap:
     return ProjectionMap(lambda p: RankOneProjection(conj.apply_vector(p.vector)))
 
 
+def _basis_pairs(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (e_i, e_j), i < j, of standard basis vectors in lexicographic order."""
+    eye = np.eye(d, dtype=np.complex128)
+    return [(eye[:, i], eye[:, j]) for i in range(d) for j in range(i + 1, d)]
+
+
 def _sample_pairs(d: int, samples: int, seed: int):
     """Deterministic pair plan: canonical orthogonal pairs, then seeded Haar ones."""
     rng = np.random.default_rng(seed)
-    eye = np.eye(d, dtype=np.complex128)
-    pairs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            pairs.append((eye[:, i], eye[:, j]))
+    pairs = _basis_pairs(d)
     while len(pairs) < samples:
-        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        q = haar_unitary(d, rng)
         pairs.append((q[:, 0], q[:, 1]))
     return pairs
 
@@ -144,11 +145,8 @@ def check_transition_probabilities(
     rng = np.random.default_rng(seed)
     worst = 0.0
     pairs = []
-    eye = np.eye(d, dtype=np.complex128)
-    for i in range(d):
-        for j in range(i + 1, d):
-            pairs.append((eye[:, i], eye[:, j]))
-            pairs.append((eye[:, i], (eye[:, i] + eye[:, j]) / np.sqrt(2)))
+    for ei, ej in _basis_pairs(d):
+        pairs += [(ei, ej), (ei, (ei + ej) / np.sqrt(2))]
     while len(pairs) < samples:
         vp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vr = rng.standard_normal(d) + 1j * rng.standard_normal(d)

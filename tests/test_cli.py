@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from chi2lab.cli import main
+from chi2lab.demos import (
+    SECOND_VARIABLE_NOTE,
+    demo_first_variable_discontinuity,
+    demo_second_variable_discontinuity,
+)
+from chi2lab.distinguishers import (
+    distinguish_from_bregman,
+    distinguish_from_f_divergence,
+    distinguish_from_jensen,
+)
 from chi2lab.ensembles import haar_unitary
 from chi2lab.matio import save_matrix
 
@@ -174,3 +184,90 @@ def test_env_seed_fallback(mats, capsys, monkeypatch):
                "--seed", "123", "--json"])
     assert rc == 0
     assert capsys.readouterr().out == first
+
+
+def _fields(obj, keys) -> dict:
+    """The named attributes, as they read after a JSON round trip."""
+    return json.loads(json.dumps({k: getattr(obj, k) for k in keys}))
+
+
+FIRST_VAR_KEYS = ["n", "support_contained", "extended_value", "probe_value",
+                  "limit_point_value"]
+SECOND_VAR_KEYS = ["n", "numeric", "closed_form", "relative_error", "distance_to_limit"]
+
+
+def test_demo_first_var_json_matches_library_rows(capsys):
+    assert main(["demo", "--which", "first-var", "--n-max", "4", "--alpha", "0.25",
+                 "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    rows = demo_first_variable_discontinuity(0.25, 4)
+    assert list(obj) == ["which", "rows"]
+    assert obj["which"] == "first-var"
+    assert [list(row) for row in obj["rows"]] == [FIRST_VAR_KEYS] * len(rows)
+    assert obj["rows"] == [_fields(r, FIRST_VAR_KEYS) for r in rows]
+
+
+def test_demo_second_var_json_matches_library_rows(capsys):
+    assert main(["demo", "--which", "second-var", "--n-max", "5", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    rows = demo_second_variable_discontinuity(5)
+    assert list(obj) == ["which", "note", "rows", "all_match"]
+    assert obj["which"] == "second-var"
+    assert obj["note"] == SECOND_VARIABLE_NOTE
+    assert obj["all_match"] is True
+    assert [list(row) for row in obj["rows"]] == [SECOND_VAR_KEYS] * len(rows)
+    assert obj["rows"] == [_fields(r, SECOND_VAR_KEYS) for r in rows]
+
+
+F_KEYS = ["alpha", "dim", "equality", "max_residual", "witness", "samples_used"]
+BREGMAN_KEYS = ["probe_t", "dim", "s_grid", "values", "fit_residual",
+                "control_residual", "non_quadratic"]
+JENSEN_KEYS = ["alpha", "dim", "a", "b", "forward", "backward", "gap", "jensen_gap"]
+
+
+@pytest.mark.parametrize("argv, report, keys", [
+    (["--which", "f", "--alpha", "0", "--seed", "2"],
+     lambda: distinguish_from_f_divergence(0.0, 2, 1000, 2), F_KEYS),
+    (["--which", "f", "--alpha", "0.5", "--seed", "2"],
+     lambda: distinguish_from_f_divergence(0.5, 2, 1000, 2), F_KEYS),
+    (["--which", "bregman", "--probe-t", "3.0", "--dim", "3"],
+     lambda: distinguish_from_bregman(0.5, 3.0, d=3), BREGMAN_KEYS),
+    (["--which", "jensen", "--alpha", "0.25", "--dim", "3"],
+     lambda: distinguish_from_jensen(0.25, 3), JENSEN_KEYS),
+])
+def test_distinguish_json_matches_library_report(argv, report, keys, capsys):
+    assert main(["distinguish", *argv, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == keys
+    assert obj == _fields(report(), keys)
+
+
+def test_tolerance_flag_only_where_read(mats, capsys):
+    # subcommands that never read tolerances do not take the flag
+    assert main(["suite", "--trials", "1", "--tol", "psd=1e-5"]) == 2
+    assert main(["demo", "--which", "second-var", "--tol", "psd=1e-5"]) == 2
+    assert main(["distinguish", "--which", "jensen", "--tol", "psd=1e-5"]) == 2
+    # every subcommand that takes it rejects a bad override
+    assert main(["decompile", "--map", "identity", "--dim", "2",
+                 "--tol", "nonsense=1"]) == 2
+    assert main(["tomography", "--hidden", mats["d73"], "--alpha", "0.5",
+                 "--tol", "psd=abc"]) == 2
+    assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
+                 "--tol", "garbage"]) == 2
+
+
+def test_decompile_passes_tolerances(monkeypatch, capsys):
+    import chi2lab.cli as cli
+
+    seen = []
+    original = cli.preserver_decompile
+
+    def spy(phi, d, alpha, cfg=None, tol=None):
+        seen.append(tol)
+        return original(phi, d, alpha, cfg, tol)
+
+    monkeypatch.setattr(cli, "preserver_decompile", spy)
+    assert main(["decompile", "--map", "identity", "--dim", "2",
+                 "--tol", "jacobi_sweeps=50", "--tol", "cluster=1e-9"]) == 0
+    assert (seen[0].jacobi_sweeps, seen[0].cluster) == (50, 1e-9)
+    assert seen[0].psd == 1e-10

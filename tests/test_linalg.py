@@ -19,6 +19,7 @@ from chi2lab import (
 )
 from chi2lab.ensembles import haar_unitary, random_hermitian, random_psd
 from chi2lab.linalg import (
+    SpectralDecomposition,
     _jacobi,
     _round_robin_plan,
     hermitian_part,
@@ -169,6 +170,39 @@ def test_reassembly_invariant():
             bound = 1e-10 * (1.0 + op_norm(m))
             assert op_norm(spec.reassemble() - m) <= bound
             spec.validate(m)
+
+
+def _loop_sum(spec, weight, cutoff=None):
+    """Reference: the explicit per-cluster sum, skipping clusters at or below cutoff."""
+    out = np.zeros_like(spec.projections[0])
+    for lam, proj in zip(spec.eigenvalues, spec.projections):
+        if cutoff is None or lam > cutoff:
+            out = out + weight(lam) * proj
+    return out
+
+
+def test_spectral_functions_match_the_explicit_loop_bitwise():
+    rng = np.random.default_rng(12)
+    diag = tuple(np.diag(e).astype(complex) for e in np.eye(3))
+    specs = [eigh(random_psd(d, rng, rank=r)) for d, r in ((2, 2), (4, 2), (6, 5))]
+    specs += [
+        SpectralDecomposition((2.0, 1e-12, 0.0), diag, (1, 1, 1)),
+        SpectralDecomposition((0.0,), (np.eye(2, dtype=complex),), (2,)),
+        SpectralDecomposition((-1.0, -2.0), diag[:2], (1, 1)),
+    ]
+    for spec in specs:
+        cutoff = 1e-10 * max(spec.lmax, 0.0)
+        np.testing.assert_array_equal(spec.reassemble(), _loop_sum(spec, lambda t: t))
+        np.testing.assert_array_equal(spec.apply(np.exp), _loop_sum(spec, np.exp))
+        for p in (-0.5, 0.25, 1.0, 2.0):
+            np.testing.assert_array_equal(
+                spec.power(p, pseudo=True), _loop_sum(spec, lambda t: t**p, cutoff)
+            )
+        support = np.zeros_like(spec.projections[0])
+        for lam, proj in zip(spec.eigenvalues, spec.projections):
+            if lam > cutoff:
+                support = support + proj
+        np.testing.assert_array_equal(spec.support(), support)
 
 
 def test_frac_power_identity():

@@ -75,6 +75,18 @@ def test_determinism():
     r2 = minimize_over_rank_one(lambda r: chi2_shifted(r, dens, 0.5), 3, CFG)
     assert r1.value == r2.value
     np.testing.assert_array_equal(r1.argopt.vector, r2.argopt.vector)
+    # the free (cone) and the state-sphere geometries repeat bit for bit too
+    b = PdOperator(np.diag([1.0, 0.5]))
+    c = PdOperator(np.diag([2.0, 0.7]))
+    runs = [infimum_over_pd(lambda x: chi2(x, b, 0.5) - chi2(x, c, 0.5), 2, CONE)
+            for _ in range(2)]
+    assert runs[0].value == runs[1].value
+    assert (runs[0].boundary, runs[0].converged) == (runs[1].boundary, runs[1].converged)
+    np.testing.assert_array_equal(runs[0].argmin.mat, runs[1].argmin.mat)
+    states = [maximize_over_states(lambda x: chi2(x, b, 0.25), 2, CONE) for _ in range(2)]
+    assert states[0].value == states[1].value
+    assert states[0].converged == states[1].converged
+    np.testing.assert_array_equal(states[0].state.mat, states[1].state.mat)
 
 
 def test_config_validation():
