@@ -92,7 +92,7 @@ from .wigner import (
     conjugation_projection_map,
     wigner_synthesize,
 )
-from .decompile import DecompileConfig, DecompileReport, preserver_decompile
+from .decompile import DecompileReport, preserver_decompile
 from .properties import (
     PROPERTY_NAMES,
     PropertyReport,

@@ -25,7 +25,7 @@ from .comparisons import (
     jensen_divergence,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .decompile import DecompileConfig, preserver_decompile
+from .decompile import preserver_decompile
 from .demos import (
     SECOND_VARIABLE_NOTE,
     demo_first_variable_discontinuity,
@@ -255,8 +255,7 @@ def cmd_decompile(args) -> int:
     conj, dim = _build_map(args.map, args.dim)
     if args.dim is not None and args.dim != dim:
         raise ValueError(f"--dim {args.dim} conflicts with the supplied matrix ({dim})")
-    cfg = DecompileConfig(seed=args.seed)
-    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, cfg, args.tol)
+    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, seed=args.seed, tol=args.tol)
     text_lines = [
         f"recovered kind: {report.recovered.kind}",
         f"trace residual:        {report.trace_preservation_residual:.3e}",

@@ -59,6 +59,7 @@ def _same_dim(a, b):
 def f_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     """Double spectral sum  sum_{x,y} y f(x/y) tr(P_x Q_y)  over sigma(A), sigma(B).
 
+    Summed over eigenvector pairs, which weigh ``|<a_i, b_j>|^2``.
     Defined here for positive definite B only.
     """
     _same_dim(a, b)
@@ -66,10 +67,10 @@ def f_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     if not spec_b.is_positive_definite(b.tol.pd):
         raise NotPositiveDefinite("f-divergence requires a positive definite second argument")
     spec_a = a.spectrum()
+    weights = (np.abs(spec_a.v.conj().T @ spec_b.v) ** 2).tolist()
     total = 0.0
-    for x, p in zip(spec_a.eigenvalues, spec_a.projections):
-        for y, q in zip(spec_b.eigenvalues, spec_b.projections):
-            weight = float(np.trace(p @ q).real)
+    for x, row in zip(spec_a.w.tolist(), weights):
+        for y, weight in zip(spec_b.w.tolist(), row):
             total += y * f(x / y) * weight
     return total
 
@@ -79,10 +80,9 @@ def bregman_divergence(a: PdOperator, b: PdOperator, f: ScalarFunction) -> float
     _same_dim(a, b)
     if f.derivative is None:
         raise ValueError(f"Bregman divergence needs the derivative of {f.name or 'f'}")
-    spec_a = a.spectrum()
     spec_b = b.spectrum()
-    tr_fa = sum(f(x) * m for x, m in zip(spec_a.eigenvalues, spec_a.multiplicities))
-    tr_fb = sum(f(y) * m for y, m in zip(spec_b.eigenvalues, spec_b.multiplicities))
+    tr_fa = sum(map(f, a.spectrum().w.tolist()))
+    tr_fb = sum(map(f, spec_b.w.tolist()))
     grad_b = spec_b.apply(lambda y: float(f.derivative(y)))
     correction = float(np.trace(grad_b @ (a.mat - b.mat)).real)
     return tr_fa - tr_fb - correction
@@ -91,11 +91,8 @@ def bregman_divergence(a: PdOperator, b: PdOperator, f: ScalarFunction) -> float
 def jensen_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     """tr[(f(A) + f(B))/2 - f((A+B)/2)]; symmetric in (A, B) by construction."""
     _same_dim(a, b)
-    spec_a = a.spectrum()
-    spec_b = b.spectrum()
     mid = HermitianMatrix((a.mat + b.mat) / 2.0, a.tol)
-    spec_m = mid.spectrum()
-    tr_fa = sum(f(x) * m for x, m in zip(spec_a.eigenvalues, spec_a.multiplicities))
-    tr_fb = sum(f(y) * m for y, m in zip(spec_b.eigenvalues, spec_b.multiplicities))
-    tr_fm = sum(f(z) * m for z, m in zip(spec_m.eigenvalues, spec_m.multiplicities))
+    tr_fa = sum(map(f, a.spectrum().w.tolist()))
+    tr_fb = sum(map(f, b.spectrum().w.tolist()))
+    tr_fm = sum(map(f, mid.spectrum().w.tolist()))
     return (tr_fa + tr_fb) / 2.0 - tr_fm

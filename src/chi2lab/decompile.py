@@ -30,7 +30,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
 from .ensembles import random_pd
 from .errors import Chi2LabError
-from .linalg import jacobi_eigh, op_norm
+from .linalg import hermitian_part, jacobi_eigh, op_norm
 from .matio import matrix_to_obj
 from .operators import PdOperator, RankOneProjection, _unchecked
 from .wigner import (
@@ -42,24 +42,20 @@ from .wigner import (
     wigner_synthesize,
 )
 
-__all__ = ["DecompileConfig", "DecompileReport", "preserver_decompile"]
+__all__ = ["DecompileReport", "preserver_decompile"]
 
-
-@dataclass(frozen=True)
-class DecompileConfig:
-    scales: tuple[float, ...] = (0.5, 1.0, 2.0)
-    #: mixing weight for rounding extremal states away from the boundary
-    epsilon: float = 1e-4
-    trace_samples: int = 8
-    check_samples: int = 10
-    verify_samples: int = 8
-    seed: int = 0
-    trace_tol: float = 1e-8
-    rounding_tol: float = 1e-6
-    orthogonality_tol: float = 1e-8
-    transition_tol: float = 1e-8
-    scale_tol: float = 1e-5
-    verify_tol: float = 1e-6
+_SCALES = (0.5, 1.0, 2.0)
+#: mixing weight for rounding extremal states away from the boundary
+_EPSILON = 1e-4
+_TRACE_SAMPLES = 8
+_CHECK_SAMPLES = 10
+_VERIFY_SAMPLES = 8
+_TRACE_TOL = 1e-8
+_ROUNDING_TOL = 1e-6
+_ORTHOGONALITY_TOL = 1e-8
+_TRANSITION_TOL = 1e-8
+_SCALE_TOL = 1e-5
+_VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,29 +116,30 @@ def preserver_decompile(
     phi,
     d: int,
     alpha: float,
-    cfg: DecompileConfig | None = None,
+    *,
+    seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DecompileReport:
     """Recover the conjugation implementing a divergence-preserving map.
 
     ``phi`` is a callable PdOperator -> PdOperator, assumed (not
     verified globally) to be a bijective preserver; violations surface
-    as stage-labeled failures in the report.
+    as stage-labeled failures in the report.  ``seed`` seeds the random
+    samples of stages 1, 4 and 7.
     """
     Alpha(alpha)
-    cfg = cfg or DecompileConfig()
     phi = _CountingMap(phi)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     failures: list[str] = []
     eye = np.eye(d, dtype=np.complex128)
 
     # stage 1: trace preservation
     trace_residual = 0.0
-    for _ in range(cfg.trace_samples):
+    for _ in range(_TRACE_SAMPLES):
         sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)), tol=tol)
         diff = abs(phi(sample).trace() - sample.trace())
         trace_residual = max(trace_residual, diff)
-        if diff > cfg.trace_tol * max(1.0, sample.trace()):
+        if diff > _TRACE_TOL * max(1.0, sample.trace()):
             if "trace" not in failures:
                 failures.append("trace")
 
@@ -153,13 +150,14 @@ def preserver_decompile(
         def image(p: RankOneProjection) -> RankOneProjection:
             nonlocal rounding_flagged
             tops = []
-            for eps in (cfg.epsilon, cfg.epsilon / 2.0):
+            for eps in (_EPSILON, _EPSILON / 2.0):
                 mixed = (1.0 - eps) * p.matrix + (eps / d) * eye
                 out = phi(_unchecked(PdOperator, lam * mixed, tol=tol)).mat / lam
-                w, v = jacobi_eigh((out + out.conj().T) / 2.0)
+                sym = hermitian_part(out)
+                _, v = jacobi_eigh(sym, max_sweeps=tol.jacobi_sweeps, off_factor=tol.jacobi_off)
                 tops.append(v[:, 0])
             stability = 1.0 - abs(np.vdot(tops[0], tops[1])) ** 2
-            if stability > cfg.rounding_tol and not rounding_flagged:
+            if stability > _ROUNDING_TOL and not rounding_flagged:
                 rounding_flagged = True
                 failures.append("projection-rounding")
             return RankOneProjection(tops[1], tol)
@@ -169,20 +167,20 @@ def preserver_decompile(
     # stage 4: orthogonality and transition checks per scale
     orth_residual = 0.0
     trans_residual = 0.0
-    maps = {lam: restricted_projection_map(lam) for lam in cfg.scales}
+    maps = {lam: restricted_projection_map(lam) for lam in _SCALES}
     for lam, xi in maps.items():
         _, worst_orth = check_orthogonality_preservation(
-            xi, d, samples=cfg.check_samples, seed=cfg.seed + 1
+            xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
         )
         _, worst_trans = check_transition_probabilities(
-            xi, d, samples=cfg.check_samples, seed=cfg.seed + 2
+            xi, d, samples=_CHECK_SAMPLES, seed=seed + 2
         )
         orth_residual = max(orth_residual, worst_orth)
         trans_residual = max(trans_residual, worst_trans)
-    orthogonality_pass = orth_residual <= cfg.orthogonality_tol
+    orthogonality_pass = orth_residual <= _ORTHOGONALITY_TOL
     if not orthogonality_pass:
         failures.append("orthogonality")
-    if trans_residual > cfg.transition_tol:
+    if trans_residual > _TRANSITION_TOL:
         failures.append("transition")
 
     # stage 5: Wigner synthesis per scale
@@ -203,7 +201,7 @@ def preserver_decompile(
                 failures.append("kind-mismatch")
                 continue
             scale_residual = max(scale_residual, _phase_aligned_distance(a.u, b.u))
-    if scale_residual > cfg.scale_tol:
+    if scale_residual > _SCALE_TOL:
         failures.append("scale-consistency")
 
     # stage 7: final verification on fresh samples
@@ -214,11 +212,11 @@ def preserver_decompile(
         failures.append("synthesis")
         recovered = ConjugationMap(np.eye(d), UNITARY, tol)
     verify_residual = 0.0
-    for _ in range(cfg.verify_samples):
+    for _ in range(_VERIFY_SAMPLES):
         sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)), tol=tol)
         drift = op_norm(phi(sample).mat - recovered.apply(sample.mat))
         verify_residual = max(verify_residual, drift)
-    if verify_residual > cfg.verify_tol:
+    if verify_residual > _VERIFY_TOL:
         failures.append("verification")
 
     return DecompileReport(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import Alpha, chi2, chi2_extended, chi2_limit_probe
-from .linalg import SpectralDecomposition, hermitian_part, op_norm
-from .operators import PdOperator, PsdOperator, _unchecked, support_contained
+from .linalg import hermitian_part, op_norm
+from .operators import PdOperator, PsdOperator, support_contained
 
 __all__ = [
     "FirstVariableRow",
@@ -70,13 +70,7 @@ def demo_first_variable_discontinuity(alpha: float, n_max: int) -> list[FirstVar
         raise ValueError("n_max must be at least 1")
     d = 2
     pmat = np.diag([1.0, 0.0]).astype(complex)
-    p = _unchecked(
-        PsdOperator,
-        pmat,
-        spectrum=SpectralDecomposition(
-            (1.0, 0.0), (pmat, np.eye(d) - pmat), (1, 1)
-        ),
-    )
+    p = PsdOperator(pmat)
     limit_value = chi2_extended(p, p, alpha).value
     schedule = (1e-2, 1e-4, 1e-7)
     rows = []

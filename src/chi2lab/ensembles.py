@@ -59,11 +59,7 @@ def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _from_spectrum(cls, d, rng, eigenvalues, tol):
-    u = haar_unitary(d, rng)
-    eigs = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(-eigs, kind="stable")
-    delta = tol.cluster * max(1.0, abs(eigs[order[0]]))
-    spec = cluster_eigenpairs(eigs[order], u[:, order], delta)
+    spec = cluster_eigenpairs(eigenvalues, haar_unitary(d, rng), tol)
     return _unchecked(cls, spec.reassemble(), tol=tol, spectrum=spec)
 
 

@@ -8,6 +8,9 @@ matrices (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which
 downstream divergence code relies on when second arguments are nearly
 singular.  Norms are not eigensolves: ``op_norm`` takes the largest
 singular value.
+
+A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
+by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
 """
 
 from __future__ import annotations
@@ -209,67 +212,66 @@ def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Clustered eigendecomposition with strictly decreasing eigenvalues.
-
-    ``projections[j]`` is the orthogonal eigenprojection of
-    ``eigenvalues[j]`` and ``multiplicities[j]`` its rank.  The clusters
-    partition the identity.
+    """``M = V diag(w) V*``: read-only non-increasing eigenvalues ``w`` and
+    a unitary ``v`` with the eigenvectors in its columns.  Equal entries of
+    ``w`` span one eigenspace; ``eigenvalues``, ``multiplicities`` and
+    ``projections`` are derived views over the distinct eigenvalues.
     """
 
-    eigenvalues: tuple[float, ...]
-    projections: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...]
+    w: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        if not (
-            len(self.eigenvalues)
-            == len(self.projections)
-            == len(self.multiplicities)
-        ):
-            raise ValueError("inconsistent decomposition lengths")
-        for p in self.projections:
-            p.flags.writeable = False
+        w = np.asarray(self.w, dtype=np.float64)
+        v = np.asarray(self.v, dtype=np.complex128)
+        if w.ndim != 1 or len(w) == 0 or v.shape != (len(w), len(w)):
+            raise ValueError(f"eigenvalues {w.shape} do not fit eigenvectors {v.shape}")
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
+        # plain floats: is_positive_definite runs on every rank-one query
+        object.__setattr__(self, "lmax", float(w[0]))
+        object.__setattr__(self, "lmin", float(w[-1]))
 
     @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
+    def eigenvalues(self) -> tuple[float, ...]:
+        """The distinct eigenvalues, strictly decreasing."""
+        return tuple(dict.fromkeys(self.w.tolist()))
 
     @property
-    def lmax(self) -> float:
-        return self.eigenvalues[0]
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(map(self.w.tolist().count, self.eigenvalues))
 
     @property
-    def lmin(self) -> float:
-        return self.eigenvalues[-1]
-
-    def _projection_sum(self, weights) -> np.ndarray:
-        """``sum_j w_j P_j`` over the clusters whose weight is not None."""
-        # np.zeros, not np.zeros_like, whose Python-level dispatch adds
-        # about 1.7 us to each of the thousands of power() calls a
-        # property suite makes
-        first = self.projections[0]
-        out = np.zeros(first.shape, first.dtype)
-        for w, proj in zip(weights, self.projections):
-            if w is not None:
-                out = out + w * proj
-        return out
+    def projections(self) -> tuple[np.ndarray, ...]:
+        """Read-only orthogonal eigenprojection of each distinct eigenvalue."""
+        out = []
+        for lam in self.eigenvalues:
+            block = self.v[:, self.w == lam]
+            proj = hermitian_part(block @ block.conj().T)
+            proj.flags.writeable = False
+            out.append(proj)
+        return tuple(out)
 
     def reassemble(self) -> np.ndarray:
-        return self._projection_sum(self.eigenvalues)
+        """The Hermitian part of ``V diag(w) V*``."""
+        return hermitian_part((self.v * self.w) @ self.v.conj().T)
 
     def apply(self, fn) -> np.ndarray:
-        """Standard operator function sum_j f(lambda_j) P_j."""
-        return self._projection_sum([fn(lam) for lam in self.eigenvalues])
+        """Standard operator function ``V diag(f(w)) V*``."""
+        f = [fn(lam) for lam in self.w.tolist()]
+        return (self.v * f) @ self.v.conj().T
 
     def shift(self, offset: float) -> "SpectralDecomposition":
-        """Decomposition of M + offset * I (same projections)."""
-        return replace(self, eigenvalues=tuple(lam + offset for lam in self.eigenvalues))
+        """Decomposition of M + offset * I (same eigenvectors)."""
+        return replace(self, w=self.w + offset)
 
     def scale(self, factor: float) -> "SpectralDecomposition":
         """Decomposition of factor * M for factor > 0."""
         if factor <= 0.0:
             raise ValueError("scale factor must be positive")
-        return replace(self, eigenvalues=tuple(factor * lam for lam in self.eigenvalues))
+        return replace(self, w=factor * self.w)
 
     def power(
         self,
@@ -278,76 +280,86 @@ class SpectralDecomposition:
         pseudo: bool = False,
         support_rel: float = DEFAULT_TOL.support,
     ) -> np.ndarray:
-        """Fractional (pseudo) power sum_j lambda_j^p P_j over the support.
+        """Fractional (pseudo) power ``V diag(w^p) V*`` over the support.
 
         Eigenvalues at or below ``support_rel * lmax`` count as kernel and
         map to zero.  Negative powers of a singular operator require
         ``pseudo=True``, otherwise SingularOperator is raised.
         """
         cutoff = support_rel * max(self.lmax, 0.0)
-        weights = [lam**p if lam > cutoff else None for lam in self.eigenvalues]
-        if None in weights and p < 0.0 and not pseudo:
+        if self.lmin > cutoff:
+            f = self.w**p
+        elif p < 0.0 and not pseudo:
             raise SingularOperator(
                 "negative power of a singular operator; pass pseudo=True "
                 "for the support-restricted pseudo-power"
             )
-        return self._projection_sum(weights)
+        else:
+            above = self.w > cutoff
+            f = np.zeros(len(self.w))
+            f[above] = self.w[above] ** p
+        return (self.v * f) @ self.v.conj().T
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
         """Orthogonal projection onto the span of the above-cutoff eigenspaces
         (zero for the zero operator)."""
         cutoff = support_rel * max(self.lmax, 0.0)
-        return self._projection_sum([1.0 if lam > cutoff else None for lam in self.eigenvalues])
+        return (self.v * (self.w > cutoff)) @ self.v.conj().T
 
     def is_positive_definite(self, pd_rel: float = DEFAULT_TOL.pd) -> bool:
         return self.lmax > 0.0 and self.lmin > pd_rel * self.lmax
 
     def validate(self, source: np.ndarray | None = None, rtol: float = 1e-10):
-        """Check the structural invariants; raises AssertionError on failure."""
-        d = self.dim
-        eye = np.eye(d)
-        total = np.zeros((d, d), dtype=np.complex128)
-        for j, proj in enumerate(self.projections):
-            assert np.max(np.abs(proj - proj.conj().T)) < 1e-10
-            assert np.max(np.abs(proj @ proj - proj)) < 1e-10
-            for k in range(j + 1, len(self.projections)):
-                assert np.max(np.abs(proj @ self.projections[k])) < 1e-10
-            total = total + proj
-        assert np.max(np.abs(total - eye)) < 1e-9
-        for j in range(len(self.eigenvalues) - 1):
-            assert self.eigenvalues[j] > self.eigenvalues[j + 1]
-        for proj, mult in zip(self.projections, self.multiplicities):
-            assert abs(np.trace(proj).real - mult) < 1e-8
-        if source is not None:
-            scale = max(1.0, abs(self.lmax))
-            assert op_norm(self.reassemble() - source) <= rtol * scale
+        """Check the invariants, and the reassembly of ``source`` when given;
+        raises AssertionError.  ``v* v = I`` within 1e-10 makes the
+        eigenprojections Hermitian, idempotent, orthogonal and complete."""
+        gram = np.max(np.abs(self.v.conj().T @ self.v - np.eye(len(self.w))))
+        if not gram <= 1e-10:
+            raise AssertionError(f"eigenvectors not orthonormal (|V*V - I| = {gram:.1e})")
+        if not np.all(self.w[:-1] >= self.w[1:]):
+            raise AssertionError("eigenvalues not non-increasing")
+        if source is not None and not (
+            op_norm(self.reassemble() - source) <= rtol * max(1.0, abs(self.lmax))
+        ):
+            raise AssertionError("reassembly does not match the source")
+
+
+def complete_to_unitary(x: np.ndarray) -> np.ndarray:
+    """A unitary whose first column is the unit vector ``x`` up to a phase.
+
+    The Householder reflector ``I - 2 u u* / |u|^2`` with ``u = e_0 +
+    conj(phase(x_0)) x`` (phase 1 at ``x_0 = 0``); its first column is
+    ``-conj(phase(x_0)) x`` and ``|u|^2 = 2 + 2 |x_0| >= 2``.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    x0 = complex(x[0])
+    u = x * (x0.conjugate() / abs(x0) if x0 else 1.0)
+    u[0] += 1.0
+    return np.eye(len(x), dtype=np.complex128) - np.outer(u, (2.0 / np.vdot(u, u).real) * u.conj())
 
 
 def cluster_eigenpairs(
-    w: np.ndarray, v: np.ndarray, delta: float
+    w: np.ndarray, v: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> SpectralDecomposition:
-    """Chain-merge eigenpairs whose eigenvalues sit within ``delta``.
+    """Sort eigenpairs by decreasing eigenvalue and merge near-ties.
 
-    ``w`` must be sorted decreasing with orthonormal eigenvectors in the
-    columns of ``v``; the merged eigenvalues are strictly decreasing.
+    ``v`` holds orthonormal eigenvectors in its columns.  Neighbours that
+    sit within ``tol.cluster * max(1, |lmax|)`` chain-merge into one
+    eigenspace whose eigenvalue is their mean.  Every spectrum built from
+    eigenpairs, computed or known by construction, goes through here.
     """
-    d = len(w)
-    values: list[float] = []
-    projections: list[np.ndarray] = []
-    multiplicities: list[int] = []
+    w = np.asarray(w, dtype=np.float64)
+    order = np.argsort(-w, kind="stable")
+    vals = w[order].tolist()
+    delta = tol.cluster * max(1.0, abs(vals[0]))
+    merged: list[float] = []
     start = 0
-    for i in range(1, d + 1):
-        if i < d and (w[i - 1] - w[i]) <= delta:
-            continue
-        block = v[:, start:i]
-        proj = block @ block.conj().T
-        values.append(float(np.mean(w[start:i])))
-        projections.append(hermitian_part(proj))
-        multiplicities.append(i - start)
-        start = i
-    return SpectralDecomposition(
-        tuple(values), tuple(projections), tuple(multiplicities)
-    )
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i - 1] - vals[i] > delta:
+            run = vals[start:i]
+            merged += [sum(run) / len(run)] * len(run)
+            start = i
+    return SpectralDecomposition(np.array(merged), np.asarray(v)[:, order])
 
 
 def spectral_decomposition(
@@ -356,11 +368,9 @@ def spectral_decomposition(
     """Eigendecompose a Hermitian ndarray and cluster near-ties.
 
     Eigenvalues closer than ``tol.cluster * max(1, lmax)`` chain-merge
-    into a single eigenprojection so the returned eigenvalues are
-    strictly decreasing.
+    into one eigenspace (see ``cluster_eigenpairs``).
     """
     w, v = jacobi_eigh(
         mat, max_sweeps=tol.jacobi_sweeps, off_factor=tol.jacobi_off
     )
-    delta = tol.cluster * max(1.0, abs(w[0]))
-    return cluster_eigenpairs(w, v, delta)
+    return cluster_eigenpairs(w, v, tol)

@@ -10,7 +10,7 @@ spectral queries against the same operator cost one factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,17 +106,13 @@ class PsdOperator(HermitianMatrix):
     def __post_init__(self):
         super().__post_init__()
         spec = spectral_decomposition(self.mat, self.tol)
-        lmax = max(spec.lmax, 0.0)
-        floor = -self.tol.psd * max(1.0, lmax)
+        floor = -self.tol.psd * max(1.0, spec.lmax)
         if spec.lmin < floor:
             raise NotPositiveSemidefinite(
                 f"eigenvalue {spec.lmin:.3e} below PSD floor {floor:.3e}"
             )
         if spec.lmin < 0.0:
-            clamped = tuple(max(lam, 0.0) for lam in spec.eigenvalues)
-            spec = SpectralDecomposition(
-                clamped, spec.projections, spec.multiplicities
-            )
+            spec = replace(spec, w=np.maximum(spec.w, 0.0))
             object.__setattr__(self, "mat", _freeze(spec.reassemble()))
         self.__dict__["_spectrum"] = spec
 

@@ -50,8 +50,9 @@ def spectral_peel(
     """Recover the spectral decomposition of the operator behind the oracle.
 
     The oracle must answer query(R) with the shifted rank-one query
-    against a hidden positive definite operator.  Returns a clustered
-    decomposition with strictly decreasing eigenvalues.
+    against a hidden positive definite operator.  Returns the peeled
+    directions as eigenvectors, each cluster's eigenvalue repeated over
+    its directions; the distinct eigenvalues are strictly decreasing.
     """
     alpha = Alpha(alpha)
     cfg = cfg or SphereOptConfig(restarts=d + 3, max_iters=300)
@@ -76,24 +77,14 @@ def spectral_peel(
                 f"query minimum {value!r} does not yield an eigenvalue in (0, inf)"
             )
         lam = 1.0 / value
-        direction = _orthonormalize(result.argopt.vector, found)
-        found.append(direction)
+        found.append(_orthonormalize(result.argopt.vector, found))
         if clusters and abs(value - clusters[-1]["value"]) <= PEEL_WINDOW * clusters[-1]["value"]:
-            clusters[-1]["dirs"].append(direction)
             clusters[-1]["lams"].append(lam)
         else:
-            clusters.append({"value": value, "dirs": [direction], "lams": [lam]})
-    eigenvalues = []
-    projections = []
-    multiplicities = []
-    for cluster in clusters:
-        block = np.column_stack(cluster["dirs"])
-        projections.append(hermitian_part(block @ block.conj().T))
-        eigenvalues.append(float(np.mean(cluster["lams"])))
-        multiplicities.append(len(cluster["dirs"]))
-    for a, b in zip(eigenvalues, eigenvalues[1:]):
+            clusters.append({"value": value, "lams": [lam]})
+    means = [float(np.mean(cluster["lams"])) for cluster in clusters]
+    for a, b in zip(means, means[1:]):
         if not a > b:
             raise ReconstructionError("peeled eigenvalues are not strictly decreasing")
-    return SpectralDecomposition(
-        tuple(eigenvalues), tuple(projections), tuple(multiplicities)
-    )
+    sizes = [len(cluster["lams"]) for cluster in clusters]
+    return SpectralDecomposition(np.repeat(means, sizes), np.column_stack(found))

@@ -21,7 +21,7 @@ from .ensembles import (
     random_projection,
     random_psd,
 )
-from .linalg import SpectralDecomposition, hermitian_part, jacobi_eigh, op_norm
+from .linalg import cluster_eigenpairs, complete_to_unitary, hermitian_part, jacobi_eigh, op_norm
 from .matio import matrix_to_obj
 from .operators import PdOperator, PsdOperator, _unchecked
 
@@ -47,9 +47,7 @@ class PropertyReport:
 def _conjugated(op, u: np.ndarray, cls):
     """UAU* with the spectrum rotated instead of recomputed."""
     spec = op.spectrum()
-    rotated = replace(
-        spec, projections=tuple(hermitian_part(u @ p @ u.conj().T) for p in spec.projections)
-    )
+    rotated = replace(spec, v=u @ spec.v)
     return _unchecked(cls, rotated.reassemble(), tol=op.tol, spectrum=rotated)
 
 
@@ -59,12 +57,10 @@ def _scaled(op, factor: float, cls):
 
 
 def _projection_operator(r) -> PsdOperator:
-    d = r.dim
-    pm = r.matrix
-    spec = SpectralDecomposition(
-        (1.0, 0.0), (pm, hermitian_part(np.eye(d) - pm)), (1, d - 1)
-    )
-    return _unchecked(PsdOperator, pm, spectrum=spec)
+    w = np.zeros(r.dim)
+    w[0] = 1.0
+    spec = cluster_eigenpairs(w, complete_to_unitary(r.vector))
+    return _unchecked(PsdOperator, r.matrix, spectrum=spec)
 
 
 def _witness(**mats) -> dict:

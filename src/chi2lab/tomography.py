@@ -27,7 +27,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
 from .errors import IllConditionedProbe, InconsistentOracle
-from .linalg import SpectralDecomposition, hermitian_part
+from .linalg import cluster_eigenpairs, complete_to_unitary
 from .operators import (
     NonsingularDensity,
     PsdOperator,
@@ -71,17 +71,10 @@ def probe_state(p: RankOneProjection, t: float, d: int,
     """
     if not 0.0 < t < 1.0:
         raise ValueError("probe weight must lie in (0, 1)")
-    s = (1.0 - t) / (d - 1)
-    pm = p.matrix
-    qm = np.eye(d) - pm
-    mat = t * pm + s * qm
-    if abs(t - s) <= tol.cluster * max(1.0, t, s):
-        spec = SpectralDecomposition((t,), (hermitian_part(np.eye(d, dtype=complex)),), (d,))
-    elif t > s:
-        spec = SpectralDecomposition((t, s), (pm, hermitian_part(qm)), (1, d - 1))
-    else:
-        spec = SpectralDecomposition((s, t), (hermitian_part(qm), pm), (d - 1, 1))
-    return _unchecked(NonsingularDensity, mat, tol=tol, spectrum=spec)
+    w = np.full(d, (1.0 - t) / (d - 1))
+    w[0] = t
+    spec = cluster_eigenpairs(w, complete_to_unitary(p.vector), tol)
+    return _unchecked(NonsingularDensity, spec.reassemble(), tol=tol, spectrum=spec)
 
 
 def _basis_matrix(alpha: Alpha, ts: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from chi2lab import (
     support_contained,
     support_projection,
 )
-from chi2lab.decompile import DecompileConfig
 from chi2lab.ensembles import (
     haar_unitary,
     random_nonsingular_density,
@@ -236,8 +235,7 @@ def test_criterion_7_preserver_decompiler():
             for k in range(5):
                 truth = ConjugationMap(haar_unitary(d, rng), kind)
                 report = preserver_decompile(
-                    truth.as_preserver(), d, ALPHAS[k % len(ALPHAS)],
-                    DecompileConfig(seed=k),
+                    truth.as_preserver(), d, ALPHAS[k % len(ALPHAS)], seed=k
                 )
                 count += 1
                 kind_ok = kind_ok and report.recovered.kind == kind and report.ok

@@ -262,12 +262,19 @@ def test_decompile_passes_tolerances(monkeypatch, capsys):
     seen = []
     original = cli.preserver_decompile
 
-    def spy(phi, d, alpha, cfg=None, tol=None):
+    def spy(phi, d, alpha, *, seed, tol):
         seen.append(tol)
-        return original(phi, d, alpha, cfg, tol)
+        return original(phi, d, alpha, seed=seed, tol=tol)
 
     monkeypatch.setattr(cli, "preserver_decompile", spy)
     assert main(["decompile", "--map", "identity", "--dim", "2",
                  "--tol", "jacobi_sweeps=50", "--tol", "cluster=1e-9"]) == 0
     assert (seen[0].jacobi_sweeps, seen[0].cluster) == (50, 1e-9)
     assert seen[0].psd == 1e-10
+
+
+def test_decompile_tolerances_reach_the_rounding_eigensolve(capsys):
+    # a loose Jacobi stop leaves the rounded projection images inexact
+    assert main(["decompile", "--map", "identity", "--dim", "3",
+                 "--tol", "jacobi_off=0.5", "--json"]) == 1
+    assert "orthogonality" in json.loads(capsys.readouterr().out)["failures"]

@@ -5,7 +5,6 @@ import pytest
 
 from chi2lab import (
     ConjugationMap,
-    DecompileConfig,
     PdOperator,
     preserver_decompile,
 )
@@ -56,7 +55,7 @@ def test_idempotence_on_recovered_map():
 
 
 def test_report_serializes_to_json():
-    report = preserver_decompile(lambda a: a, 2, 0.5, DecompileConfig(seed=1))
+    report = preserver_decompile(lambda a: a, 2, 0.5, seed=1)
     obj = json.loads(report.to_json())
     assert obj["kind"] == "unitary"
     assert obj["u"]["dim"] == 2
@@ -76,6 +75,6 @@ def test_report_serializes_to_json():
 def test_seeded_runs_are_deterministic():
     rng = np.random.default_rng(5)
     truth = ConjugationMap(haar_unitary(2, rng), "unitary")
-    r1 = preserver_decompile(truth.as_preserver(), 2, 0.5, DecompileConfig(seed=9))
-    r2 = preserver_decompile(truth.as_preserver(), 2, 0.5, DecompileConfig(seed=9))
+    r1 = preserver_decompile(truth.as_preserver(), 2, 0.5, seed=9)
+    r2 = preserver_decompile(truth.as_preserver(), 2, 0.5, seed=9)
     assert r1.to_json() == r2.to_json()

@@ -21,6 +21,8 @@ from chi2lab.ensembles import haar_unitary, random_hermitian, random_psd
 from chi2lab.linalg import (
     SpectralDecomposition,
     _jacobi,
+    cluster_eigenpairs,
+    complete_to_unitary,
     _round_robin_plan,
     hermitian_part,
     hs_norm,
@@ -181,28 +183,81 @@ def _loop_sum(spec, weight, cutoff=None):
     return out
 
 
-def test_spectral_functions_match_the_explicit_loop_bitwise():
+def test_spectral_functions_match_the_explicit_loop():
+    # (V * f(w)) @ V* sums in another order than the per-eigenspace loop,
+    # so the two agree to rounding, not bitwise
     rng = np.random.default_rng(12)
-    diag = tuple(np.diag(e).astype(complex) for e in np.eye(3))
     specs = [eigh(random_psd(d, rng, rank=r)) for d, r in ((2, 2), (4, 2), (6, 5))]
     specs += [
-        SpectralDecomposition((2.0, 1e-12, 0.0), diag, (1, 1, 1)),
-        SpectralDecomposition((0.0,), (np.eye(2, dtype=complex),), (2,)),
-        SpectralDecomposition((-1.0, -2.0), diag[:2], (1, 1)),
+        SpectralDecomposition([2.0, 1e-12, 0.0], np.eye(3)),
+        SpectralDecomposition([0.0, 0.0], np.eye(2)),
+        SpectralDecomposition([-1.0, -2.0], np.eye(2)),
     ]
+
+    def check(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
     for spec in specs:
         cutoff = 1e-10 * max(spec.lmax, 0.0)
-        np.testing.assert_array_equal(spec.reassemble(), _loop_sum(spec, lambda t: t))
-        np.testing.assert_array_equal(spec.apply(np.exp), _loop_sum(spec, np.exp))
+        check(spec.reassemble(), _loop_sum(spec, lambda t: t))
+        check(spec.apply(np.exp), _loop_sum(spec, np.exp))
         for p in (-0.5, 0.25, 1.0, 2.0):
-            np.testing.assert_array_equal(
-                spec.power(p, pseudo=True), _loop_sum(spec, lambda t: t**p, cutoff)
-            )
-        support = np.zeros_like(spec.projections[0])
-        for lam, proj in zip(spec.eigenvalues, spec.projections):
-            if lam > cutoff:
-                support = support + proj
-        np.testing.assert_array_equal(spec.support(), support)
+            check(spec.power(p, pseudo=True), _loop_sum(spec, lambda t: t**p, cutoff))
+        check(spec.support(), _loop_sum(spec, lambda t: 1.0, cutoff))
+
+
+def test_spectral_decomposition_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        SpectralDecomposition([1.0, 0.5], np.eye(3))
+    with pytest.raises(ValueError):
+        SpectralDecomposition(np.ones((2, 2)), np.eye(2))
+    with pytest.raises(ValueError):
+        SpectralDecomposition([], np.eye(0))
+
+
+def test_validate_catches_broken_invariants():
+    SpectralDecomposition([1.0, 0.5], np.eye(2)).validate(np.diag([1.0, 0.5]))
+    skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    with pytest.raises(AssertionError, match="orthonormal"):
+        SpectralDecomposition([1.0, 0.5], skewed).validate()
+    with pytest.raises(AssertionError, match="non-increasing"):
+        SpectralDecomposition([0.5, 1.0], np.eye(2)).validate()
+    with pytest.raises(AssertionError, match="reassembly"):
+        SpectralDecomposition([1.0, 0.5], np.eye(2)).validate(np.diag([0.5, 1.0]))
+
+
+def test_views_on_a_degenerate_spectrum():
+    u = haar_unitary(3, np.random.default_rng(4))
+    spec = cluster_eigenpairs([0.2, 0.7, 0.7 + 1e-12], u)
+    assert spec.eigenvalues == (0.7 + 0.5e-12, 0.2)
+    assert spec.multiplicities == (2, 1)
+    np.testing.assert_array_equal(spec.w, [0.7 + 0.5e-12, 0.7 + 0.5e-12, 0.2])
+    top, bottom = spec.projections
+    np.testing.assert_allclose(bottom, np.outer(u[:, 0], u[:, 0].conj()), atol=1e-15)
+    np.testing.assert_allclose(top + bottom, np.eye(3), atol=1e-15)
+    assert abs(np.trace(top).real - 2.0) <= 1e-15
+    for arr in (spec.w, spec.v, top, bottom):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    spec.validate(spec.reassemble())
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([0.6 * np.exp(0.7j), 0.0, 0.8j]),
+        np.array([0.0, 0.6, 0.8j]),
+        np.array([-1j, 0.0, 0.0]),
+    ],
+    ids=["complex-x0", "zero-x0", "minus-i-e0"],
+)
+def test_complete_to_unitary(x):
+    h = complete_to_unitary(x)
+    np.testing.assert_allclose(h.conj().T @ h, np.eye(3), atol=1e-15)
+    # the first column is x times a unimodular phase
+    phase = np.vdot(x, h[:, 0])
+    assert abs(abs(phase) - 1.0) <= 1e-15
+    np.testing.assert_allclose(h[:, 0], phase * x, atol=1e-15)
 
 
 def test_frac_power_identity():

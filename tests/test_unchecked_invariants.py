@@ -1,0 +1,122 @@
+"""The ``_unchecked`` fast paths, checked against the invariants they skip.
+
+``operators._unchecked`` wraps an array in an operator type without
+validation and may prime a spectrum known by construction.  The fixture
+swaps it, in every ``chi2lab`` module that bound it, for a version that
+builds the object through its class's validating constructor and checks
+a primed spectrum against the matrix (orthonormal eigenvectors,
+non-increasing eigenvalues, reassembly).  Each pipeline that takes a
+fast path then runs once at d = 3.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from chi2lab import (
+    ConeOptConfig,
+    ConjugationMap,
+    PdOperator,
+    chi2,
+    chi2_oracle,
+    distinguish_from_f_divergence,
+    infimum_over_pd,
+    maximize_over_states,
+    preserver_decompile,
+    quadratic_form_tomography,
+    rank_one_query_oracle,
+    run_property_suite,
+    spectral_peel,
+)
+from chi2lab import operators
+from chi2lab.config import DEFAULT_TOL
+from chi2lab.ensembles import haar_unitary, random_nonsingular_density, random_psd
+from chi2lab.linalg import op_norm
+
+CONE = ConeOptConfig(restarts=2, max_iters=200, seed=2)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    original = operators._unchecked
+    counts = {"built": 0, "primed": 0}
+
+    def rebuild(cls, mat, *, tol=DEFAULT_TOL, spectrum=None):
+        obj = cls(mat, tol)
+        counts["built"] += 1
+        if spectrum is not None:
+            spectrum.validate(obj.mat)
+            obj.__dict__["_spectrum"] = spectrum
+            counts["primed"] += 1
+        return obj
+
+    patched = [
+        name for name, mod in list(sys.modules.items())
+        if name.startswith("chi2lab") and getattr(mod, "_unchecked", None) is original
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "_unchecked", rebuild)
+    assert {"chi2lab.ensembles", "chi2lab.properties", "chi2lab.tomography"} <= set(patched)
+    return counts
+
+
+def _suite():
+    reports = run_property_suite((0.0, 0.5, 1.0), (3,), trials=2, seed=0)
+    assert all(r.ok for r in reports)
+
+
+def _tomography():
+    hidden = random_psd(3, np.random.default_rng(1))
+    rec = quadratic_form_tomography(chi2_oracle(hidden, 0.25), 3, 0.25)
+    assert op_norm(rec.mat - hidden.mat) <= 1e-6
+
+
+def _peel():
+    hidden = random_nonsingular_density(3, np.random.default_rng(2))
+    spec = spectral_peel(rank_one_query_oracle(hidden, 0.5), 3, 0.5)
+    assert op_norm(spec.reassemble() - hidden.mat) <= 1e-5
+
+
+def _decompile():
+    for kind in ("unitary", "antiunitary"):
+        truth = ConjugationMap(haar_unitary(3, np.random.default_rng(3)), kind)
+        report = preserver_decompile(truth.as_preserver(), 3, 0.5)
+        assert report.ok and report.recovered.kind == kind
+
+
+def _f_divergence():
+    assert distinguish_from_f_divergence(0.0, 3, budget=5).equality
+    distinguish_from_f_divergence(0.5, 3, budget=5)
+
+
+def _infimum():
+    b = PdOperator(np.diag([1.0, 1.0]))
+    c = PdOperator(np.diag([2.0, 1.0]))
+    res = infimum_over_pd(lambda x: chi2(x, b, 0.0) - chi2(x, c, 0.0), 2, CONE)
+    assert abs(res.value + 1.0) <= 1e-3
+
+
+def _states():
+    half = PdOperator(np.eye(2) / 2)
+    res = maximize_over_states(lambda x: chi2(x, half, 0.5), 2, CONE)
+    assert abs(res.state.trace() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "run, primes",
+    [
+        (_suite, True),
+        (_tomography, True),
+        (_peel, True),
+        (_decompile, True),
+        (_f_divergence, True),
+        (_infimum, False),
+        (_states, False),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)).strip("_"),
+)
+def test_fast_paths_keep_their_invariants(checked, run, primes):
+    run()
+    assert checked["built"] > 0
+    assert (checked["primed"] > 0) == primes
