@@ -264,7 +264,8 @@ def cmd_decompile(args) -> int:
         f"transition residual:   {report.transition_residual:.3e}",
         f"scale consistency:     {report.scale_consistency_residual:.3e}",
         f"verification residual: {report.verification_residual:.3e}",
-        f"queries: {report.query_count}",
+        f"queries: {report.query_count} ("
+        + ", ".join(f"{stage} {n}" for stage, n in report.stage_queries.items()) + ")",
     ]
     if report.failures:
         text_lines.append("failed stages: " + ", ".join(report.failures))

@@ -146,7 +146,7 @@ def check_transition_probabilities(
     worst = 0.0
     pairs = []
     for ei, ej in _basis_pairs(d):
-        pairs += [(ei, ej), (ei, (ei + ej) / np.sqrt(2))]
+        pairs += [(ei, ej), (ei, ei + ej)]
     while len(pairs) < samples:
         vp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vr = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -170,13 +170,15 @@ def wigner_synthesize(xi: ProjectionMap, d: int,
     """
     probes = projection_family(d, tol)
     images = [xi(p) for p in probes]
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            drift = abs(images[i].overlap(images[j]) - probes[i].overlap(probes[j]))
-            if drift > 1e-6:
-                raise NotASymmetry(
-                    f"probe pair ({i}, {j}) transition probability off by {drift:.3e}"
-                )
+    pv = np.column_stack([p.vector for p in probes])
+    iv = np.column_stack([q.vector for q in images])
+    drift = np.abs(np.abs(iv.conj().T @ iv) ** 2 - np.abs(pv.conj().T @ pv) ** 2)
+    off = np.argwhere(np.triu(drift > 1e-6, 1))
+    if off.size:
+        i, j = off[0]
+        raise NotASymmetry(
+            f"probe pair ({i}, {j}) transition probability off by {drift[i, j]:.3e}"
+        )
     # basis images fix the columns up to phase
     cols = [images[i].vector.copy() for i in range(d)]
     first = cols[0]
@@ -217,11 +219,14 @@ def wigner_synthesize(xi: ProjectionMap, d: int,
             "probe images match neither the unitary nor the antiunitary action"
         )
     result = candidates[0]
-    proj_map = conjugation_projection_map(result)
-    for probe, image in zip(probes, images):
-        drift = op_norm(proj_map(probe).matrix - image.matrix)
-        if drift > 1e-7:
-            raise InconsistentSymmetry(
-                f"synthesized map misses a probe image by {drift:.3e}"
-            )
+    # for unit vectors p, q: ||p p* - q q*||_op = ||q - p (p* q)||, free of
+    # the cancellation in sqrt(1 - |p* q|^2)
+    pred = result.apply_vector(pv)
+    pred /= np.linalg.norm(pred, axis=0)
+    misses = np.linalg.norm(iv - pred * np.sum(pred.conj() * iv, axis=0), axis=0)
+    bad = np.flatnonzero(misses > 1e-7)
+    if bad.size:
+        raise InconsistentSymmetry(
+            f"synthesized map misses a probe image by {misses[bad[0]]:.3e}"
+        )
     return result

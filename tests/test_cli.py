@@ -146,6 +146,9 @@ def test_decompile_identity(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["kind"] == "unitary"
     assert obj["failures"] == []
+    assert sum(obj["stage_queries"].values()) == obj["query_count"]
+    assert main(["decompile", "--map", "identity", "--dim", "2"]) == 0
+    assert f"images {obj['stage_queries']['images']}" in capsys.readouterr().out
 
 
 def test_decompile_from_matrix(mats, capsys):
@@ -271,10 +274,3 @@ def test_decompile_passes_tolerances(monkeypatch, capsys):
                  "--tol", "jacobi_sweeps=50", "--tol", "cluster=1e-9"]) == 0
     assert (seen[0].jacobi_sweeps, seen[0].cluster) == (50, 1e-9)
     assert seen[0].psd == 1e-10
-
-
-def test_decompile_tolerances_reach_the_rounding_eigensolve(capsys):
-    # a loose Jacobi stop leaves the rounded projection images inexact
-    assert main(["decompile", "--map", "identity", "--dim", "3",
-                 "--tol", "jacobi_off=0.5", "--json"]) == 1
-    assert "orthogonality" in json.loads(capsys.readouterr().out)["failures"]

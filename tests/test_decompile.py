@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from chi2lab import (
     PdOperator,
     preserver_decompile,
 )
-from chi2lab.ensembles import haar_unitary
-from chi2lab.linalg import op_norm
+from chi2lab import linalg
+from chi2lab.decompile import _top_vector
+from chi2lab.ensembles import haar_unitary, random_hermitian
+from chi2lab.linalg import jacobi_eigh, op_norm
 
 
 def test_identity_map():
@@ -68,6 +71,7 @@ def test_report_serializes_to_json():
         "scale_consistency_residual",
         "verification_residual",
         "query_count",
+        "stage_queries",
     ):
         assert key in obj
 
@@ -78,3 +82,73 @@ def test_seeded_runs_are_deterministic():
     r1 = preserver_decompile(truth.as_preserver(), 2, 0.5, seed=9)
     r2 = preserver_decompile(truth.as_preserver(), 2, 0.5, seed=9)
     assert r1.to_json() == r2.to_json()
+
+
+def _near_rank_one_draws(rng):
+    """Hermitian near-rank-one matrices: PSD, indefinite and congruence images."""
+    for d in range(2, 9):
+        for size in (1e-8, 1e-5, 1e-3, 1e-1, 1.0):
+            v = haar_unitary(d, rng)[:, 0]
+            top = np.outer(v, v.conj())
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            yield top + size * (g @ g.conj().T) / (2 * d)
+            yield top + size * random_hermitian(d, rng)
+            s = haar_unitary(d, rng) @ np.diag(np.linspace(0.5, 2.0, d)) @ haar_unitary(d, rng)
+            mixed = (1.0 - size) * top + (size / d) * np.eye(d)
+            yield s @ mixed @ s.conj().T
+
+
+def test_top_vector_bound_covers_the_true_angle():
+    rng = np.random.default_rng(41)
+    finite = 0
+    for _ in range(4):
+        for h in _near_rank_one_draws(rng):
+            x, bound = _top_vector(h)
+            v = jacobi_eigh(h)[1][:, 0]
+            sin_angle = np.linalg.norm(x - v * np.vdot(v, x))
+            assert bound >= sin_angle - 1e-14
+            finite += np.isfinite(bound)
+    assert finite >= 300
+
+
+@pytest.mark.parametrize("h", [np.diag([1.0, -1.0]), np.eye(3)])
+def test_top_vector_certifies_no_gap(h):
+    assert _top_vector(h.astype(complex))[1] == float("inf")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_images_far_from_rank_one_flag_projection_rounding(d):
+    # trace preserving and positive, but an image (P + I/d)/2 of a
+    # projection is not near rank one, so the top vector is not certified
+    def half_depolarizing(a):
+        return PdOperator((a.mat + a.trace() * np.eye(d) / d) / 2)
+
+    report = preserver_decompile(half_depolarizing, d, 0.5)
+    assert "projection-rounding" in report.failures
+
+
+def test_each_probe_is_imaged_once_per_scale():
+    rng = np.random.default_rng(6)
+    truth = ConjugationMap(haar_unitary(6, rng), "unitary")
+    report = preserver_decompile(truth.as_preserver(), 6, 0.5)
+    assert report.ok
+    # 3 scales x 36 projections x 2 mixing weights between 8 + 8 samples
+    assert report.stage_queries == {"trace": 8, "images": 216, "verification": 8}
+    assert report.query_count == 232
+
+
+def test_decompile_runs_no_eigensolve(monkeypatch):
+    calls = []
+    original = linalg.jacobi_eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chi2lab") and getattr(module, "jacobi_eigh", None) is original:
+            monkeypatch.setattr(module, "jacobi_eigh", spy)
+    rng = np.random.default_rng(4)
+    truth = ConjugationMap(haar_unitary(3, rng), "antiunitary")
+    assert preserver_decompile(truth.as_preserver(), 3, 0.5).ok
+    assert calls == []

@@ -3,12 +3,14 @@ import pytest
 
 from chi2lab import (
     ConjugationMap,
+    InconsistentSymmetry,
     NotASymmetry,
     ProjectionMap,
     RankOneProjection,
     check_orthogonality_preservation,
     check_transition_probabilities,
     conjugation_projection_map,
+    projection_family,
     wigner_synthesize,
 )
 from chi2lab.ensembles import haar_unitary, random_hermitian
@@ -88,3 +90,45 @@ def test_identity_map_reproduces_probes():
     for v in (np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0j])):
         p = RankOneProjection(v)
         assert op_norm(conj.apply(p.matrix) - p.matrix) <= 1e-7
+
+
+def _first_drifting_pair(probes, images):
+    """The all-pairs transition check as a plain loop, in row-major order."""
+    for i in range(len(probes)):
+        for j in range(i + 1, len(probes)):
+            drift = abs(images[i].overlap(images[j]) - probes[i].overlap(probes[j]))
+            if drift > 1e-6:
+                return i, j
+    return None
+
+
+def _table_map(probes, images):
+    table = {p.vector.tobytes(): q for p, q in zip(probes, images)}
+    return ProjectionMap(lambda p: table[p.vector.tobytes()])
+
+
+def test_synthesize_names_the_first_drifting_pair():
+    rng = np.random.default_rng(12)
+    probes = projection_family(4)
+    # drifts of about 1e-6 straddle the threshold, so the first offending
+    # pair is not simply (0, 1)
+    images = [
+        RankOneProjection(p.vector + 6e-7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        for p in probes
+    ]
+    first = _first_drifting_pair(probes, images)
+    assert first is not None and first != (0, 1)
+    with pytest.raises(NotASymmetry, match=rf"probe pair \({first[0]}, {first[1]}\) "):
+        wigner_synthesize(_table_map(probes, images), 4)
+
+
+def test_synthesize_rejects_a_probe_image_rotated_by_1e_6():
+    probes = projection_family(3)
+    images = list(probes)
+    # the last probe takes no part in building U; rotate its image by 1e-6
+    # toward an orthogonal direction
+    v = probes[-1].vector
+    w = np.array([1.0, 0.0, 0.0], dtype=complex)
+    images[-1] = RankOneProjection(np.cos(1e-6) * v + np.sin(1e-6) * w)
+    with pytest.raises(InconsistentSymmetry, match="misses a probe image by 1.000e-06"):
+        wigner_synthesize(_table_map(probes, images), 3)
