@@ -41,7 +41,6 @@ from .errors import Chi2LabError, MatrixFormatError
 from .linalg import op_norm
 from .matio import load_matrix, matrix_to_obj
 from .operators import PdOperator, PsdOperator, eigh
-from .optimize import SphereOptConfig
 from .oracle import chi2_oracle, rank_one_query_oracle
 from .peeling import spectral_peel
 from .properties import render_text, reports_to_obj, run_property_suite
@@ -214,8 +213,7 @@ def cmd_tomography(args) -> int:
 def cmd_peel(args) -> int:
     hidden = PdOperator(load_matrix(args.hidden), args.tol)
     oracle = rank_one_query_oracle(hidden, args.alpha, noise_sigma=args.noise, seed=args.seed)
-    cfg = SphereOptConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    spec = spectral_peel(oracle, hidden.dim, args.alpha, cfg, args.tol)
+    spec = spectral_peel(oracle, hidden.dim, args.alpha, args.tol)
     reference = eigh(hidden)
     drift = op_norm(spec.reassemble() - hidden.mat)
     obj = {
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", required=True, help="hidden PD operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--seed", type=int, default=seed)
     add_common(p, tol=True)
     p.set_defaults(fn=cmd_peel)

@@ -55,8 +55,6 @@ _FD_STEP = 1e-6
 class SphereOptConfig:
     restarts: int = 32
     max_iters: int = 500
-    #: optional projection matrix restricting the search to a subspace
-    subspace: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -202,19 +200,6 @@ def _complex_of(x: np.ndarray) -> np.ndarray:
     return x[:k] + 1j * x[k:]
 
 
-def _subspace_basis(d: int, subspace: np.ndarray | None) -> np.ndarray:
-    if subspace is None:
-        return np.eye(d, dtype=np.complex128)
-    s = np.asarray(subspace, dtype=np.complex128)
-    if s.shape != (d, d):
-        raise ValueError(f"subspace projection must be {d}x{d}")
-    w, v = jacobi_eigh((s + s.conj().T) / 2.0)
-    k = int(np.sum(w > 0.5))
-    if k == 0:
-        raise ValueError("subspace projection has trivial range")
-    return v[:, :k]
-
-
 def _sphere_starts(k: int, restarts: int, rng: np.random.Generator):
     starts = []
     for i in range(min(k, restarts)):
@@ -227,29 +212,24 @@ def _sphere_starts(k: int, restarts: int, rng: np.random.Generator):
 
 
 def _optimize_rank_one(g, d: int, cfg: SphereOptConfig, sign: float) -> SphereOptResult:
-    basis = _subspace_basis(d, cfg.subspace)
-    k = basis.shape[1]
     tol = DEFAULT_TOL
-    # x = (re, im) in R^(2k) lifts to basis @ (re + i im) = lift @ x
-    lift = np.hstack([basis, 1j * basis])
 
+    # x = (re, im) in R^(2d) is the vector re + i im
     def fun(x: np.ndarray) -> float:
-        return sign * float(g(RankOneProjection(lift @ x, tol)))
+        return sign * float(g(RankOneProjection(_complex_of(x), tol)))
 
     rng = np.random.default_rng(cfg.seed)
-    starts = _sphere_starts(k, cfg.restarts, rng)
+    starts = _sphere_starts(d, cfg.restarts, rng)
     f, x, any_converged = _multistart(fun, starts, cfg.max_iters, True)
-    proj = RankOneProjection(lift @ x, tol)
+    proj = RankOneProjection(_complex_of(x), tol)
     return SphereOptResult(proj, sign * f, any_converged)
 
 
 def minimize_over_rank_one(g, d: int, cfg: SphereOptConfig | None = None) -> SphereOptResult:
-    """Minimize a rank-one-projection objective over the (sub)sphere.
+    """Minimize a rank-one-projection objective over the unit sphere.
 
     Multi-start projected gradient with stratified starts (canonical
-    basis directions first, then seeded random ones).  When
-    ``cfg.subspace`` is a projection matrix, all iterates stay exactly
-    in its range.
+    basis directions first, then seeded random ones).
     """
     return _optimize_rank_one(g, d, cfg or SphereOptConfig(), 1.0)
 

@@ -199,7 +199,7 @@ def test_criterion_6_spectral_peeling():
         for k in range(20):
             alpha = ALPHAS[k % len(ALPHAS)]
             dens = _gapped_density(d, rng)
-            spec = spectral_peel(rank_one_query_oracle(dens, alpha), d, alpha, cfg)
+            spec = spectral_peel(rank_one_query_oracle(dens, alpha), d, alpha)
             worst_reassembly = max(
                 worst_reassembly, op_norm(spec.reassemble() - dens.mat)
             )

@@ -42,6 +42,7 @@ def test_traced_methods_are_defined_on_their_class(tracer):
 def test_install_counts_and_uninstall_restores(tracer):
     for mod_name in tracer.FUNCTIONS:
         importlib.import_module(mod_name)
+    import chi2lab.optimize as optimize
     import chi2lab.peeling as peeling
     from chi2lab import rank_one_query_oracle
     from chi2lab.ensembles import random_nonsingular_density
@@ -55,7 +56,11 @@ def test_install_counts_and_uninstall_restores(tracer):
     try:
         assert peeling.spectral_peel is not original
         oracle = rank_one_query_oracle(hidden, 0.5)
-        peeling.spectral_peel(oracle, 2, 0.5, SphereOptConfig(restarts=2, max_iters=50))
+        peeling.spectral_peel(oracle, 2, 0.5)
+        # peeling runs no optimizer, so drive one through its traced name
+        optimize.minimize_over_rank_one(
+            oracle.query, 2, SphereOptConfig(restarts=2, max_iters=50)
+        )
     finally:
         t.uninstall()
     assert tracer.snapshot() == before

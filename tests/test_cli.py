@@ -138,6 +138,10 @@ def test_peel_cli(mats, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(obj["eigenvalues"], [0.7, 0.3], atol=1e-6)
+    assert obj["queries"] == 18
+    # the optimizer settings went with the optimizer
+    assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
+                 "--restarts", "3"]) == 2
 
 
 def test_decompile_identity(capsys):

@@ -55,19 +55,6 @@ def test_extremal_values_match_eigensolver(alpha):
         assert abs(res_max.value - 1 / lam[-1]) <= 1e-7
 
 
-def test_subspace_restriction_gives_second_eigenvalue():
-    rng = np.random.default_rng(23)
-    dens = random_nonsingular_density(3, rng)
-    spec = eigh(dens)
-    sub = np.eye(3) - spec.projections[0]
-    cfg = SphereOptConfig(restarts=5, max_iters=400, seed=3, subspace=sub)
-    res = minimize_over_rank_one(lambda r: chi2_shifted(r, dens, 0.5), 3, cfg)
-    assert abs(res.value - 1 / spec.eigenvalues[1]) <= 1e-7
-    # iterate stays in the subspace
-    leak = op_norm(spec.projections[0] @ res.argopt.matrix @ spec.projections[0])
-    assert leak <= 1e-12
-
-
 def test_determinism():
     rng = np.random.default_rng(5)
     dens = random_nonsingular_density(3, rng)
