@@ -3,7 +3,7 @@
 Subcommands: divergence, suite, demo, distinguish, tomography, peel,
 decompile.  Matrices travel as matrix JSON files; reports print as text
 by default and as JSON with --json.  The subcommands that read numerical
-tolerances (divergence, tomography, peel, decompile) take repeatable
+tolerances (divergence, tomography, peel) take repeatable
 --tol NAME=VALUE overrides, parsed once before the handler runs.  Exit
 codes: 0 success, 1 check or invariant failure, 2 usage or parse error.
 """
@@ -253,7 +253,7 @@ def cmd_decompile(args) -> int:
     conj, dim = _build_map(args.map, args.dim)
     if args.dim is not None and args.dim != dim:
         raise ValueError(f"--dim {args.dim} conflicts with the supplied matrix ({dim})")
-    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, seed=args.seed, tol=args.tol)
+    report = preserver_decompile(conj.as_preserver(), dim, args.alpha, seed=args.seed)
     text_lines = [
         f"recovered kind: {report.recovered.kind}",
         f"trace residual:        {report.trace_preservation_residual:.3e}",
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=seed)
-    add_common(p, tol=True)
+    add_common(p)
     p.set_defaults(fn=cmd_decompile)
 
     return parser

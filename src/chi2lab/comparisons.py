@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
-from .operators import HermitianMatrix, PdOperator, PsdOperator
+from .errors import NotPositiveDefinite
+from .operators import HermitianMatrix, PdOperator, PsdOperator, _require_same_dim
 
 __all__ = [
     "ScalarFunction",
@@ -51,18 +51,13 @@ XLOGX = ScalarFunction(
 )
 
 
-def _same_dim(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-
-
 def f_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     """Double spectral sum  sum_{x,y} y f(x/y) tr(P_x Q_y)  over sigma(A), sigma(B).
 
     Summed over eigenvector pairs, which weigh ``|<a_i, b_j>|^2``.
     Defined here for positive definite B only.
     """
-    _same_dim(a, b)
+    _require_same_dim(a, b)
     spec_b = b.spectrum()
     if not spec_b.is_positive_definite(b.tol.pd):
         raise NotPositiveDefinite("f-divergence requires a positive definite second argument")
@@ -77,7 +72,7 @@ def f_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
 
 def bregman_divergence(a: PdOperator, b: PdOperator, f: ScalarFunction) -> float:
     """tr f(A) - tr f(B) - tr f'(B)(A - B) for differentiable f."""
-    _same_dim(a, b)
+    _require_same_dim(a, b)
     if f.derivative is None:
         raise ValueError(f"Bregman divergence needs the derivative of {f.name or 'f'}")
     spec_b = b.spectrum()
@@ -90,7 +85,7 @@ def bregman_divergence(a: PdOperator, b: PdOperator, f: ScalarFunction) -> float
 
 def jensen_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     """tr[(f(A) + f(B))/2 - f((A+B)/2)]; symmetric in (A, B) by construction."""
-    _same_dim(a, b)
+    _require_same_dim(a, b)
     mid = HermitianMatrix((a.mat + b.mat) / 2.0, a.tol)
     tr_fa = sum(map(f, a.spectrum().w.tolist()))
     tr_fb = sum(map(f, b.spectrum().w.tolist()))

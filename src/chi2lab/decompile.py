@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
 from .ensembles import random_pd
 from .errors import Chi2LabError
@@ -148,14 +147,14 @@ def preserver_decompile(
     alpha: float,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> DecompileReport:
     """Recover the conjugation implementing a divergence-preserving map.
 
     ``phi`` is a callable PdOperator -> PdOperator, assumed (not
     verified globally) to be a bijective preserver; violations surface
     as stage-labeled failures in the report.  ``seed`` seeds the random
-    samples of stages 1, 4 and 7.
+    samples of stages 1, 4 and 7; both stage-4 checks draw the same pairs.
+    Samples and probes carry the default tolerances.
     """
     Alpha(alpha)
     phi = _CountingMap(phi)
@@ -166,7 +165,7 @@ def preserver_decompile(
     # stage 1: trace preservation
     trace_residual = 0.0
     for _ in range(_TRACE_SAMPLES):
-        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)), tol=tol)
+        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)))
         diff = abs(phi(sample).trace() - sample.trace())
         trace_residual = max(trace_residual, diff)
         if diff > _TRACE_TOL * max(1.0, sample.trace()):
@@ -189,7 +188,7 @@ def preserver_decompile(
             worst = 0.0
             for eps in (_EPSILON, _EPSILON / 2.0):
                 mixed = (1.0 - eps) * p.matrix + (eps / d) * eye
-                out = phi(_unchecked(PdOperator, lam * mixed, tol=tol)).mat / lam
+                out = phi(_unchecked(PdOperator, lam * mixed)).mat / lam
                 top, bound = _top_vector(hermitian_part(out))
                 tops.append(top)
                 worst = max(worst, bound)
@@ -197,7 +196,7 @@ def preserver_decompile(
             if max(stability, worst) > _ROUNDING_TOL and not rounding_flagged:
                 rounding_flagged = True
                 failures.append("projection-rounding")
-            images[key] = RankOneProjection(tops[1], tol)
+            images[key] = RankOneProjection(tops[1])
             return images[key]
 
         return ProjectionMap(image)
@@ -211,7 +210,7 @@ def preserver_decompile(
             xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
         )
         _, worst_trans = check_transition_probabilities(
-            xi, d, samples=_CHECK_SAMPLES, seed=seed + 2
+            xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
         )
         orth_residual = max(orth_residual, worst_orth)
         trans_residual = max(trans_residual, worst_trans)
@@ -225,7 +224,7 @@ def preserver_decompile(
     synthesized: dict[float, ConjugationMap] = {}
     for lam, xi in maps.items():
         try:
-            synthesized[lam] = wigner_synthesize(xi, d, tol)
+            synthesized[lam] = wigner_synthesize(xi, d)
         except Chi2LabError:
             failures.append(f"wigner(scale={lam:g})")
 
@@ -249,10 +248,10 @@ def preserver_decompile(
         recovered = synthesized[preferred].normalize_phase()
     else:
         failures.append("synthesis")
-        recovered = ConjugationMap(np.eye(d), UNITARY, tol)
+        recovered = ConjugationMap(np.eye(d), UNITARY)
     verify_residual = 0.0
     for _ in range(_VERIFY_SAMPLES):
-        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)), tol=tol)
+        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)))
         drift = op_norm(phi(sample).mat - recovered.apply(sample.mat))
         verify_residual = max(verify_residual, drift)
     if verify_residual > _VERIFY_TOL:

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .linalg import SpectralDecomposition
-from .operators import PdOperator, PsdOperator, RankOneProjection, support_contained
+from .operators import (PdOperator, PsdOperator, RankOneProjection, _require_same_dim,
+                        support_contained)
 
 __all__ = [
     "Alpha",
@@ -92,11 +93,6 @@ class DivergenceValue:
 
     def __str__(self) -> str:
         return "inf" if self._amount is None else repr(self._amount)
-
-
-def _require_same_dim(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
 
 
 def _require_pd(spec: SpectralDecomposition, tol: Tolerances):

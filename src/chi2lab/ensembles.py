@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .linalg import cluster_eigenpairs, hermitian_part
 from .operators import (
     ComplexMatrix,
@@ -58,20 +57,19 @@ def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     return hermitian_part(_ginibre(d, rng))
 
 
-def _from_spectrum(cls, d, rng, eigenvalues, tol):
-    spec = cluster_eigenpairs(eigenvalues, haar_unitary(d, rng), tol)
-    return _unchecked(cls, spec.reassemble(), tol=tol, spectrum=spec)
+def _from_spectrum(cls, d, rng, eigenvalues):
+    spec = cluster_eigenpairs(eigenvalues, haar_unitary(d, rng))
+    return _unchecked(cls, spec.reassemble(), spectrum=spec)
 
 
-def random_pd(d: int, rng: np.random.Generator, *, scale: float = 1.0,
-              tol: Tolerances = DEFAULT_TOL) -> PdOperator:
+def random_pd(d: int, rng: np.random.Generator, *, scale: float = 1.0) -> PdOperator:
     """Positive definite operator with eigenvalues uniform in a fixed window."""
     eigs = scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=d)
-    return _from_spectrum(PdOperator, d, rng, eigs, tol)
+    return _from_spectrum(PdOperator, d, rng, eigs)
 
 
 def random_psd(d: int, rng: np.random.Generator, *, rank: int | None = None,
-               scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> PsdOperator:
+               scale: float = 1.0) -> PsdOperator:
     """PSD operator of the given rank (random rank if omitted)."""
     if rank is None:
         rank = int(rng.integers(1, d + 1))
@@ -79,29 +77,26 @@ def random_psd(d: int, rng: np.random.Generator, *, rank: int | None = None,
         raise ValueError(f"rank {rank} out of range for dimension {d}")
     eigs = np.zeros(d)
     eigs[:rank] = scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=rank)
-    return _from_spectrum(PsdOperator, d, rng, eigs, tol)
+    return _from_spectrum(PsdOperator, d, rng, eigs)
 
 
-def random_density(d: int, rng: np.random.Generator,
-                   tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+def random_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Wishart-style state G G* / tr(G G*)."""
     g = _ginibre(d, rng)
     w = g @ g.conj().T
-    return DensityOperator(w / np.trace(w).real, tol)
+    return DensityOperator(w / np.trace(w).real)
 
 
-def random_nonsingular_density(d: int, rng: np.random.Generator,
-                               tol: Tolerances = DEFAULT_TOL) -> NonsingularDensity:
+def random_nonsingular_density(d: int, rng: np.random.Generator) -> NonsingularDensity:
     """Invertible state with a moderate condition number."""
     eigs = rng.uniform(_EIG_LOW, _EIG_HIGH, size=d)
     eigs = eigs / eigs.sum()
-    return _from_spectrum(NonsingularDensity, d, rng, eigs, tol)
+    return _from_spectrum(NonsingularDensity, d, rng, eigs)
 
 
-def random_projection(d: int, rng: np.random.Generator,
-                      tol: Tolerances = DEFAULT_TOL) -> RankOneProjection:
+def random_projection(d: int, rng: np.random.Generator) -> RankOneProjection:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return RankOneProjection(v, tol)
+    return RankOneProjection(v)
 
 
 def random_ensemble(kind: str, d: int, seed: int, **kwargs):

@@ -149,7 +149,6 @@ class RankOneProjection:
     """Rank-one projection v v* for a unit vector v."""
 
     vector: np.ndarray
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
@@ -217,14 +216,19 @@ def support_projection(a: PsdOperator) -> np.ndarray:
     return a.spectrum().support(a.tol.support)
 
 
+def _require_same_dim(a, b) -> None:
+    """Raise DimensionMismatch unless ``a`` and ``b`` act on the same space."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+
+
 def support_contained(a: PsdOperator, b: PsdOperator) -> bool:
     """Whether supp A lies inside supp B.
 
     True iff the compression of A onto the kernel of B vanishes within
     ``tol.support * max(1, ||A||_op)``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     comp = np.eye(a.dim) - support_projection(b)
     leak = op_norm(comp @ a.mat @ comp)
     return leak <= a.tol.support * max(1.0, a.spectrum().lmax)
@@ -236,7 +240,7 @@ def norms(m: ComplexMatrix | np.ndarray) -> tuple[float, float]:
     return hs_norm(arr), op_norm(arr)
 
 
-def projection_family(d: int, tol: Tolerances = DEFAULT_TOL) -> tuple[RankOneProjection, ...]:
+def projection_family(d: int) -> tuple[RankOneProjection, ...]:
     """The standard tomographically complete family of d^2 projections.
 
     Order: the d basis projections P_{e_i}; then P_{(e_i + e_j)/sqrt2}
@@ -246,11 +250,11 @@ def projection_family(d: int, tol: Tolerances = DEFAULT_TOL) -> tuple[RankOnePro
     if d < 2:
         raise ValueError("dimension must be at least 2")
     eye = np.eye(d, dtype=np.complex128)
-    probes = [RankOneProjection(eye[:, i], tol) for i in range(d)]
+    probes = [RankOneProjection(eye[:, i]) for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            probes.append(RankOneProjection(eye[:, i] + eye[:, j], tol))
-            probes.append(RankOneProjection(eye[:, i] + 1j * eye[:, j], tol))
+            probes.append(RankOneProjection(eye[:, i] + eye[:, j]))
+            probes.append(RankOneProjection(eye[:, i] + 1j * eye[:, j]))
     return tuple(probes)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .operators import (
     DensityOperator,
     PdOperator,
@@ -49,6 +48,8 @@ _STEP_TOL = 1e-12
 _VALUE_TOL = 1e-10
 #: central finite-difference step
 _FD_STEP = 1e-6
+#: smallest eigenvalue allowed during the cone search
+_BOUNDARY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,11 @@ class SphereOptConfig:
 
 @dataclass(frozen=True)
 class ConeOptConfig:
-    #: smallest eigenvalue allowed during the search
-    boundary_floor: float = 1e-8
     max_iters: int = 400
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.boundary_floor <= 0:
-            raise ValueError("boundary_floor must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -212,16 +209,14 @@ def _sphere_starts(k: int, restarts: int, rng: np.random.Generator):
 
 
 def _optimize_rank_one(g, d: int, cfg: SphereOptConfig, sign: float) -> SphereOptResult:
-    tol = DEFAULT_TOL
-
     # x = (re, im) in R^(2d) is the vector re + i im
     def fun(x: np.ndarray) -> float:
-        return sign * float(g(RankOneProjection(_complex_of(x), tol)))
+        return sign * float(g(RankOneProjection(_complex_of(x))))
 
     rng = np.random.default_rng(cfg.seed)
     starts = _sphere_starts(d, cfg.restarts, rng)
     f, x, any_converged = _multistart(fun, starts, cfg.max_iters, True)
-    proj = RankOneProjection(_complex_of(x), tol)
+    proj = RankOneProjection(_complex_of(x))
     return SphereOptResult(proj, sign * f, any_converged)
 
 
@@ -247,16 +242,14 @@ def infimum_over_pd(g, d: int, cfg: ConeOptConfig | None = None) -> ConeOptResul
     hugs the floor (the infimum is then open, not attained).
     """
     cfg = cfg or ConeOptConfig()
-    tol = DEFAULT_TOL
-    floor = cfg.boundary_floor
     eye = np.eye(d)
 
     def assemble(x: np.ndarray) -> np.ndarray:
         gm = _complex_of(x).reshape(d, d)
-        return gm @ gm.conj().T + floor * eye
+        return gm @ gm.conj().T + _BOUNDARY_FLOOR * eye
 
     def fun(x: np.ndarray) -> float:
-        return float(g(_unchecked(PdOperator, assemble(x), tol=tol)))
+        return float(g(_unchecked(PdOperator, assemble(x))))
 
     rng = np.random.default_rng(cfg.seed)
     starts = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
@@ -267,8 +260,8 @@ def infimum_over_pd(g, d: int, cfg: ConeOptConfig | None = None) -> ConeOptResul
     w, _ = jacobi_eigh(xmat)
     # an eigenvalue within 1e-5 of zero (on the unit scale) means the
     # infimum is being approached at the cone boundary, not attained
-    boundary = bool(w[-1] <= max(10.0 * floor, 1e-5 * max(1.0, w[0])))
-    return ConeOptResult(f, _unchecked(PdOperator, xmat, tol=tol), boundary, any_converged)
+    boundary = bool(w[-1] <= max(10.0 * _BOUNDARY_FLOOR, 1e-5 * max(1.0, w[0])))
+    return ConeOptResult(f, _unchecked(PdOperator, xmat), boundary, any_converged)
 
 
 def maximize_over_states(g, d: int, cfg: ConeOptConfig | None = None) -> StateOptResult:
@@ -279,7 +272,6 @@ def maximize_over_states(g, d: int, cfg: ConeOptConfig | None = None) -> StateOp
     so this reduces to sphere descent in R^(2 d^2).
     """
     cfg = cfg or ConeOptConfig()
-    tol = DEFAULT_TOL
 
     def state_of(x: np.ndarray) -> np.ndarray:
         gm = _complex_of(x).reshape(d, d)
@@ -287,10 +279,10 @@ def maximize_over_states(g, d: int, cfg: ConeOptConfig | None = None) -> StateOp
         return w / np.trace(w).real
 
     def fun(x: np.ndarray) -> float:
-        return -float(g(_unchecked(DensityOperator, state_of(x), tol=tol)))
+        return -float(g(_unchecked(DensityOperator, state_of(x))))
 
     rng = np.random.default_rng(cfg.seed)
     starts = _sphere_starts(d * d, cfg.restarts, rng)
     f, x, any_converged = _multistart(fun, starts, cfg.max_iters, True)
-    state = _unchecked(DensityOperator, state_of(x), tol=tol)
+    state = _unchecked(DensityOperator, state_of(x))
     return StateOptResult(state, -f, any_converged)

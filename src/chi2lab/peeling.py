@@ -128,7 +128,7 @@ def _plan(d: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]
     return index, tuple(sizes)
 
 
-def _fit_form(oracle: DivergenceOracle, d: int, tol: Tolerances) -> np.ndarray:
+def _fit_form(oracle: DivergenceOracle, d: int) -> np.ndarray:
     """The m x m Hermitian coefficient matrix of q in the monomials."""
     _, sizes = _plan(d)
     m = d * (d + 1) // 2
@@ -141,7 +141,7 @@ def _fit_form(oracle: DivergenceOracle, d: int, tol: Tolerances) -> np.ndarray:
         t, j = np.arange(n)[:, None, None], np.arange(len(x))[:, None]
         probes[t, j, subsets[:, None, :]] = x
         values = np.array(
-            [oracle.query(RankOneProjection(v, tol)) for v in probes.reshape(-1, d)]
+            [oracle.query(RankOneProjection(v)) for v in probes.reshape(-1, d)]
         ).reshape(n, len(x))
         # entries of smaller support, fitted already; the subset's own are zero
         local = form[gidx[:, :, None], gidx[:, None, :]]
@@ -172,7 +172,7 @@ def spectral_peel(
     Alpha(alpha)
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    form = _fit_form(oracle, d, tol)
+    form = _fit_form(oracle, d)
     if not np.isfinite(form).all():
         raise ReconstructionError("the fitted quartic form is not finite")
     index, _ = _plan(d)

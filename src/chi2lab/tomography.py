@@ -112,7 +112,7 @@ def quadratic_form_tomography(
             f"{basis.shape[1]} basis functions"
         )
     endpoint = alpha.is_endpoint
-    probes = projection_family(d, tol)
+    probes = projection_family(d)
     overlaps = np.empty(d * d)
     for idx, p in enumerate(probes):
         responses = np.array(

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .ensembles import haar_unitary
 from .errors import InconsistentSymmetry, NotASymmetry
 from .linalg import op_norm
@@ -41,7 +40,6 @@ class ConjugationMap:
 
     u: np.ndarray
     kind: str
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind not in (UNITARY, ANTIUNITARY):
@@ -73,10 +71,13 @@ class ConjugationMap:
         return self.u @ v
 
     def as_preserver(self) -> Callable[[PdOperator], PdOperator]:
-        """The induced map on the positive definite cone (for decompiler tests)."""
+        """The induced map on the positive definite cone (for decompiler tests).
+
+        Each image carries the tolerances of its argument.
+        """
 
         def phi(a: PdOperator) -> PdOperator:
-            return _unchecked(PdOperator, self.apply(a.mat), tol=self.tol)
+            return _unchecked(PdOperator, self.apply(a.mat), tol=a.tol)
 
         return phi
 
@@ -87,7 +88,7 @@ class ConjugationMap:
         pivot = col[idx]
         if abs(pivot) == 0.0:
             return self
-        return ConjugationMap(self.u * (abs(pivot) / pivot), self.kind, self.tol)
+        return ConjugationMap(self.u * (abs(pivot) / pivot), self.kind)
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,25 @@ def check_orthogonality_preservation(
 def check_transition_probabilities(
     xi: ProjectionMap, d: int, samples: int = 20, seed: int = 0
 ) -> tuple[bool, float]:
-    """Verify |tr(xi(P) xi(R)) - tr(P R)| <= 1e-8 on sampled pairs."""
-    rng = np.random.default_rng(seed)
+    """Verify |tr(xi(P) xi(R)) - tr(P R)| <= 1e-8 on sampled pairs.
+
+    Each orthogonal pair (a, b) of ``_sample_pairs(d, samples, seed)``
+    gives two checks, (a, b) and (a, a + b), so with the same seed this
+    images the vectors of ``check_orthogonality_preservation`` plus the
+    sums.  Returns (all pairs within 1e-8, worst residual).
+    """
     worst = 0.0
-    pairs = []
-    for ei, ej in _basis_pairs(d):
-        pairs += [(ei, ej), (ei, ei + ej)]
-    while len(pairs) < samples:
-        vp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        vr = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        pairs.append((vp, vr))
-    for vp, vr in pairs:
-        p = RankOneProjection(vp)
-        r = RankOneProjection(vr)
-        residual = abs(xi(p).overlap(xi(r)) - p.overlap(r))
-        worst = max(worst, residual)
+    for va, vb in _sample_pairs(d, samples, seed):
+        # a + b stays unnormalised: RankOneProjection scales it to the
+        # same bytes as the (e_i + e_j) probe of projection_family
+        for vp, vr in ((va, vb), (va, va + vb)):
+            p = RankOneProjection(vp)
+            r = RankOneProjection(vr)
+            worst = max(worst, abs(xi(p).overlap(xi(r)) - p.overlap(r)))
     return worst <= 1e-8, worst
 
 
-def wigner_synthesize(xi: ProjectionMap, d: int,
-                      tol: Tolerances = DEFAULT_TOL) -> ConjugationMap:
+def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     """Construct the (anti)unitary implementing a symmetry of the projections.
 
     The map is evaluated on the standard d^2 probe family only.  Raises
@@ -168,7 +168,7 @@ def wigner_synthesize(xi: ProjectionMap, d: int,
     beyond 1e-6, and InconsistentSymmetry if no phase assignment or kind
     reproduces the images within 1e-7.
     """
-    probes = projection_family(d, tol)
+    probes = projection_family(d)
     images = [xi(p) for p in probes]
     pv = np.column_stack([p.vector for p in probes])
     iv = np.column_stack([q.vector for q in images])
@@ -210,7 +210,7 @@ def wigner_synthesize(xi: ProjectionMap, d: int,
     image = images[pair_index(0, 1) + 1]
     candidates = []
     for kind in (UNITARY, ANTIUNITARY):
-        cand = ConjugationMap(u, kind, tol)
+        cand = ConjugationMap(u, kind)
         predicted = RankOneProjection(cand.apply_vector(probe_vec))
         if 1.0 - image.overlap(predicted) <= 1e-7:
             candidates.append(cand)

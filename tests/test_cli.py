@@ -254,27 +254,10 @@ def test_tolerance_flag_only_where_read(mats, capsys):
     assert main(["suite", "--trials", "1", "--tol", "psd=1e-5"]) == 2
     assert main(["demo", "--which", "second-var", "--tol", "psd=1e-5"]) == 2
     assert main(["distinguish", "--which", "jensen", "--tol", "psd=1e-5"]) == 2
-    # every subcommand that takes it rejects a bad override
     assert main(["decompile", "--map", "identity", "--dim", "2",
-                 "--tol", "nonsense=1"]) == 2
+                 "--tol", "psd=1e-5"]) == 2
+    # every subcommand that takes it rejects a bad override
     assert main(["tomography", "--hidden", mats["d73"], "--alpha", "0.5",
                  "--tol", "psd=abc"]) == 2
     assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
                  "--tol", "garbage"]) == 2
-
-
-def test_decompile_passes_tolerances(monkeypatch, capsys):
-    import chi2lab.cli as cli
-
-    seen = []
-    original = cli.preserver_decompile
-
-    def spy(phi, d, alpha, *, seed, tol):
-        seen.append(tol)
-        return original(phi, d, alpha, seed=seed, tol=tol)
-
-    monkeypatch.setattr(cli, "preserver_decompile", spy)
-    assert main(["decompile", "--map", "identity", "--dim", "2",
-                 "--tol", "jacobi_sweeps=50", "--tol", "cluster=1e-9"]) == 0
-    assert (seen[0].jacobi_sweeps, seen[0].cluster) == (50, 1e-9)
-    assert seen[0].psd == 1e-10

@@ -79,8 +79,6 @@ def test_determinism():
 def test_config_validation():
     with pytest.raises(ValueError):
         SphereOptConfig(restarts=0)
-    with pytest.raises(ValueError):
-        ConeOptConfig(boundary_floor=0.0)
 
 
 def test_infimum_trace_difference_identity():

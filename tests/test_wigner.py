@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from chi2lab import (
+    DEFAULT_TOL,
     ConjugationMap,
     InconsistentSymmetry,
     NotASymmetry,
+    PdOperator,
     ProjectionMap,
     RankOneProjection,
+    Tolerances,
     check_orthogonality_preservation,
     check_transition_probabilities,
     conjugation_projection_map,
@@ -78,6 +81,44 @@ def test_checks_fail_on_toy_violator():
     ok, worst = check_transition_probabilities(xi, 2, samples=1)
     assert not ok
     assert abs(worst - 0.5) <= 1e-12
+
+
+def _recording(seen: list) -> ProjectionMap:
+    def xi(p: RankOneProjection) -> RankOneProjection:
+        seen.append(p.vector.tobytes())
+        return p
+
+    return ProjectionMap(xi)
+
+
+def test_checks_image_only_basis_and_real_superpositions_at_d6():
+    # 15 basis pairs cover 10 samples (the decompiler's count), so no Haar
+    # pair is drawn; a + b normalises to the (e_i + e_j) family probe
+    seen = []
+    assert check_orthogonality_preservation(_recording(seen), 6, samples=10, seed=1)[0]
+    assert check_transition_probabilities(_recording(seen), 6, samples=10, seed=1)[0]
+    family = projection_family(6)
+    real = family[:6] + family[6::2]
+    assert len(real) == 21
+    assert set(seen) == {p.vector.tobytes() for p in real}
+
+
+def test_transition_check_shares_the_orthogonality_pairs():
+    # d = 2: one basis pair, then nine seeded Haar pairs; with one seed the
+    # transition check adds only each pair's sum a + b
+    orth, trans = [], []
+    check_orthogonality_preservation(_recording(orth), 2, samples=10, seed=3)
+    check_transition_probabilities(_recording(trans), 2, samples=10, seed=3)
+    assert len(set(orth)) == 20
+    assert set(orth) < set(trans)
+    assert len(set(trans) - set(orth)) == 10
+
+
+def test_as_preserver_keeps_argument_tolerances():
+    loose = Tolerances(psd=1e-5, cluster=1e-6)
+    phi = ConjugationMap(haar_unitary(3, np.random.default_rng(5)), "antiunitary").as_preserver()
+    assert phi(PdOperator(np.eye(3), loose)).tol is loose
+    assert phi(PdOperator(np.eye(3))).tol is DEFAULT_TOL
 
 
 def test_synthesize_rejects_violator():
