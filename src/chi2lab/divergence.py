@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import NotPositiveDefinite
-from .linalg import SpectralDecomposition
+from .linalg import SpectralDecomposition, _dots
 from .operators import (PdOperator, PsdOperator, RankOneProjection, _require_same_dim,
                         support_contained)
 
@@ -96,19 +96,33 @@ class DivergenceValue:
 
 
 def _require_pd(spec: SpectralDecomposition, tol: Tolerances):
-    if not spec.is_positive_definite(tol.pd):
+    """Raise NotPositiveDefinite unless ``lmin > pd * lmax`` (every slice of a
+    stacked spectrum)."""
+    ok = spec.is_positive_definite(tol.pd)
+    if spec.w.ndim == 1:
+        if not ok:
+            raise NotPositiveDefinite(
+                f"second argument is not positive definite "
+                f"(lmin {spec.lmin:.3e}, lmax {spec.lmax:.3e})"
+            )
+    elif not ok.all():
+        k = int(np.argmin(ok))
         raise NotPositiveDefinite(
-            f"second argument is not positive definite "
-            f"(lmin {spec.lmin:.3e}, lmax {spec.lmax:.3e})"
+            f"second argument is not positive definite on slice {k} "
+            f"(lmin {spec.lmin[k]:.3e}, lmax {spec.lmax[k]:.3e})"
         )
 
 
 def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
-                support_rel: float, pseudo: bool) -> float:
+                support_rel: float, pseudo: bool) -> np.ndarray:
+    """``||B^((alpha-1)/2) diff B^(-alpha/2)||_HS^2`` per matrix: ``diff`` is
+    ``(d, d)`` against one spectrum, or any stack that broadcasts against
+    a stacked one.  Each square sum is one BLAS dot, as ``np.vdot`` takes it."""
     left = spec.power((alpha - 1.0) / 2.0, pseudo=pseudo, support_rel=support_rel)
     right = spec.power(-alpha / 2.0, pseudo=pseudo, support_rel=support_rel)
     t = left @ diff @ right
-    return float(np.vdot(t, t).real)
+    t = t.reshape(*t.shape[:-2], -1)
+    return _dots(t, t).real
 
 
 def chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
@@ -117,7 +131,7 @@ def chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     _require_same_dim(a, b)
     spec = b.spectrum()
     _require_pd(spec, b.tol)
-    return _gram_value(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False)
+    return float(_gram_value(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False))
 
 
 def quadratic_relative_entropy(a: PsdOperator, b: PsdOperator) -> float:
@@ -136,7 +150,7 @@ def chi2_extended(a: PsdOperator, b: PsdOperator, alpha: float) -> DivergenceVal
     if not support_contained(a, b):
         return DivergenceValue.infinite()
     val = _gram_value(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True)
-    return DivergenceValue.finite(val)
+    return DivergenceValue.finite(float(val))
 
 
 def chi2_limit_probe(
@@ -166,13 +180,22 @@ def chi2_limit_probe(
     for e in eps:
         shifted = spec.shift(e)
         out.append(
-            _gram_value(diff0 - e * eye, shifted, alpha, 0.0, pseudo=False)
+            float(_gram_value(diff0 - e * eye, shifted, alpha, 0.0, pseudo=False))
         )
     return out
 
 
+def _query_powers(spec: SpectralDecomposition, alpha: float) -> np.ndarray:
+    """``[D^-alpha; D^(alpha-1)]``, the two powers stacked along the rows:
+    ``(2n, n)``, or one such stack per slice of a stacked spectrum."""
+    return np.concatenate([
+        spec.power(-alpha, support_rel=0.0),
+        spec.power(alpha - 1.0, support_rel=0.0),
+    ], axis=-2)
+
+
 def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np.ndarray:
-    """Read-only ``(2n, n)`` stack ``[D^-alpha; D^(alpha-1)]`` of D.
+    """Read-only ``_query_powers`` of D.
 
     Built from the spectrum once per (operator, alpha) and cached on the
     immutable operator beside its spectrum.
@@ -180,13 +203,25 @@ def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np
     stacks = d.__dict__.setdefault("_query_stacks", {})
     stack = stacks.get(alpha)
     if stack is None:
-        stack = np.vstack([
-            spec.power(-alpha, support_rel=0.0),
-            spec.power(alpha - 1.0, support_rel=0.0),
-        ])
+        stack = _query_powers(spec, alpha)
         stack.flags.writeable = False
         stacks[alpha] = stack
     return stack
+
+
+def _shifted_values(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``tr(R D^-alpha) * tr(R D^(alpha-1))`` for ``R = v v*`` and a unit
+    vector ``v``, read off a query stack: one ``(n,)`` vector, or a stack of
+    vectors against a stack of query stacks.  One matrix-vector product and
+    two inner products per vector."""
+    n = v.shape[-1]
+    u = np.matmul(stack, v[..., None])[..., 0]
+    s_neg, s_one = _dots(v, u[..., :n]).real, _dots(v, u[..., n:]).real
+    if v.ndim == 1:
+        # one query, on plain floats: numpy's per-call cost on scalars
+        # would dominate the rank-one query loop
+        return max(float(s_neg), 0.0) * max(float(s_one), 0.0)
+    return np.maximum(s_neg, 0.0) * np.maximum(s_one, 0.0)
 
 
 def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
@@ -204,9 +239,4 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     _require_same_dim(r, d)
     spec = d.spectrum()
     _require_pd(spec, d.tol)
-    v = r.vector
-    u = _query_stack(d, spec, float(alpha)) @ v
-    n = v.shape[0]
-    s_neg = max(float(np.vdot(v, u[:n]).real), 0.0)
-    s_one = max(float(np.vdot(v, u[n:]).real), 0.0)
-    return s_neg * s_one
+    return float(_shifted_values(_query_stack(d, spec, float(alpha)), r.vector))

@@ -4,6 +4,14 @@ Sampling is deterministic given the generator state; the generator is
 always passed explicitly.  Spectra that are known by construction are
 primed into the operator's cache so the samplers stay cheap inside hot
 verification loops.
+
+The ``*_stack`` samplers draw ``n`` objects at once, as ``(n, d, d)``
+matrices (with their stacked ``SpectralDecomposition`` where the spectrum
+is known) or ``(n, d)`` unit vectors; Haar unitaries come from one
+stacked QR (Mezzadri, Notices AMS 54, 2007).  A single draw and its stack
+run the same code with a leading shape ``()`` or ``(n,)``.  The Haar,
+Hermitian and unit-vector stacks read the generator slice after slice,
+so slice 0 of a stack is the single draw from the same state.
 """
 
 from __future__ import annotations
@@ -30,6 +38,12 @@ __all__ = [
     "random_projection",
     "random_nonsingular_density",
     "random_ensemble",
+    "haar_stack",
+    "hermitian_stack",
+    "pd_stack",
+    "psd_stack",
+    "nonsingular_density_stack",
+    "unit_vector_stack",
 ]
 
 ENSEMBLE_KINDS = ("unitary", "density", "pd", "psd_rank_r", "rank_one_projection")
@@ -40,63 +54,126 @@ _EIG_LOW = 0.25
 _EIG_HIGH = 1.25
 
 
-def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+def _complex_normal(lead: tuple, core: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex standard normal array of shape ``lead + core``, read from the
+    stream one ``core`` array after the other, each as its real part then
+    its imaginary part."""
+    x = rng.standard_normal((*lead, 2, *core)).swapaxes(0, len(lead))
+    return x[0] + 1j * x[1]
+
+
+def _ginibre(lead: tuple, d: int, rng: np.random.Generator) -> np.ndarray:
+    return _complex_normal(lead, (d, d), rng) / np.sqrt(2.0)
+
+
+def _haar(lead: tuple, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitaries: QR of complex Ginibre matrices, each Q
+    times the phases of its R's diagonal."""
+    q, r = np.linalg.qr(_ginibre(lead, d, rng))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from QR of a complex Ginibre matrix."""
-    q, r = np.linalg.qr(_ginibre(d, rng))
-    diag = np.diag(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return _haar((), d, rng)
+
+
+def haar_stack(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, d, d)`` Haar-distributed unitaries from one stacked QR."""
+    return _haar((n,), d, rng)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style Hermitian matrix (entries O(1))."""
-    return hermitian_part(_ginibre(d, rng))
+    return hermitian_part(_ginibre((), d, rng))
 
 
-def _from_spectrum(cls, d, rng, eigenvalues):
-    spec = cluster_eigenpairs(eigenvalues, haar_unitary(d, rng))
-    return _unchecked(cls, spec.reassemble(), spectrum=spec)
+def hermitian_stack(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, d, d)`` GUE-style Hermitian matrices."""
+    return hermitian_part(_ginibre((n,), d, rng))
+
+
+def unit_vector_stack(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, d)`` unit vectors, uniform on the complex sphere."""
+    v = _complex_normal((n,), (d,), rng)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _spectra(eigs: np.ndarray, rng: np.random.Generator):
+    """``(mats, spectrum)`` of ``V diag(eigs) V*`` with Haar V, per row of
+    ``eigs``: one operator for ``(d,)`` eigenvalues, a stack for ``(n, d)``.
+
+    Every spectrum the samplers know by construction is built here.
+    """
+    spec = cluster_eigenpairs(eigs, _haar(eigs.shape[:-1], eigs.shape[-1], rng))
+    return spec.reassemble(), spec
+
+
+def _operator(cls, drawn):
+    """The operator of one draw, with its spectrum primed."""
+    mat, spec = drawn
+    return _unchecked(cls, mat, spectrum=spec)
+
+
+def _lead(n: int | None) -> tuple:
+    return () if n is None else (n,)
+
+
+def pd_stack(d: int, rng: np.random.Generator, n: int | None, *, scale: float = 1.0):
+    """``(mats, spectrum)`` of n draws of ``random_pd`` (of one when n is None)."""
+    return _spectra(scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=(*_lead(n), d)), rng)
 
 
 def random_pd(d: int, rng: np.random.Generator, *, scale: float = 1.0) -> PdOperator:
     """Positive definite operator with eigenvalues uniform in a fixed window."""
-    eigs = scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=d)
-    return _from_spectrum(PdOperator, d, rng, eigs)
+    return _operator(PdOperator, pd_stack(d, rng, None, scale=scale))
+
+
+def psd_stack(d: int, rng: np.random.Generator, n: int | None, *,
+              rank: int | None = None, scale: float = 1.0):
+    """``(mats, spectrum)`` of n draws of ``random_psd`` (of one when n is
+    None), each of a random rank if ``rank`` is omitted."""
+    if rank is None:
+        ranks = rng.integers(1, d + 1, size=_lead(n))
+    elif not 1 <= rank <= d:
+        raise ValueError(f"rank {rank} out of range for dimension {d}")
+    else:
+        ranks = np.full(_lead(n), rank)
+    eigs = np.zeros((*_lead(n), d))
+    eigs[np.arange(d) < ranks[..., None]] = scale * rng.uniform(
+        _EIG_LOW, _EIG_HIGH, size=int(ranks.sum())
+    )
+    return _spectra(eigs, rng)
 
 
 def random_psd(d: int, rng: np.random.Generator, *, rank: int | None = None,
                scale: float = 1.0) -> PsdOperator:
     """PSD operator of the given rank (random rank if omitted)."""
-    if rank is None:
-        rank = int(rng.integers(1, d + 1))
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank {rank} out of range for dimension {d}")
-    eigs = np.zeros(d)
-    eigs[:rank] = scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=rank)
-    return _from_spectrum(PsdOperator, d, rng, eigs)
+    return _operator(PsdOperator, psd_stack(d, rng, None, rank=rank, scale=scale))
 
 
 def random_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Wishart-style state G G* / tr(G G*)."""
-    g = _ginibre(d, rng)
+    g = _ginibre((), d, rng)
     w = g @ g.conj().T
     return DensityOperator(w / np.trace(w).real)
 
 
+def nonsingular_density_stack(d: int, rng: np.random.Generator, n: int | None):
+    """``(mats, spectrum)`` of n draws of ``random_nonsingular_density`` (of
+    one when n is None)."""
+    eigs = rng.uniform(_EIG_LOW, _EIG_HIGH, size=(*_lead(n), d))
+    return _spectra(eigs / eigs.sum(axis=-1, keepdims=True), rng)
+
+
 def random_nonsingular_density(d: int, rng: np.random.Generator) -> NonsingularDensity:
     """Invertible state with a moderate condition number."""
-    eigs = rng.uniform(_EIG_LOW, _EIG_HIGH, size=d)
-    eigs = eigs / eigs.sum()
-    return _from_spectrum(NonsingularDensity, d, rng, eigs)
+    return _operator(NonsingularDensity, nonsingular_density_stack(d, rng, None))
 
 
 def random_projection(d: int, rng: np.random.Generator) -> RankOneProjection:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return RankOneProjection(v)
+    return RankOneProjection(_complex_normal((), (d,), rng))
 
 
 def random_ensemble(kind: str, d: int, seed: int, **kwargs):

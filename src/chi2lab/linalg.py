@@ -11,6 +11,15 @@ singular value.
 
 A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
 by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
+
+Stacks: ``jacobi_eigh``, ``cluster_eigenpairs``, ``spectral_decomposition``
+and ``SpectralDecomposition`` also take an ``(n, d, d)`` stack of
+matrices, with ``(n, d)`` eigenvalues, and treat each slice on its own.
+One kernel serves both shapes; a 2-D call is the n = 1 case.  Each slice
+of a stacked solve gets its own prescale and convergence threshold and is
+frozen once converged, and every per-slice reduction is the BLAS dot a
+single solve makes, so slice k equals the 2-D solve of that slice bit for
+bit.
 """
 
 from __future__ import annotations
@@ -40,23 +49,48 @@ _TINY = np.finfo(np.float64).tiny
 _SAFE_EXP = 300
 
 
-def _prescale_exponent(m: np.ndarray) -> int:
-    """Exponent ``e`` with ``2^-e * max |m_ij|`` in [0.5, 1), or 0 when
-    the largest entry is already in the safe range, zero or not finite."""
-    amax = float(np.abs(m).max()) if m.size else 0.0
-    if 2.0**-_SAFE_EXP <= amax <= 2.0**_SAFE_EXP or not 0.0 < amax < np.inf:
-        return 0
-    return int(np.frexp(amax)[1])
+def _prescale_exponents(m: np.ndarray) -> np.ndarray | None:
+    """Per matrix of a ``(..., d, d)`` array, the exponent ``e`` with
+    ``2^-e * max |m_ij|`` in [0.5, 1), or 0 when the largest entry is
+    already in the safe range, zero or not finite; None when every
+    exponent is 0."""
+    amax = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if 2.0**-_SAFE_EXP <= amax.min() and amax.max() <= 2.0**_SAFE_EXP:
+        return None
+    safe = (2.0**-_SAFE_EXP <= amax) & (amax <= 2.0**_SAFE_EXP)
+    safe |= ~((0.0 < amax) & (amax < np.inf))
+    if safe.all():
+        return None
+    return np.where(safe, 0, np.frexp(amax)[1])
 
 
-def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
-    """Complex ``m * 2^e``, exact unless an entry leaves the normal range."""
+def _ldexp(m: np.ndarray, e) -> np.ndarray:
+    """Complex ``m * 2^e``, exact unless an entry leaves the normal range;
+    ``e`` broadcasts against ``m``'s shape with the last axis doubled."""
     return np.ldexp(np.ascontiguousarray(m).view(np.float64), e).view(np.complex128)
 
 
+def _dots(x: np.ndarray, y: np.ndarray):
+    """``sum conj(x) y`` over the last axis, one BLAS dot per row, so each
+    entry equals ``np.vdot`` of its rows bit for bit (two vectors go to
+    ``np.vdot`` itself)."""
+    if x.ndim == 1 and y.ndim == 1:
+        return np.vdot(x, y)
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _hs_squares(m: np.ndarray) -> np.ndarray:
+    """``tr M M*`` per matrix of ``(..., d, d)``, summed as ``np.linalg.norm``
+    sums a complex matrix: one BLAS dot over the real parts, one over the
+    imaginary parts."""
+    re = m.real.reshape(*m.shape[:-2], 1, -1)
+    im = m.imag.reshape(*m.shape[:-2], 1, -1)
+    return (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """Return (M + M*) / 2."""
-    return (mat + mat.conj().T) / 2.0
+    """Return (M + M*) / 2, per matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hs_norm(mat: np.ndarray) -> float:
@@ -67,8 +101,8 @@ def hs_norm(mat: np.ndarray) -> float:
     nor overflow.
     """
     m = np.asarray(mat, dtype=np.complex128)
-    e = _prescale_exponent(m)
-    if e == 0:
+    e = _prescale_exponents(m)
+    if e is None:
         return float(np.linalg.norm(m))
     return float(np.ldexp(np.linalg.norm(_ldexp(m, -e)), e))
 
@@ -115,9 +149,23 @@ def _round_robin_plan(d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(rounds), off
 
 
-def _off_norm(a: np.ndarray, off: np.ndarray) -> float:
-    x = a.take(off)
-    return float(np.sqrt(np.vdot(x, x).real))
+@lru_cache(maxsize=64)
+def _stacked_plan(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """The rounds of ``_round_robin_plan(d)`` for an ``(n, d, d)`` stack.
+
+    A round of ``m`` pairs becomes the raveled indices of a ``(4, n, m)``
+    layout: block ``b`` (``(p, p)``, ``(q, q)``, ``(p, q)``, ``(q, p)``) of
+    every slice in turn, so each per-lane quantity of the round is one
+    contiguous 1-D array over all slices.  For n = 1 it is the 2-D plan.
+    """
+    rounds, _ = _round_robin_plan(d)
+    base = (d * d) * np.arange(n)[:, None]
+    out = []
+    for idx in rounds:
+        stacked = (idx.reshape(4, 1, -1) + base).ravel()
+        stacked.flags.writeable = False
+        out.append(stacked)
+    return tuple(out)
 
 
 def jacobi_eigh(
@@ -126,7 +174,8 @@ def jacobi_eigh(
     max_sweeps: int = DEFAULT_TOL.jacobi_sweeps,
     off_factor: float = DEFAULT_TOL.jacobi_off,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by round-robin Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or each slice of an ``(n, d, d)``
+    stack, by round-robin Jacobi rotations.
 
     Each sweep visits every pair ``p < q`` once, in the rounds of
     ``_round_robin_plan``.  The rotations of a round touch disjoint rows
@@ -136,78 +185,119 @@ def jacobi_eigh(
     pair order.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in decreasing order
-    and eigenvectors in the columns of ``v``.  Convergence is declared
-    when the off-diagonal Hilbert-Schmidt norm drops below
-    ``off_factor * ||M||_HS``; running out of sweeps raises SolverFailure.
-    A matrix whose largest entry lies outside the safe range is solved
-    scaled by an exact power of two, and ``w`` scaled back, so tiny
-    matrices are rotated rather than taken as already diagonal and huge
-    ones do not overflow.
+    and eigenvectors in the columns of ``v`` (shapes ``(n, d)`` and
+    ``(n, d, d)`` for a stack).  A slice has converged when its
+    off-diagonal Hilbert-Schmidt norm drops below ``off_factor`` times its
+    own ``||M||_HS``; from then on it is left as it is.  A slice still
+    above its threshold after ``max_sweeps`` sweeps raises SolverFailure,
+    which names it.  A slice whose largest entry lies outside the safe
+    range is solved scaled by an exact power of two, and its ``w`` scaled
+    back, so tiny matrices are rotated rather than taken as already
+    diagonal and huge ones do not overflow.
     """
     a = np.array(mat, dtype=np.complex128)
-    e = _prescale_exponent(a)
-    if e == 0:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    e = _prescale_exponents(a)
+    if e is None:
         return _jacobi(a, max_sweeps, off_factor)
-    w, v = _jacobi(_ldexp(a, -e), max_sweeps, off_factor)
-    return np.ldexp(w, e), v
+    w, v = _jacobi(_ldexp(a, -e[..., None, None]), max_sweeps, off_factor)
+    return np.ldexp(w, e[..., None]), v
 
 
 def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_eigh`` on a complex array it may overwrite."""
-    d = a.shape[0]
+    """``jacobi_eigh`` on a complex ``(d, d)`` or ``(n, d, d)`` array it may
+    overwrite."""
+    shape = a.shape
+    d = shape[-1]
+    a = a.reshape(-1, d, d)
+    n = len(a)
     eye = np.eye(d, dtype=np.complex128)
-    v = eye.copy()
-    scale = float(np.linalg.norm(a))
-    if d == 1 or scale == 0.0:
-        w = np.real(np.diag(a)).copy()
-        order = np.argsort(-w, kind="stable")
-        return w[order], v[:, order]
-    thresh = off_factor * scale
-    rounds, off_idx = _round_robin_plan(d)
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm(a, off_idx) <= thresh:
-            converged = True
-            break
-        for idx in rounds:
-            m = len(idx) // 4
-            entries = a.take(idx)
-            app = entries[:m].real
-            aqq = entries[m : 2 * m].real
-            apq = entries[2 * m : 3 * m]
-            # k = 2 sign(aqq - app) / (|aqq - app| + hypot(aqq - app, 2 r)),
-            # so t = k r = tan(theta) is the smaller root (|t| <= 1) and
-            # k apq = t * phase.  A lane with apq == 0 gets t == 0 (no
-            # rotation).  Flooring the denominator at the smallest normal
-            # double keeps out 0 / 0 and keeps k finite; it alters only lanes
-            # whose entries are subnormal themselves.
-            diff = aqq - app
-            r = np.abs(apq)
-            k = np.copysign(2.0, diff) / np.maximum(
-                np.abs(diff) + np.hypot(diff, 2.0 * r), _TINY
-            )
-            t = k * r
-            c = 1.0 / np.hypot(1.0, t)
-            cu = c * k * apq
-            # J has the block [[c, c t phase], [-conj(c t phase), c]] on (p, q)
-            j = eye.copy()
-            j.put(idx, np.concatenate([c, c, cu, -cu.conj()]))
-            a = j.conj().T @ a @ j
-            v = v @ j
-            # the rotated diagonal (Rutishauser's update) and the
-            # annihilated pair, set exactly
-            tr = t * r
-            a.put(idx, np.concatenate([app - tr, aqq + tr, np.zeros(2 * m)]))
-    if not converged:
-        off = _off_norm(a, off_idx)
-        if off > thresh:
+    v = np.empty_like(a)
+    v[...] = eye
+    if d > 1:
+        _, off_idx = _round_robin_plan(d)
+        thresh = off_factor * np.sqrt(_hs_squares(a))
+        # the unconverged slices: their indices, entries, eigenvectors and
+        # thresholds.  A stack of one is rotated as its 2-D slice, which
+        # spares numpy's per-call stack overhead and computes the same bits.
+        live, al, vl, tl = np.arange(n), a, v, thresh
+        if n == 1:
+            al, vl = a[0], v[0]
+        eyes = np.empty_like(al)
+        eyes[...] = eye
+        for sweep in range(max_sweeps + 1):
+            x = al.reshape(*al.shape[:-2], d * d).take(off_idx, axis=-1)
+            off = np.sqrt(_dots(x, x).real).reshape(-1)
+            done = off <= tl
+            converged = np.count_nonzero(done)
+            if converged == len(live):
+                if len(live) == n:  # the whole stack at once, as a single solve
+                    a, v = al.reshape(a.shape), vl.reshape(v.shape)
+                else:
+                    a[live], v[live] = al, vl
+                live = live[:0]
+                break
+            if converged:
+                a[live[done]], v[live[done]] = al[done], vl[done]
+                keep = ~done
+                live, al, vl, tl, off = live[keep], al[keep], vl[keep], tl[keep], off[keep]
+                eyes = eyes[: len(live)]
+            if sweep == max_sweeps:
+                break
+            for idx in _stacked_plan(d, len(live)):
+                m = len(idx) // 4
+                entries = al.take(idx)
+                app = entries[:m].real
+                aqq = entries[m : 2 * m].real
+                apq = entries[2 * m : 3 * m]
+                # k = 2 sign(aqq - app) / (|aqq - app| + hypot(aqq - app, 2 r)),
+                # so t = k r = tan(theta) is the smaller root (|t| <= 1) and
+                # k apq = t * phase.  A lane with apq == 0 gets t == 0 (no
+                # rotation).  Flooring the denominator at the smallest normal
+                # double keeps out 0 / 0 and keeps k finite; it alters only lanes
+                # whose entries are subnormal themselves.
+                diff = aqq - app
+                r = np.abs(apq)
+                k = np.copysign(2.0, diff) / np.maximum(
+                    np.abs(diff) + np.hypot(diff, 2.0 * r), _TINY
+                )
+                t = k * r
+                c = 1.0 / np.hypot(1.0, t)
+                cu = c * k * apq
+                # J has the block [[c, c t phase], [-conj(c t phase), c]] on (p, q)
+                j = eyes.copy()
+                j.put(idx, np.concatenate([c, c, cu, -cu.conj()]))
+                al = j.conj().swapaxes(-1, -2) @ al @ j
+                vl = vl @ j
+                # the rotated diagonal (Rutishauser's update) and the
+                # annihilated pair, set exactly
+                tr = t * r
+                al.put(idx, np.concatenate([app - tr, aqq + tr, np.zeros(2 * m)]))
+        if len(live):
+            k = int(live[0])
+            where = f" on slice {k} ({len(live)} of {n} unconverged)" if len(shape) == 3 else ""
             raise SolverFailure(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e}, threshold {thresh:.3e})"
+                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps{where} "
+                f"(off-diagonal norm {off[0]:.3e}, threshold {thresh[k]:.3e})"
             )
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w = a.reshape(n, d * d)[:, :: d + 1].real
+    return _sorted(w.reshape(shape[:-1]), v.reshape(shape))
+
+
+def _sorted(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays holding the eigenpairs ``(w, v)``, one spectrum or a
+    stack, in decreasing order of ``w`` (stable), row by row."""
+    order = np.argsort(-w, axis=-1, kind="stable")
+    if w.ndim == 1:
+        return w[order], v[:, order]
+    rows = np.arange(len(w))[:, None]
+    return w[rows, order], v[rows[:, :, None], np.arange(w.shape[-1])[:, None], order[:, None, :]]
+
+
+def _spectral_fn(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``V diag(f) V*``, per slice of a stack."""
+    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +306,11 @@ class SpectralDecomposition:
     a unitary ``v`` with the eigenvectors in its columns.  Equal entries of
     ``w`` span one eigenspace; ``eigenvalues``, ``multiplicities`` and
     ``projections`` are derived views over the distinct eigenvalues.
+
+    A stack holds ``(n, d)`` eigenvalues and ``(n, d, d)`` eigenvectors, one
+    spectrum per slice; ``lmax`` and ``lmin`` are then ``(n,)`` arrays, and
+    ``reassemble``, ``power``, ``support``, ``shift``, ``scale``,
+    ``is_positive_definite`` and ``validate`` act slice by slice.
     """
 
     w: np.ndarray
@@ -224,15 +319,17 @@ class SpectralDecomposition:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.complex128)
-        if w.ndim != 1 or len(w) == 0 or v.shape != (len(w), len(w)):
+        if w.ndim not in (1, 2) or w.shape[-1] == 0 or v.shape != w.shape + w.shape[-1:]:
             raise ValueError(f"eigenvalues {w.shape} do not fit eigenvectors {v.shape}")
         w.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
-        # plain floats: is_positive_definite runs on every rank-one query
-        object.__setattr__(self, "lmax", float(w[0]))
-        object.__setattr__(self, "lmin", float(w[-1]))
+        # plain floats for one spectrum: is_positive_definite runs on every
+        # rank-one query
+        lmax, lmin = w[..., 0], w[..., -1]
+        object.__setattr__(self, "lmax", float(lmax) if w.ndim == 1 else lmax)
+        object.__setattr__(self, "lmin", float(lmin) if w.ndim == 1 else lmin)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -256,12 +353,11 @@ class SpectralDecomposition:
 
     def reassemble(self) -> np.ndarray:
         """The Hermitian part of ``V diag(w) V*``."""
-        return hermitian_part((self.v * self.w) @ self.v.conj().T)
+        return hermitian_part(_spectral_fn(self.v, self.w))
 
     def apply(self, fn) -> np.ndarray:
         """Standard operator function ``V diag(f(w)) V*``."""
-        f = [fn(lam) for lam in self.w.tolist()]
-        return (self.v * f) @ self.v.conj().T
+        return _spectral_fn(self.v, np.array([fn(lam) for lam in self.w.tolist()]))
 
     def shift(self, offset: float) -> "SpectralDecomposition":
         """Decomposition of M + offset * I (same eigenvectors)."""
@@ -286,8 +382,8 @@ class SpectralDecomposition:
         map to zero.  Negative powers of a singular operator require
         ``pseudo=True``, otherwise SingularOperator is raised.
         """
-        cutoff = support_rel * max(self.lmax, 0.0)
-        if self.lmin > cutoff:
+        cutoff, full = self._cutoff(support_rel)
+        if full:
             f = self.w**p
         elif p < 0.0 and not pseudo:
             raise SingularOperator(
@@ -296,23 +392,41 @@ class SpectralDecomposition:
             )
         else:
             above = self.w > cutoff
-            f = np.zeros(len(self.w))
+            f = np.zeros(self.w.shape)
             f[above] = self.w[above] ** p
-        return (self.v * f) @ self.v.conj().T
+        return _spectral_fn(self.v, f)
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
         """Orthogonal projection onto the span of the above-cutoff eigenspaces
         (zero for the zero operator)."""
-        cutoff = support_rel * max(self.lmax, 0.0)
-        return (self.v * (self.w > cutoff)) @ self.v.conj().T
+        cutoff, _ = self._cutoff(support_rel)
+        return _spectral_fn(self.v, self.w > cutoff)
 
-    def is_positive_definite(self, pd_rel: float = DEFAULT_TOL.pd) -> bool:
-        return self.lmax > 0.0 and self.lmin > pd_rel * self.lmax
+    def _cutoff(self, support_rel: float):
+        """The support cutoff ``support_rel * max(lmax, 0)``, and whether
+        every eigenvalue lies above it.  The cutoff is a float, or an
+        ``(n, 1)`` column for a stack; plain floats keep the per-query path
+        cheap."""
+        if self.w.ndim == 1:
+            cutoff = support_rel * max(self.lmax, 0.0)
+            return cutoff, self.lmin > cutoff
+        cutoff = support_rel * np.maximum(self.lmax, 0.0)[:, None]
+        return cutoff, bool((self.w[:, -1:] > cutoff).all())
+
+    def is_positive_definite(self, pd_rel: float = DEFAULT_TOL.pd):
+        """``lmin > pd_rel * lmax > 0``: a bool, or one per slice."""
+        return (self.lmax > 0.0) & (self.lmin > pd_rel * self.lmax)
 
     def validate(self, source: np.ndarray | None = None, rtol: float = 1e-10):
         """Check the invariants, and the reassembly of ``source`` when given;
         raises AssertionError.  ``v* v = I`` within 1e-10 makes the
-        eigenprojections Hermitian, idempotent, orthogonal and complete."""
+        eigenprojections Hermitian, idempotent, orthogonal and complete.
+        A stack is checked slice by slice."""
+        if self.w.ndim == 2:
+            for k in range(len(self.w)):
+                one = SpectralDecomposition(self.w[k], self.v[k])
+                one.validate(None if source is None else source[k], rtol)
+            return
         gram = np.max(np.abs(self.v.conj().T @ self.v - np.eye(len(self.w))))
         if not gram <= 1e-10:
             raise AssertionError(f"eigenvectors not orthonormal (|V*V - I| = {gram:.1e})")
@@ -346,12 +460,27 @@ def cluster_eigenpairs(
     ``v`` holds orthonormal eigenvectors in its columns.  Neighbours that
     sit within ``tol.cluster * max(1, |lmax|)`` chain-merge into one
     eigenspace whose eigenvalue is their mean.  Every spectrum built from
-    eigenpairs, computed or known by construction, goes through here.
+    eigenpairs, computed or known by construction, goes through here.  On
+    an ``(n, d)`` / ``(n, d, d)`` stack each row merges on its own.
     """
-    w = np.asarray(w, dtype=np.float64)
-    order = np.argsort(-w, kind="stable")
-    vals = w[order].tolist()
-    delta = tol.cluster * max(1.0, abs(vals[0]))
+    vals, v = _sorted(np.asarray(w, dtype=np.float64), np.asarray(v))
+    if vals.ndim == 1:
+        vals = np.array(_chain_merge(vals.tolist(), tol.cluster))
+    else:
+        # merge only the rows that hold a near-tie; + 0.0 turns -0.0 into
+        # 0.0 elsewhere, as a mean summed from 0.0 does
+        delta = tol.cluster * np.maximum(1.0, np.abs(vals[:, :1]))
+        tied = (~(vals[:, :-1] - vals[:, 1:] > delta)).any(axis=1)
+        vals = vals + 0.0
+        for k in tied.nonzero()[0].tolist():
+            vals[k] = _chain_merge(vals[k].tolist(), tol.cluster)
+    return SpectralDecomposition(vals, v)
+
+
+def _chain_merge(vals: list[float], cluster: float) -> list[float]:
+    """Sorted eigenvalues with each run of neighbours within
+    ``cluster * max(1, |lmax|)`` replaced by its mean."""
+    delta = cluster * max(1.0, abs(vals[0]))
     merged: list[float] = []
     start = 0
     for i in range(1, len(vals) + 1):
@@ -359,13 +488,14 @@ def cluster_eigenpairs(
             run = vals[start:i]
             merged += [sum(run) / len(run)] * len(run)
             start = i
-    return SpectralDecomposition(np.array(merged), np.asarray(v)[:, order])
+    return merged
 
 
 def spectral_decomposition(
     mat: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian ndarray and cluster near-ties.
+    """Eigendecompose a Hermitian ndarray, or a stack of them, and cluster
+    near-ties.
 
     Eigenvalues closer than ``tol.cluster * max(1, lmax)`` chain-merge
     into one eigenspace (see ``cluster_eigenpairs``).

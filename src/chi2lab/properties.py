@@ -1,8 +1,12 @@
 """Randomized verification of the divergence identities and inequalities.
 
-Each property runs as seeded independent trials; a report records the
-failure count, the worst residual, and (on failure) a replayable
-witness with the offending inputs serialized in matrix JSON.  The
+Each (property, alpha, dim) block draws its trials as one stack from its
+own seeded generator and checks them with the library's stacked kernels:
+one Jacobi solve or one chi2 evaluation covers every trial of the block.
+A property returns per-trial ``ok`` flags and residuals, and a witness
+for any one trial.  A report records the failure count, the worst
+residual, and (on failure) a replayable witness: the inputs of the
+failing trial with the largest residual, serialized in matrix JSON.  The
 shipped baseline is zero failures on default seeds.
 """
 
@@ -12,18 +16,18 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .divergence import Alpha, chi2, chi2_shifted
+from .config import DEFAULT_TOL
+from .divergence import Alpha, _gram_value, _query_powers, _require_pd, _shifted_values
 from .ensembles import (
-    haar_unitary,
-    random_hermitian,
-    random_nonsingular_density,
-    random_pd,
-    random_projection,
-    random_psd,
+    haar_stack,
+    hermitian_stack,
+    nonsingular_density_stack,
+    pd_stack,
+    psd_stack,
+    unit_vector_stack,
 )
-from .linalg import cluster_eigenpairs, complete_to_unitary, hermitian_part, jacobi_eigh, op_norm
+from .linalg import hermitian_part, jacobi_eigh, spectral_decomposition
 from .matio import matrix_to_obj
-from .operators import PdOperator, PsdOperator, _unchecked
 
 __all__ = ["PropertyReport", "PROPERTY_NAMES", "run_property_suite",
            "reports_to_obj", "render_text"]
@@ -44,170 +48,172 @@ class PropertyReport:
         return self.failures == 0
 
 
-def _conjugated(op, u: np.ndarray, cls):
-    """UAU* with the spectrum rotated instead of recomputed."""
-    spec = op.spectrum()
-    rotated = replace(spec, v=u @ spec.v)
-    return _unchecked(cls, rotated.reassemble(), tol=op.tol, spectrum=rotated)
+def _chi2s(a, b, spec, alpha):
+    """chi2 of each A against each B, through the kernels of ``chi2``."""
+    _require_pd(spec, DEFAULT_TOL)
+    return _gram_value(a - b, spec, alpha, DEFAULT_TOL.support, pseudo=False)
 
 
-def _scaled(op, factor: float, cls):
-    spec = op.spectrum().scale(factor)
-    return _unchecked(cls, factor * op.mat, tol=op.tol, spectrum=spec)
+def _op_norms(x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x, 2, axis=(-2, -1))
 
 
-def _projection_operator(r) -> PsdOperator:
-    w = np.zeros(r.dim)
-    w[0] = 1.0
-    spec = cluster_eigenpairs(w, complete_to_unitary(r.vector))
-    return _unchecked(PsdOperator, r.matrix, spectrum=spec)
+def _traces(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1).real
 
 
-def _witness(**mats) -> dict:
+def _outer(v: np.ndarray) -> np.ndarray:
+    """The projections ``v v*`` of a stack of unit vectors."""
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def _witness(**fields) -> dict:
     out = {}
-    for key, value in mats.items():
-        if isinstance(value, np.ndarray):
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray) and value.ndim == 2:
             out[key] = matrix_to_obj(value)
-        elif hasattr(value, "mat"):
-            out[key] = matrix_to_obj(value.mat)
+        elif isinstance(value, np.ndarray):
+            out[key] = value.tolist()
         else:
-            out[key] = value
+            out[key] = float(value)
     return out
 
 
-def _trace_form(spec, x: np.ndarray, alpha: float) -> float:
+def _trace_form(spec, x: np.ndarray, alpha: float) -> np.ndarray:
     """tr(B^-alpha X B^(alpha-1) X) from the spectrum of B."""
     neg = spec.power(-alpha)
     one = spec.power(alpha - 1.0)
-    return float(np.trace(neg @ x @ one @ x).real)
+    return _traces(neg @ x @ one @ x)
 
 
-def _prop_nonnegativity_identity(rng, alpha, d):
-    b = random_pd(d, rng)
-    a = random_psd(d, rng)
-    v = chi2(a, b, alpha)
-    v_same = chi2(b, b, alpha)
-    separation = op_norm(a.mat - b.mat)
-    residual = max(-v, v_same - 1e-10)
-    if separation > 1e-6 * (1.0 + b.spectrum().lmax):
-        residual = max(residual, 1e-10 - v)
+def _prop_nonnegativity_identity(rng, alpha, d, n):
+    b, bs = pd_stack(d, rng, n)
+    a, _ = psd_stack(d, rng, n)
+    v = _chi2s(a, b, bs, alpha)
+    v_same = _chi2s(b, b, bs, alpha)
+    residual = np.maximum(-v, v_same - 1e-10)
+    separated = _op_norms(a - b) > 1e-6 * (1.0 + bs.lmax)
+    residual = np.where(separated, np.maximum(residual, 1e-10 - v), residual)
     ok = residual <= 0.0
-    return ok, max(residual, 0.0), (None if ok else _witness(a=a, b=b, value=v))
+    return ok, np.maximum(residual, 0.0), lambda k: _witness(a=a[k], b=b[k], value=v[k])
 
 
-def _prop_unitary_invariance(rng, alpha, d):
-    a = random_psd(d, rng)
-    b = random_pd(d, rng)
-    u = haar_unitary(d, rng)
-    base = chi2(a, b, alpha)
-    rotated = chi2(
-        _conjugated(a, u, PsdOperator), _conjugated(b, u, PdOperator), alpha
-    )
-    residual = abs(rotated - base)
+def _prop_unitary_invariance(rng, alpha, d, n):
+    a, as_ = psd_stack(d, rng, n)
+    b, bs = pd_stack(d, rng, n)
+    u = haar_stack(d, rng, n)
+    base = _chi2s(a, b, bs, alpha)
+    # UAU* with the spectrum rotated instead of recomputed
+    ra, rb = replace(as_, v=u @ as_.v), replace(bs, v=u @ bs.v)
+    rotated = _chi2s(ra.reassemble(), rb.reassemble(), rb, alpha)
+    residual = np.abs(rotated - base)
     ok = residual <= 1e-9
-    return ok, residual, (None if ok else _witness(a=a, b=b, u=u))
+    return ok, residual, lambda k: _witness(a=a[k], b=b[k], u=u[k])
 
 
-def _prop_homogeneity(rng, alpha, d):
-    a = random_psd(d, rng)
-    b = random_pd(d, rng)
-    base = chi2(a, b, alpha)
-    residual = 0.0
+def _prop_homogeneity(rng, alpha, d, n):
+    a, _ = psd_stack(d, rng, n)
+    b, bs = pd_stack(d, rng, n)
+    base = _chi2s(a, b, bs, alpha)
+    residual = np.zeros(n)
     for lam in (0.1, 1.0, 7.3):
-        scaled = chi2(_scaled(a, lam, PsdOperator), _scaled(b, lam, PdOperator), alpha)
-        residual = max(residual, abs(scaled - lam * base) / lam)
+        scaled = _chi2s(lam * a, lam * b, bs.scale(lam), alpha)
+        residual = np.maximum(residual, np.abs(scaled - lam * base) / lam)
     ok = residual <= 1e-9
-    return ok, residual, (None if ok else _witness(a=a, b=b))
+    return ok, residual, lambda k: _witness(a=a[k], b=b[k])
 
 
-def _prop_product_rule(rng, alpha, d):
-    r = random_projection(d, rng).matrix
-    x = random_hermitian(d, rng)
-    y = random_hermitian(d, rng)
-    lhs = float(np.trace(r @ x @ r @ y).real)
-    rhs = float(np.trace(r @ x).real) * float(np.trace(r @ y).real)
-    residual = abs(lhs - rhs)
+def _prop_product_rule(rng, alpha, d, n):
+    r = _outer(unit_vector_stack(d, rng, n))
+    x = hermitian_stack(d, rng, n)
+    y = hermitian_stack(d, rng, n)
+    lhs = _traces(r @ x @ r @ y)
+    rhs = _traces(r @ x) * _traces(r @ y)
+    residual = np.abs(lhs - rhs)
     ok = residual <= 1e-10
-    return ok, residual, (None if ok else _witness(r=r, x=x, y=y))
+    return ok, residual, lambda k: _witness(r=r[k], x=x[k], y=y[k])
 
 
-def _prop_rank_one_query(rng, alpha, d):
-    dens = random_nonsingular_density(d, rng)
-    r = random_projection(d, rng)
-    shifted = chi2_shifted(r, dens, alpha)
-    direct = chi2(_projection_operator(r), dens, alpha) + 1.0
-    residual = abs(shifted - direct)
+def _prop_rank_one_query(rng, alpha, d, n):
+    dens, ds = nonsingular_density_stack(d, rng, n)
+    v = unit_vector_stack(d, rng, n)
+    r = _outer(v)
+    shifted = _shifted_values(_query_powers(ds, alpha), v)
+    direct = _chi2s(r, dens, ds, alpha) + 1.0
+    residual = np.abs(shifted - direct)
     ok = residual <= 1e-10
-    return ok, residual, (None if ok else _witness(r=r.matrix, d=dens))
+    return ok, residual, lambda k: _witness(r=r[k], d=dens[k])
 
 
-def _prop_strict_convexity(rng, alpha, d):
-    b = random_pd(d, rng)
-    a1 = random_psd(d, rng)
-    a2 = random_psd(d, rng)
-    if float(np.linalg.norm(a1.mat - a2.mat)) < 1e-3:
-        return True, 0.0, None  # inputs too close for a meaningful strictness check
-    mid = _unchecked(PsdOperator, (a1.mat + a2.mat) / 2.0)
-    gap = (chi2(a1, b, alpha) + chi2(a2, b, alpha)) / 2.0 - chi2(mid, b, alpha)
-    residual = max(0.0, 1e-12 - gap)
-    ok = gap > 1e-12
-    return ok, residual, (None if ok else _witness(a1=a1, a2=a2, b=b, gap=gap))
+def _prop_strict_convexity(rng, alpha, d, n):
+    b, bs = pd_stack(d, rng, n)
+    a1, _ = psd_stack(d, rng, n)
+    a2, _ = psd_stack(d, rng, n)
+    # inputs too close for a meaningful strictness check pass as they are
+    close = np.linalg.norm(a1 - a2, axis=(-2, -1)) < 1e-3
+    mid = (a1 + a2) / 2.0
+    gap = (_chi2s(a1, b, bs, alpha) + _chi2s(a2, b, bs, alpha)) / 2.0 - _chi2s(mid, b, bs, alpha)
+    residual = np.where(close, 0.0, np.maximum(0.0, 1e-12 - gap))
+    ok = close | (gap > 1e-12)
+    return ok, residual, lambda k: _witness(a1=a1[k], a2=a2[k], b=b[k], gap=gap[k])
 
 
-def _prop_operator_norm_bound(rng, alpha, d):
-    a = random_pd(d, rng)
-    a2 = random_pd(d, rng)
-    value = chi2(a2, a, alpha)
-    bound = op_norm(a2.mat - a.mat) ** 2 / a.spectrum().lmax
-    residual = max(0.0, bound - value)
+def _prop_operator_norm_bound(rng, alpha, d, n):
+    a, as_ = pd_stack(d, rng, n)
+    a2, _ = pd_stack(d, rng, n)
+    value = _chi2s(a2, a, as_, alpha)
+    bound = _op_norms(a2 - a) ** 2 / as_.lmax
+    residual = np.maximum(0.0, bound - value)
     ok = residual <= 1e-9
-    return ok, residual, (None if ok else _witness(a=a, a_prime=a2))
+    return ok, residual, lambda k: _witness(a=a[k], a_prime=a2[k])
 
 
-def _prop_first_variable_continuity(rng, alpha, d):
-    a = random_psd(d, rng)
-    b = random_pd(d, rng)
-    bump = random_psd(d, rng, rank=d)
-    bump_mat = bump.mat / bump.spectrum().lmax
-    base = chi2(a, b, alpha)
-    diffs = []
-    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        perturbed = _unchecked(PsdOperator, a.mat + eps * bump_mat)
-        diffs.append(abs(chi2(perturbed, b, alpha) - base))
+def _prop_first_variable_continuity(rng, alpha, d, n):
+    a, _ = psd_stack(d, rng, n)
+    b, bs = pd_stack(d, rng, n)
+    bump, bumps = psd_stack(d, rng, n, rank=d)
+    bump = bump / bumps.lmax[:, None, None]
+    base = _chi2s(a, b, bs, alpha)
+    diffs = np.array([
+        np.abs(_chi2s(a + eps * bump, b, bs, alpha) - base)
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    ])
     # the response is |c1 eps + c2 eps^2| with sign-indefinite c1, so a
     # near-cancellation can make one coarse point dip; convergence is
     # judged on the tail transition with an absolute floor
     floor = 1e-9 * (1.0 + base)
-    tail_shrinks = diffs[-1] <= max(0.2 * diffs[-2], floor)
+    tail_shrinks = diffs[-1] <= np.maximum(0.2 * diffs[-2], floor)
     residual = diffs[-1]
-    ok = tail_shrinks and residual <= 1e-4 * (1.0 + base)
-    return ok, residual, (None if ok else _witness(a=a, b=b, diffs=diffs))
+    ok = tail_shrinks & (residual <= 1e-4 * (1.0 + base))
+    return ok, residual, lambda k: _witness(a=a[k], b=b[k], diffs=diffs[:, k])
 
 
-def _ordered_pd_pair(rng, d):
-    b = random_pd(d, rng)
-    inc = random_psd(d, rng, rank=d, scale=0.5)
-    c = _unchecked(PdOperator, b.mat + inc.mat)
-    return b, c
+def _ordered_pd_pair(rng, d, n):
+    """B, its spectrum, and C = B + (a full-rank PSD increment) > B, with
+    C's spectrum computed."""
+    b, bs = pd_stack(d, rng, n)
+    inc, _ = psd_stack(d, rng, n, rank=d, scale=0.5)
+    c = b + inc
+    return b, bs, c, spectral_decomposition(c)
 
 
-def _prop_trace_monotonicity(rng, alpha, d):
-    b, c = _ordered_pd_pair(rng, d)
-    x = random_pd(d, rng)
-    t_small = _trace_form(b.spectrum(), x.mat, alpha)
-    t_large = _trace_form(c.spectrum(), x.mat, alpha)
-    residual = max(0.0, t_large - t_small)
+def _prop_trace_monotonicity(rng, alpha, d, n):
+    b, bs, c, cs = _ordered_pd_pair(rng, d, n)
+    x, _ = pd_stack(d, rng, n)
+    t_small = _trace_form(bs, x, alpha)
+    t_large = _trace_form(cs, x, alpha)
+    residual = np.maximum(0.0, t_large - t_small)
     ok = residual <= 1e-9
-    return ok, residual, (None if ok else _witness(b=b, c=c, x=x))
+    return ok, residual, lambda k: _witness(b=b[k], c=c[k], x=x[k])
 
 
-def _prop_loewner_heinz(rng, alpha, d):
-    b, c = _ordered_pd_pair(rng, d)
-    diff = b.spectrum().power(-alpha) - c.spectrum().power(-alpha)
+def _prop_loewner_heinz(rng, alpha, d, n):
+    b, bs, c, cs = _ordered_pd_pair(rng, d, n)
+    diff = bs.power(-alpha) - cs.power(-alpha)
     w, _ = jacobi_eigh(hermitian_part(diff))
-    residual = max(0.0, -float(w[-1]))
+    residual = np.maximum(0.0, -w[:, -1])
     ok = residual <= 1e-9
-    return ok, residual, (None if ok else _witness(b=b, c=c))
+    return ok, residual, lambda k: _witness(b=b[k], c=c[k])
 
 
 _PROPERTIES = (
@@ -239,19 +245,16 @@ def run_property_suite(alphas, dims, trials: int, seed: int) -> list[PropertyRep
         for a_idx, alpha in enumerate(alphas):
             for d in dims:
                 rng = np.random.default_rng([seed, p_idx, a_idx, d])
-                failures = 0
-                worst = 0.0
-                witness = None
-                for _ in range(trials):
-                    ok, residual, bad = prop(rng, alpha, d)
-                    if not ok:
-                        failures += 1
-                        if bad is not None and residual >= worst:
-                            witness = bad
-                    worst = max(worst, residual)
-                reports.append(
-                    PropertyReport(name, float(alpha), d, trials, failures, worst, witness)
-                )
+                ok, residual, witness = prop(rng, alpha, d, trials)
+                failed = ~ok
+                bad = None
+                if failed.any():
+                    # the failing trial with the largest residual
+                    bad = witness(int(np.argmax(np.where(failed, residual, -np.inf))))
+                reports.append(PropertyReport(
+                    name, float(alpha), d, trials, int(failed.sum()),
+                    float(residual.max()), bad,
+                ))
     return reports
 
 

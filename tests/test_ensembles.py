@@ -9,6 +9,7 @@ from chi2lab import (
     RankOneProjection,
     random_ensemble,
 )
+from chi2lab.ensembles import haar_stack, haar_unitary
 from chi2lab.linalg import op_norm
 
 
@@ -62,3 +63,15 @@ def test_invalid_kind_and_dim():
         random_ensemble("nonsense", 3, seed=0)
     with pytest.raises(ValueError):
         random_ensemble("pd", 1, seed=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_haar_unitary_is_the_first_slice_of_a_stack(d):
+    # a stacked QR equals the 2-D QR slice by slice, and a stack of n reads
+    # the generator as a single draw does, so the draws agree bit for bit
+    single = haar_unitary(d, np.random.default_rng(31))
+    stack = haar_stack(d, np.random.default_rng(31), 20)
+    assert stack.shape == (20, d, d)
+    assert single.tobytes() == stack[0].tobytes()
+    gram = stack.conj().swapaxes(1, 2) @ stack
+    assert np.max(np.abs(gram - np.eye(d))) <= 1e-13

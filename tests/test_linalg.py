@@ -28,6 +28,7 @@ from chi2lab.linalg import (
     hs_norm,
     jacobi_eigh,
     op_norm,
+    spectral_decomposition,
 )
 
 
@@ -72,12 +73,12 @@ def test_jacobi_sweep_cap_raises():
         jacobi_eigh(m, max_sweeps=1)
 
 
-def _graded_pd(d, rng):
+def _graded_pd(d, rng, decades=5.0):
     """B = D H D with H Haar-conjugated, eigenvalues in [0.25, 1.25], and
     D a permuted grading over 5 decades: condition number near 1e10."""
     u = haar_unitary(d, rng)
     h = hermitian_part((u * rng.uniform(0.25, 1.25, d)) @ u.conj().T)
-    grading = 10.0 ** -np.linspace(0.0, 5.0, d)
+    grading = 10.0 ** -np.linspace(0.0, decades, d)
     grading = grading[rng.permutation(d)]
     return h * np.outer(grading, grading)
 
@@ -107,6 +108,56 @@ def test_jacobi_relative_accuracy_on_graded_matrices(d):
         assert ref[0] / ref[-1] > 1e9
         w, _ = jacobi_eigh(b)
         assert np.max(np.abs(w - ref) / ref) <= 1e-13
+
+
+def test_stacked_jacobi_matches_each_slice_bit_for_bit():
+    # every slice keeps its own prescale, threshold and sweep count, so a
+    # stacked solve must reproduce each slice's own 2-D solve exactly
+    rng = np.random.default_rng(21)
+    d = 4
+    u = haar_unitary(d, rng)
+    graded = [_graded_pd(d, rng, decades=3.75) for _ in range(3)]
+    slices = [random_hermitian(d, rng) for _ in range(3)] + graded + [
+        2.0**-990 * random_hermitian(d, rng),
+        2.0**990 * random_hermitian(d, rng),
+        np.zeros((d, d)),
+        np.diag(rng.standard_normal(d)),
+        hermitian_part((u * [1.0, 1.0, 0.5, 0.5 + 1e-12]) @ u.conj().T),
+    ]
+    stack = np.array(slices, dtype=complex)
+    w, v = jacobi_eigh(stack)
+    spec = spectral_decomposition(stack)
+    assert w.shape == (len(slices), d) and v.shape == stack.shape
+    for k, m in enumerate(slices):
+        wk, vk = jacobi_eigh(m)
+        assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
+        one = spectral_decomposition(m)
+        assert spec.w[k].tobytes() == one.w.tobytes()
+        assert spec.v[k].tobytes() == one.v.tobytes()
+    assert SpectralDecomposition(spec.w[-1], spec.v[-1]).multiplicities == (2, 2)
+    for k in range(3, 6):
+        ref = _reference_eigenvalues(slices[k])
+        assert ref[0] / ref[-1] > 1e6
+        assert np.max(np.abs(w[k] - ref) / ref) <= 1e-13
+
+
+def test_stacked_jacobi_at_d_1():
+    stack = np.array([[[2.5]], [[-1.0]], [[0.0]]])
+    w, v = jacobi_eigh(stack, max_sweeps=0)
+    assert w.tolist() == [[2.5], [-1.0], [0.0]]
+    assert v.tolist() == [[[1.0]]] * 3
+
+
+def test_stacked_jacobi_failure_names_the_slice():
+    rng = np.random.default_rng(0)
+    stack = np.array([
+        np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
+        np.zeros((5, 5)),
+        random_hermitian(5, rng),
+        np.eye(5),
+    ])
+    with pytest.raises(SolverFailure, match=r"slice 2 \(1 of 4 unconverged\)"):
+        jacobi_eigh(stack, max_sweeps=1)
 
 
 def test_round_robin_plan_visits_each_pair_once_per_sweep():

@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from chi2lab import PROPERTY_NAMES, render_text, reports_to_obj, run_property_suite
+from chi2lab import (
+    PROPERTY_NAMES,
+    PdOperator,
+    PsdOperator,
+    chi2,
+    render_text,
+    reports_to_obj,
+    run_property_suite,
+)
+from chi2lab import properties
+from chi2lab.ensembles import pd_stack, psd_stack
+from chi2lab.matio import matrix_from_obj
 
 
 def test_trials_must_be_positive():
@@ -35,3 +47,39 @@ def test_render_text_shape():
     assert "total failures: 0" in text
     for name in PROPERTY_NAMES:
         assert name in text
+
+
+def test_failing_property_serializes_a_replayable_witness(monkeypatch):
+    def chi2_at_most_median(rng, alpha, d, n):
+        # fails on each trial whose divergence lies above the block median
+        a, _ = psd_stack(d, rng, n)
+        b, bs = pd_stack(d, rng, n)
+        v = properties._chi2s(a, b, bs, alpha)
+        return v <= np.median(v), v, lambda k: properties._witness(a=a[k], b=b[k])
+
+    monkeypatch.setattr(properties, "_PROPERTIES", (("injected", chi2_at_most_median),))
+    reports = run_property_suite([0.0, 0.5, 1.0], [2, 3], 9, seed=4)
+    obj = json.loads(json.dumps(reports_to_obj(reports)))
+    assert obj["failures"] == 4 * len(reports)
+    for row in obj["properties"]:
+        assert row["failures"] == 4
+        a = PsdOperator(matrix_from_obj(row["witness"]["a"]))
+        b = PdOperator(matrix_from_obj(row["witness"]["b"]))
+        # the failing trials hold the largest residuals, so the witness
+        # replays the reported worst one
+        replay = chi2(a, b, row["alpha"])
+        assert abs(replay - row["worst_residual"]) <= 1e-12 * row["worst_residual"]
+
+
+def test_witness_is_the_worst_failing_trial(monkeypatch):
+    # a passing trial may hold the block's worst residual; the witness is
+    # still the failing trial with the largest residual
+    def fails_on_two_and_five(rng, alpha, d, n):
+        residual = np.arange(n, dtype=float)
+        return ~np.isin(residual, (2.0, 5.0)), residual, lambda k: {"k": k}
+
+    monkeypatch.setattr(properties, "_PROPERTIES", (("injected", fails_on_two_and_five),))
+    (report,) = run_property_suite([0.5], [2], 8, seed=0)
+    assert report.failures == 2
+    assert report.worst_residual == 7.0
+    assert report.witness == {"k": 5}

@@ -5,8 +5,10 @@ validation and may prime a spectrum known by construction.  The fixture
 swaps it, in every ``chi2lab`` module that bound it, for a version that
 builds the object through its class's validating constructor and checks
 a primed spectrum against the matrix (orthonormal eigenvectors,
-non-increasing eigenvalues, reassembly).  Each pipeline that takes a
-fast path then runs once at d = 3.
+non-increasing eigenvalues, reassembly).  The stacked samplers build
+their spectra known by construction in ``ensembles._spectra``; the
+fixture wraps it to check every slice against its matrix the same way.
+Each pipeline that takes a fast path then runs once at d = 3.
 """
 
 import sys
@@ -29,7 +31,7 @@ from chi2lab import (
     run_property_suite,
     spectral_peel,
 )
-from chi2lab import operators
+from chi2lab import ensembles, operators
 from chi2lab.config import DEFAULT_TOL
 from chi2lab.ensembles import haar_unitary, random_nonsingular_density, random_psd
 from chi2lab.linalg import op_norm
@@ -40,6 +42,8 @@ CONE = ConeOptConfig(restarts=2, max_iters=200, seed=2)
 @pytest.fixture
 def checked(monkeypatch):
     original = operators._unchecked
+    original_spectra = ensembles._spectra
+    # built: objects or stacks checked; primed: spectra checked
     counts = {"built": 0, "primed": 0}
 
     def rebuild(cls, mat, *, tol=DEFAULT_TOL, spectrum=None):
@@ -51,13 +55,21 @@ def checked(monkeypatch):
             counts["primed"] += 1
         return obj
 
+    def spectra(eigs, rng):
+        mats, spec = original_spectra(eigs, rng)
+        spec.validate(mats)
+        counts["built"] += 1
+        counts["primed"] += 1
+        return mats, spec
+
     patched = [
         name for name, mod in list(sys.modules.items())
         if name.startswith("chi2lab") and getattr(mod, "_unchecked", None) is original
     ]
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "_unchecked", rebuild)
-    assert {"chi2lab.ensembles", "chi2lab.properties", "chi2lab.tomography"} <= set(patched)
+    assert {"chi2lab.ensembles", "chi2lab.tomography"} <= set(patched)
+    monkeypatch.setattr(ensembles, "_spectra", spectra)
     return counts
 
 
