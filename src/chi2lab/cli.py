@@ -59,7 +59,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"CHI2LAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_tolerances(pairs) -> Tolerances:
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suites, counterexample demos, and reconstruction pipelines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     def add_common(p, tol: bool = False):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, action="append", default=None)
     p.add_argument("--dim", type=int, action="append", default=None)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(fn=cmd_suite)
 
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--probe-t", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(fn=cmd_distinguish)
 
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--schedule", type=float, nargs="+", default=None)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     add_common(p, tol=True)
     p.set_defaults(fn=cmd_tomography)
 
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", required=True, help="hidden PD operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     add_common(p, tol=True)
     p.set_defaults(fn=cmd_peel)
 
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity | unitary:PATH | antiunitary:PATH")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(fn=cmd_decompile)
 
@@ -373,6 +372,9 @@ def main(argv=None) -> int:
 def _validate_args(args) -> None:
     if hasattr(args, "tol"):
         args.tol = _parse_tolerances(args.tol)
+    # without --seed, CHI2LAB_SEED (default 0) seeds the run
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = _default_seed()
     if args.command == "suite":
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")

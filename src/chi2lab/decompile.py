@@ -24,7 +24,7 @@ the report localizes which preserver property broke.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,19 +80,12 @@ class DecompileReport:
         return not self.failures
 
     def to_obj(self) -> dict:
-        return {
-            "kind": self.recovered.kind,
-            "u": matrix_to_obj(self.recovered.u),
-            "trace_preservation_residual": self.trace_preservation_residual,
-            "orthogonality_pass": self.orthogonality_pass,
-            "orthogonality_residual": self.orthogonality_residual,
-            "transition_residual": self.transition_residual,
-            "scale_consistency_residual": self.scale_consistency_residual,
-            "verification_residual": self.verification_residual,
-            "query_count": self.query_count,
-            "stage_queries": dict(self.stage_queries),
-            "failures": list(self.failures),
-        }
+        # the first field, recovered, serializes as kind and u
+        obj = {"kind": self.recovered.kind, "u": matrix_to_obj(self.recovered.u)}
+        obj.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
+        obj["stage_queries"] = dict(self.stage_queries)
+        obj["failures"] = list(self.failures)
+        return obj
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_obj(), indent=indent)
@@ -157,6 +150,8 @@ def preserver_decompile(
     Samples and probes carry the default tolerances.
     """
     Alpha(alpha)
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     phi = _CountingMap(phi)
     rng = np.random.default_rng(seed)
     failures: list[str] = []

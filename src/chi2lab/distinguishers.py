@@ -135,13 +135,11 @@ def distinguish_from_bregman(
     values = tuple(chi2(a, PdOperator(s * eye), alpha) for s in grid)
     sg = np.asarray(grid)
     design = np.vstack([np.ones_like(sg), sg, sg**2]).T
-    coeffs, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
-    fit_residual = float(np.max(np.abs(design @ coeffs - values)))
-    control = d * (probe_t - sg) ** 2
-    ctrl_coeffs, *_ = np.linalg.lstsq(design, control, rcond=None)
-    control_residual = float(np.max(np.abs(design @ ctrl_coeffs - control)))
+    rhs = np.column_stack([values, d * (probe_t - sg) ** 2])
+    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    fit_residual, control_residual = np.max(np.abs(design @ coeffs - rhs), axis=0)
     return BregmanDistinguisherReport(
-        float(probe_t), d, grid, values, fit_residual, control_residual
+        float(probe_t), d, grid, values, float(fit_residual), float(control_residual)
     )
 
 

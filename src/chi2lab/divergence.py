@@ -227,9 +227,9 @@ def _shifted_values(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
 def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     """Shifted rank-one query tr(R D^-alpha) * tr(R D^(alpha-1)).
 
-    For unit-trace D this equals chi2(R, D, alpha) + 1.  It is monotone
-    in how the projection loads the eigenspaces of D, which makes it the
-    extremal-query objective for spectral reconstruction.  The order,
+    For unit-trace D this equals chi2(R, D, alpha) + 1.  It is the query
+    of the rank-one oracle, a quartic form in R's vector whose fit
+    ``spectral_peel`` reads D's spectrum from.  The order,
     the dimensions and positive definiteness of D are checked on every
     call.  The two powers of D are built once per (D, alpha) from D's
     cached eigendecomposition; after that a call in dimension n costs

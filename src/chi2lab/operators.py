@@ -23,7 +23,9 @@ from .errors import (
     NotPositiveSemidefinite,
 )
 from .linalg import (
+    _SAFE_EXP,
     SpectralDecomposition,
+    _ldexp,
     hermitian_part,
     hs_norm,
     op_norm,
@@ -152,8 +154,13 @@ class RankOneProjection:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        if not np.isfinite(v).all():
+        amax = np.abs(v).max(initial=0.0)
+        if not amax < np.inf:
             raise ValueError("vector entries must be finite")
+        if amax > 2.0**_SAFE_EXP:
+            # an exact power-of-two prescale keeps the squared norm finite; on
+            # the small side every vector is rejected as near zero anyway
+            v = _ldexp(v, -int(np.frexp(amax)[1]))
         n = float(np.linalg.norm(v))
         if n < 1e-12:
             raise ValueError("cannot project along a (near) zero vector")
@@ -244,18 +251,17 @@ def projection_family(d: int) -> tuple[RankOneProjection, ...]:
     """The standard tomographically complete family of d^2 projections.
 
     Order: the d basis projections P_{e_i}; then P_{(e_i + e_j)/sqrt2}
-    and P_{(e_i + i e_j)/sqrt2} for each pair i < j.  Overlaps with this
-    family determine any Hermitian matrix.
+    and P_{(e_i + i e_j)/sqrt2} for each pair i < j, in
+    ``np.triu_indices(d, 1)`` order.  Overlaps with this family determine
+    any Hermitian matrix.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     eye = np.eye(d, dtype=np.complex128)
-    probes = [RankOneProjection(eye[:, i]) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            probes.append(RankOneProjection(eye[:, i] + eye[:, j]))
-            probes.append(RankOneProjection(eye[:, i] + 1j * eye[:, j]))
-    return tuple(probes)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.stack([eye[i] + eye[j], eye[i] + 1j * eye[j]], axis=1)
+    rows = np.concatenate([eye, pairs.reshape(-1, d)])
+    return tuple(RankOneProjection(v) for v in rows)
 
 
 def hermitian_from_overlaps(values: np.ndarray, d: int,
@@ -269,16 +275,11 @@ def hermitian_from_overlaps(values: np.ndarray, d: int,
     vals = np.asarray(values, dtype=float)
     if vals.shape != (d * d,):
         raise ValueError(f"expected {d * d} overlaps, got {vals.shape}")
-    x = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        x[i, i] = vals[i]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            mean = (vals[i] + vals[j]) / 2.0
-            re = vals[k] - mean
-            im = mean - vals[k + 1]
-            k += 2
-            x[i, j] = re + 1j * im
-            x[j, i] = re - 1j * im
+    i, j = np.triu_indices(d, 1)
+    mean = (vals[i] + vals[j]) / 2.0
+    re = vals[d::2] - mean
+    im = mean - vals[d + 1::2]
+    x = np.diag(vals[:d].astype(np.complex128))
+    x[i, j] = re + 1j * im
+    x[j, i] = re - 1j * im
     return HermitianMatrix(x, tol)

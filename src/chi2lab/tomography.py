@@ -100,7 +100,9 @@ def quadratic_form_tomography(
 
     The oracle must answer query(C) with the divergence of the hidden
     operator against the probe state C.  Uses exactly
-    ``d^2 * len(schedule)`` queries.
+    ``d^2 * len(schedule)`` queries, all made before any fit is checked;
+    then the first probe in ``projection_family`` order whose fit fails
+    raises.
     """
     alpha = Alpha(alpha)
     schedule = schedule or ProbeSchedule()
@@ -112,26 +114,26 @@ def quadratic_form_tomography(
             f"{basis.shape[1]} basis functions"
         )
     endpoint = alpha.is_endpoint
-    probes = projection_family(d)
-    overlaps = np.empty(d * d)
-    for idx, p in enumerate(probes):
-        responses = np.array(
-            [oracle.query(probe_state(p, t, d, tol)) for t in schedule.t_values]
-        )
-        coeffs, *_ = np.linalg.lstsq(basis, responses, rcond=None)
-        residual = float(np.max(np.abs(basis @ coeffs - responses)))
-        scale = max(1.0, float(np.max(np.abs(responses))))
-        if residual > 1e-6 * scale:
+    responses = np.array([
+        [oracle.query(probe_state(p, t, d, tol)) for t in schedule.t_values]
+        for p in projection_family(d)
+    ])
+    coeffs = responses @ np.linalg.pinv(basis).T
+    residual = np.max(np.abs(coeffs @ basis.T - responses), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(responses), axis=1))
+    c1 = coeffs[:, 1]
+    misfit = residual > 1e-6 * scale
+    failed = np.flatnonzero(misfit | (c1 < -1e-8 * scale))
+    if failed.size:
+        idx = failed[0]
+        if misfit[idx]:
             raise IllConditionedProbe(
-                f"probe {idx}: fit residual {residual:.3e} exceeds 1e-6 * {scale:.3e}"
+                f"probe {idx}: fit residual {residual[idx]:.3e} exceeds "
+                f"1e-6 * {scale[idx]:.3e}"
             )
-        c1 = float(coeffs[1])
-        if c1 < -1e-8 * scale:
-            raise InconsistentOracle(
-                f"probe {idx}: negative 1/t coefficient {c1:.3e}"
-            )
-        c1 = max(c1, 0.0)
-        overlaps[idx] = c1 if endpoint else np.sqrt(c1)
+        raise InconsistentOracle(f"probe {idx}: negative 1/t coefficient {c1[idx]:.3e}")
+    c1 = np.maximum(c1, 0.0)
+    overlaps = c1 if endpoint else np.sqrt(c1)
     recovered = hermitian_from_overlaps(overlaps, d, tol)
     if endpoint:
         # overlaps gave tr(A^2 P): take the positive square root of A^2

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import haar_unitary
+from .ensembles import haar_stack
 from .errors import InconsistentSymmetry, NotASymmetry
-from .linalg import op_norm
+from .linalg import _dots, op_norm
 from .operators import PdOperator, RankOneProjection, _unchecked, projection_family
 
 __all__ = [
@@ -108,20 +108,29 @@ def conjugation_projection_map(conj: ConjugationMap) -> ProjectionMap:
     return ProjectionMap(lambda p: RankOneProjection(conj.apply_vector(p.vector)))
 
 
-def _basis_pairs(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (e_i, e_j), i < j, of standard basis vectors in lexicographic order."""
+def _sample_pairs(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pair plan as two ``(n, d)`` stacks of orthogonal rows: every
+    ``(e_i, e_j)`` in ``np.triu_indices`` order, then seeded Haar pairs up to
+    ``samples``, each the first two columns of one unitary of a Haar stack."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     eye = np.eye(d, dtype=np.complex128)
-    return [(eye[:, i], eye[:, j]) for i in range(d) for j in range(i + 1, d)]
+    i, j = np.triu_indices(d, 1)
+    a, b = eye[i], eye[j]
+    if samples > len(i):
+        q = haar_stack(d, np.random.default_rng(seed), samples - len(i))
+        a, b = np.concatenate([a, q[:, :, 0]]), np.concatenate([b, q[:, :, 1]])
+    return a, b
 
 
-def _sample_pairs(d: int, samples: int, seed: int):
-    """Deterministic pair plan: canonical orthogonal pairs, then seeded Haar ones."""
-    rng = np.random.default_rng(seed)
-    pairs = _basis_pairs(d)
-    while len(pairs) < samples:
-        q = haar_unitary(d, rng)
-        pairs.append((q[:, 0], q[:, 1]))
-    return pairs
+def _overlap_drifts(xi: ProjectionMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|tr(xi(P) xi(R)) - tr(P R)|`` for P, R along each pair of rows of
+    ``a`` and ``b``; every row reaches ``xi`` as a RankOneProjection."""
+    p = [RankOneProjection(v) for v in a]
+    r = [RankOneProjection(v) for v in b]
+    before = _dots(np.array([q.vector for q in p]), np.array([q.vector for q in r]))
+    after = _dots(np.array([xi(q).vector for q in p]), np.array([xi(q).vector for q in r]))
+    return np.abs(np.abs(after) ** 2 - np.abs(before) ** 2)
 
 
 def check_orthogonality_preservation(
@@ -131,11 +140,7 @@ def check_orthogonality_preservation(
 
     Returns (all pairs within 1e-8, worst residual).
     """
-    worst = 0.0
-    for vp, vq in _sample_pairs(d, samples, seed):
-        p = RankOneProjection(vp)
-        q = RankOneProjection(vq)
-        worst = max(worst, xi(p).overlap(xi(q)))
+    worst = float(_overlap_drifts(xi, *_sample_pairs(d, samples, seed)).max())
     return worst <= 1e-8, worst
 
 
@@ -149,14 +154,11 @@ def check_transition_probabilities(
     images the vectors of ``check_orthogonality_preservation`` plus the
     sums.  Returns (all pairs within 1e-8, worst residual).
     """
-    worst = 0.0
-    for va, vb in _sample_pairs(d, samples, seed):
-        # a + b stays unnormalised: RankOneProjection scales it to the
-        # same bytes as the (e_i + e_j) probe of projection_family
-        for vp, vr in ((va, vb), (va, va + vb)):
-            p = RankOneProjection(vp)
-            r = RankOneProjection(vr)
-            worst = max(worst, abs(xi(p).overlap(xi(r)) - p.overlap(r)))
+    a, b = _sample_pairs(d, samples, seed)
+    # a + b stays unnormalised: RankOneProjection scales it to the same
+    # bytes as the (e_i + e_j) probe of projection_family
+    drifts = _overlap_drifts(xi, np.concatenate([a, a]), np.concatenate([b, a + b]))
+    worst = float(drifts.max())
     return worst <= 1e-8, worst
 
 
@@ -184,16 +186,11 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     first = cols[0]
     nz = np.flatnonzero(np.abs(first) > 1e-8)[0]
     cols[0] = first * (abs(first[nz]) / first[nz])
-    # probes (e_0 + e_j)/sqrt2 sit right after the basis block, pairs in
-    # lexicographic order: (0,1), (0,2), ..., each contributing a real and
-    # an imaginary-superposition probe
-    def pair_index(i: int, j: int) -> int:
-        # offset of pair (i, j), i < j, inside the pair block
-        preceding = sum(d - 1 - k for k in range(i))
-        return d + 2 * (preceding + (j - i - 1))
-
+    # projection_family: d basis probes, then per pair i < j in triu_indices
+    # order (e_i + e_j) and (e_i + i e_j); the pairs (0, j) lead, so
+    # (e_0 + e_j) sits at d + 2(j - 1) and (e_0 + i e_1) at d + 1
     for j in range(1, d):
-        w = images[pair_index(0, j)].vector
+        w = images[d + 2 * (j - 1)].vector
         a0 = np.vdot(cols[0], w)
         aj = np.vdot(cols[j], w)
         if abs(a0) < 1e-6 or abs(aj) < 1e-6:
@@ -205,9 +202,8 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     u = np.column_stack(cols)
     # the imaginary probe (e_0 + i e_1)/sqrt2 separates the two kinds:
     # its image matches U v for a unitary and U conj(v) for an antiunitary
-    probe_vec = (np.eye(d, dtype=np.complex128)[:, 0]
-                 + 1j * np.eye(d, dtype=np.complex128)[:, 1]) / np.sqrt(2)
-    image = images[pair_index(0, 1) + 1]
+    probe_vec = probes[d + 1].vector
+    image = images[d + 1]
     candidates = []
     for kind in (UNITARY, ANTIUNITARY):
         cand = ConjugationMap(u, kind)

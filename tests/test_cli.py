@@ -193,6 +193,22 @@ def test_env_seed_fallback(mats, capsys, monkeypatch):
     assert capsys.readouterr().out == first
 
 
+def test_malformed_env_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CHI2LAB_SEED", "abc")
+    argv = ["suite", "--alpha", "0", "--dim", "2", "--trials", "2"]
+    assert main(argv) == 2
+    assert "CHI2LAB_SEED" in capsys.readouterr().err
+    # an explicit --seed never reads the variable
+    assert main(argv + ["--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_decompile_dimension_below_two_exits_two(dim, capsys):
+    assert main(["decompile", "--map", "identity", "--dim", dim]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dimension must be at least 2\n"
+
+
 def _fields(obj, keys) -> dict:
     """The named attributes, as they read after a JSON round trip."""
     return json.loads(json.dumps({k: getattr(obj, k) for k in keys}))

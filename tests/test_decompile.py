@@ -64,16 +64,29 @@ def test_report_serializes_to_json():
     assert obj["u"]["dim"] == 2
     assert len(obj["u"]["entries"]) == 4
     assert obj["failures"] == []
-    for key in (
+    assert list(obj) == [
+        "kind",
+        "u",
         "trace_preservation_residual",
+        "orthogonality_pass",
         "orthogonality_residual",
         "transition_residual",
         "scale_consistency_residual",
         "verification_residual",
         "query_count",
         "stage_queries",
-    ):
-        assert key in obj
+        "failures",
+    ]
+    assert obj["stage_queries"] == dict(report.stage_queries)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_dimensions_below_two_raise_before_any_map_call(d):
+    def phi(a):
+        pytest.fail("phi was called")
+
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        preserver_decompile(phi, d, 0.5)
 
 
 def test_seeded_runs_are_deterministic():

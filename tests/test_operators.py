@@ -108,6 +108,48 @@ def test_projection_family_size_and_completeness():
         np.testing.assert_allclose(rebuilt.mat, x, atol=1e-12)
 
 
+def test_rank_one_projection_of_a_vector_whose_squared_norm_overflows():
+    # an overflow warning would fail the test (RuntimeWarnings are errors)
+    for scale in (1e200, 1e300 + 1e300j, -1.7e308):
+        p = RankOneProjection([scale, scale])
+        want = np.full(2, scale / abs(scale)) / np.sqrt(2)
+        np.testing.assert_allclose(p.vector, want, rtol=1e-15)
+        assert abs(p.overlap(p) - 1.0) <= 1e-15
+
+
+def _family_loop(d):
+    """Reference: the family's vectors in the order of the nested pair loop."""
+    eye = np.eye(d, dtype=np.complex128)
+    vectors = [eye[:, i] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            vectors += [eye[:, i] + eye[:, j], eye[:, i] + 1j * eye[:, j]]
+    return [RankOneProjection(v) for v in vectors]
+
+
+def _overlaps_loop(vals, d):
+    """Reference: the triangular solve of hermitian_from_overlaps, pair by pair."""
+    x = np.zeros((d, d), dtype=np.complex128)
+    for i in range(d):
+        x[i, i] = vals[i]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            mean = (vals[i] + vals[j]) / 2.0
+            re, im = vals[k] - mean, mean - vals[k + 1]
+            k += 2
+            x[i, j], x[j, i] = re + 1j * im, re - 1j * im
+    return (x + x.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_family_and_inverse_match_the_pair_loops(d):
+    family = projection_family(d)
+    assert [p.vector.tobytes() for p in family] == [p.vector.tobytes() for p in _family_loop(d)]
+    vals = np.random.default_rng(d).standard_normal(d * d)
+    assert hermitian_from_overlaps(vals, d).mat.tobytes() == _overlaps_loop(vals, d).tobytes()
+
+
 def test_spectrum_is_cached():
     a = PsdOperator(np.diag([2.0, 1.0]))
     assert a.spectrum() is a.spectrum()

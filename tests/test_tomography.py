@@ -3,6 +3,7 @@ import pytest
 
 from chi2lab import (
     DivergenceOracle,
+    IllConditionedProbe,
     InconsistentOracle,
     PsdOperator,
     ProbeSchedule,
@@ -108,3 +109,34 @@ def test_inconsistent_oracle_detected():
     oracle = DivergenceOracle(lambda c: -numpy_chi2(hidden.mat, c.mat, 0.5))
     with pytest.raises(InconsistentOracle):
         quadratic_form_tomography(oracle, 2, 0.5)
+
+
+def _faulty_oracle(hidden, alpha, negated, bent, schedule):
+    """Exact answers, except that probe ``negated`` (in family order) is
+    negated, which fails the sign check, and probe ``bent`` gets a t^4
+    term outside the basis, which fails the fit check."""
+    ts = schedule.t_values
+
+    def answer(c):
+        probe, t = divmod(oracle.count - 1, len(ts))
+        value = numpy_chi2(hidden.mat, c.mat, alpha)
+        if probe == negated:
+            return -value
+        return value + ts[t] ** 4 if probe == bent else value
+
+    oracle = DivergenceOracle(answer)
+    return oracle
+
+
+@pytest.mark.parametrize("negated, bent, error", [
+    (1, 3, InconsistentOracle),
+    (3, 1, IllConditionedProbe),
+])
+def test_first_failing_probe_in_family_order_raises(negated, bent, error):
+    # every query is made before the fits are checked
+    hidden = PsdOperator(np.diag([2.0, 1.0]))
+    schedule = ProbeSchedule()
+    oracle = _faulty_oracle(hidden, 0.5, negated, bent, schedule)
+    with pytest.raises(error, match=r"^probe 1: "):
+        quadratic_form_tomography(oracle, 2, 0.5, schedule)
+    assert oracle.count == 4 * len(schedule)

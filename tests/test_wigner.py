@@ -18,6 +18,7 @@ from chi2lab import (
 )
 from chi2lab.ensembles import haar_unitary, random_hermitian
 from chi2lab.linalg import op_norm
+from chi2lab.wigner import _sample_pairs
 
 
 def test_conjugation_map_validates_unitarity():
@@ -173,3 +174,48 @@ def test_synthesize_rejects_a_probe_image_rotated_by_1e_6():
     images[-1] = RankOneProjection(np.cos(1e-6) * v + np.sin(1e-6) * w)
     with pytest.raises(InconsistentSymmetry, match="misses a probe image by 1.000e-06"):
         wigner_synthesize(_table_map(probes, images), 3)
+
+
+def _pair_plan_loop(d, samples, seed):
+    """Reference: the canonical pairs, then one haar_unitary draw per pair."""
+    eye = np.eye(d, dtype=np.complex128)
+    pairs = [(eye[:, i], eye[:, j]) for i in range(d) for j in range(i + 1, d)]
+    rng = np.random.default_rng(seed)
+    while len(pairs) < samples:
+        q = haar_unitary(d, rng)
+        pairs.append((q[:, 0], q[:, 1]))
+    return pairs
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_sample_pairs_match_the_per_pair_haar_plan(d):
+    for seed in range(10):
+        for samples in range(1, 21):
+            a, b = _sample_pairs(d, samples, seed)
+            ref = _pair_plan_loop(d, samples, seed)
+            assert a.tobytes() == np.array([va for va, _ in ref]).tobytes()
+            assert b.tobytes() == np.array([vb for _, vb in ref]).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_checks_match_the_per_pair_overlap_loop(d):
+    rng = np.random.default_rng(50 + d)
+    s = haar_unitary(d, rng) @ np.diag(np.linspace(0.6, 1.6, d)) @ haar_unitary(d, rng)
+    xi = ProjectionMap(lambda p: RankOneProjection(s @ p.vector))
+    orth, trans = 0.0, 0.0
+    for va, vb in _pair_plan_loop(d, 20, seed=d):
+        a, b, ab = (RankOneProjection(v) for v in (va, vb, va + vb))
+        orth = max(orth, abs(xi(a).overlap(xi(b)) - a.overlap(b)))
+        trans = max(trans, orth, abs(xi(a).overlap(xi(ab)) - a.overlap(ab)))
+    ok, worst = check_orthogonality_preservation(xi, d, samples=20, seed=d)
+    assert not ok and abs(worst - orth) <= 1e-15
+    ok, worst = check_transition_probabilities(xi, d, samples=20, seed=d)
+    assert not ok and abs(worst - trans) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_checks_reject_dimensions_below_two(d):
+    xi = ProjectionMap(lambda p: pytest.fail("xi was called"))
+    for check in (check_orthogonality_preservation, check_transition_probabilities):
+        with pytest.raises(ValueError, match="at least 2"):
+            check(xi, d)
