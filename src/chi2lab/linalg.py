@@ -50,13 +50,15 @@ _SAFE_EXP = 300
 
 
 def _prescale_exponents(m: np.ndarray) -> np.ndarray | None:
-    """Per matrix of a ``(..., d, d)`` array, the exponent ``e`` with
-    ``2^-e * max |m_ij|`` in [0.5, 1), or 0 when the largest entry is
-    already in the safe range, zero or not finite; None when every
-    exponent is 0."""
+    """Per matrix of a ``(..., d, d)`` array, the exponent ``e`` with the
+    largest real or imaginary part times ``2^-e`` in [0.5, 1), or 0 when
+    the largest entry is already in the safe range, zero or not finite;
+    None when every exponent is 0."""
     amax = np.abs(m).max(axis=(-2, -1), initial=0.0)
     if 2.0**-_SAFE_EXP <= amax.min() and amax.max() <= 2.0**_SAFE_EXP:
         return None
+    # the modulus of a finite entry may overflow; its parts do not
+    amax = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
     safe = (2.0**-_SAFE_EXP <= amax) & (amax <= 2.0**_SAFE_EXP)
     safe |= ~((0.0 < amax) & (amax < np.inf))
     if safe.all():
@@ -98,13 +100,14 @@ def hs_norm(mat: np.ndarray) -> float:
 
     Matrices whose largest entry lies outside the safe range are scaled
     by an exact power of two first, so the squares neither underflow
-    nor overflow.
+    nor overflow.  A norm beyond the float maximum is ``inf``.
     """
     m = np.asarray(mat, dtype=np.complex128)
     e = _prescale_exponents(m)
     if e is None:
         return float(np.linalg.norm(m))
-    return float(np.ldexp(np.linalg.norm(_ldexp(m, -e)), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(_ldexp(m, -e)), e))
 
 
 def op_norm(mat: np.ndarray) -> float:

@@ -11,6 +11,7 @@ spectral queries against the same operator cost one factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,8 +154,10 @@ class RankOneProjection:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        amax = np.abs(v).max(initial=0.0)
+        v = np.ascontiguousarray(self.vector, dtype=np.complex128).reshape(-1)
+        # the largest real or imaginary part: finite even where the modulus
+        # of a finite entry overflows
+        amax = np.abs(v.view(np.float64)).max(initial=0.0)
         if not amax < np.inf:
             raise ValueError("vector entries must be finite")
         if amax > 2.0**_SAFE_EXP:
@@ -247,13 +250,16 @@ def norms(m: ComplexMatrix | np.ndarray) -> tuple[float, float]:
     return hs_norm(arr), op_norm(arr)
 
 
+@lru_cache(maxsize=16)
 def projection_family(d: int) -> tuple[RankOneProjection, ...]:
     """The standard tomographically complete family of d^2 projections.
 
     Order: the d basis projections P_{e_i}; then P_{(e_i + e_j)/sqrt2}
     and P_{(e_i + i e_j)/sqrt2} for each pair i < j, in
     ``np.triu_indices(d, 1)`` order.  Overlaps with this family determine
-    any Hermitian matrix.
+    any Hermitian matrix.  The family of each of the latest 16 dimensions
+    is built once: every call returns the same tuple of immutable
+    projections.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")

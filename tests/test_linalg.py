@@ -438,6 +438,14 @@ def test_normal_scales_skip_the_prescale_bitwise():
     assert vs.tobytes() == v.tobytes()
 
 
+def test_hs_norm_beyond_the_float_maximum_is_inf():
+    # an overflow warning would fail the test (RuntimeWarnings are errors)
+    assert hs_norm(np.array([[1.7e308, 1.7e308]])) == np.inf
+    # the modulus of this finite entry already overflows
+    assert hs_norm(np.array([[1.7e308 + 1.7e308j]])) == np.inf
+    assert hs_norm(np.array([[1e308, 1e308]])) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+
+
 def test_hs_majorizes_op():
     rng = np.random.default_rng(5)
     for _ in range(30):

@@ -117,6 +117,28 @@ def test_rank_one_projection_of_a_vector_whose_squared_norm_overflows():
         assert abs(p.overlap(p) - 1.0) <= 1e-15
 
 
+def test_rank_one_projection_of_an_entry_whose_modulus_overflows():
+    # |1.7e308 + 1.7e308j| is inf although both parts are finite
+    p = RankOneProjection([1.7e308 + 1.7e308j, 0.0])
+    np.testing.assert_allclose(p.vector, [(1 + 1j) / np.sqrt(2), 0.0], rtol=0, atol=1e-15)
+    for bad in (complex(np.inf, 1.0), complex(1.7e308, np.inf), complex(1.7e308, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            RankOneProjection([bad, 1.0])
+
+
+def test_rank_one_projection_of_a_strided_vector():
+    u = np.arange(1.0, 10.0).reshape(3, 3) + 1j
+    p = RankOneProjection(u[:, 1])
+    assert p.vector.tobytes() == (u[:, 1] / np.linalg.norm(u[:, 1])).tobytes()
+
+
+def test_projection_family_is_built_once():
+    for d in (2, 3, 6):
+        family = projection_family(d)
+        assert projection_family(d) is family
+        assert all(not p.vector.flags.writeable for p in family)
+
+
 def _family_loop(d):
     """Reference: the family's vectors in the order of the nested pair loop."""
     eye = np.eye(d, dtype=np.complex128)

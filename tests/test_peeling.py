@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from chi2lab import (
     rank_one_query_oracle,
     spectral_peel,
 )
+from chi2lab import peeling
 from chi2lab.cli import DEFAULT_ALPHAS
 from chi2lab.ensembles import haar_unitary, random_nonsingular_density
 from chi2lab.linalg import op_norm
@@ -155,3 +158,49 @@ def test_query_landscape_has_no_spurious_minimum(alpha):
             for i in range(j):
                 slope = (a[i] - a[j]) / a[j] + (b[i] - b[j]) / b[j]
                 assert slope < 0.0
+
+
+def _run(hidden, d, sigma):
+    oracle = rank_one_query_oracle(hidden, 0.25, noise_sigma=sigma, seed=3)
+    spec = spectral_peel(oracle, d, 0.25)
+    return spec.w.tobytes(), spec.v.tobytes(), oracle.count
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_cold_and_warm_probes_give_the_same_bytes(d):
+    hidden = random_nonsingular_density(d, np.random.default_rng(60 + d))
+    for sigma in (0.0, 1e-9):
+        peeling._probes.cache_clear()
+        cold = _run(hidden, d, sigma)
+        warm = _run(hidden, d, sigma)
+        assert cold == warm
+        assert cold[2] == _budget(d)
+
+
+def test_probe_cache_keeps_only_the_latest_design():
+    rng = np.random.default_rng(8)
+    for d in (2, 3):
+        spectral_peel(rank_one_query_oracle(random_nonsingular_density(d, rng), 0.5), d, 0.5)
+    assert peeling._probes.cache_info().currsize == 1
+
+
+def _probe_loop(d):
+    """Reference: the probe vectors in the order of the nested subset loop."""
+    vectors = []
+    for s in range(1, min(d, 4) + 1):
+        x = peeling._local_design(s)[0]
+        for subset in combinations(range(d), s):
+            for row in x:
+                v = np.zeros(d, dtype=np.complex128)
+                v[list(subset)] = row
+                vectors.append(RankOneProjection(v).vector)
+    return vectors
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_cached_probes_are_the_subset_loop_read_only(d):
+    probes = peeling._probes(d)
+    assert peeling._probes(d) is probes
+    flat = [r.vector for size in probes for r in size]
+    assert [v.tobytes() for v in flat] == [v.tobytes() for v in _probe_loop(d)]
+    assert all(not v.flags.writeable for v in flat)

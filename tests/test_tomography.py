@@ -10,8 +10,11 @@ from chi2lab import (
     chi2_oracle,
     quadratic_form_tomography,
 )
+from chi2lab import operators, tomography
+from chi2lab.config import DEFAULT_TOL
 from chi2lab.ensembles import random_psd
 from chi2lab.linalg import op_norm
+from chi2lab.operators import projection_family
 from chi2lab.tomography import probe_state
 
 
@@ -140,3 +143,38 @@ def test_first_failing_probe_in_family_order_raises(negated, bent, error):
     with pytest.raises(error, match=r"^probe 1: "):
         quadratic_form_tomography(oracle, 2, 0.5, schedule)
     assert oracle.count == 4 * len(schedule)
+
+
+def _run(hidden, d, sigma):
+    oracle = chi2_oracle(hidden, 0.25, noise_sigma=sigma, seed=3)
+    return quadratic_form_tomography(oracle, d, 0.25).mat.tobytes(), oracle.count
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_cold_and_warm_probe_states_give_the_same_bytes(d):
+    hidden = random_psd(d, np.random.default_rng(60 + d))
+    for sigma in (0.0, 1e-9):
+        tomography._probe_states.cache_clear()
+        operators.projection_family.cache_clear()
+        cold = _run(hidden, d, sigma)
+        warm = _run(hidden, d, sigma)
+        assert cold == warm
+        assert cold[1] == d * d * len(ProbeSchedule())
+
+
+def test_probe_state_cache_keeps_only_the_latest_design():
+    rng = np.random.default_rng(8)
+    for d in (2, 3):
+        quadratic_form_tomography(chi2_oracle(random_psd(d, rng), 0.5), d, 0.5)
+    assert tomography._probe_states.cache_info().currsize == 1
+
+
+def test_cached_probe_states_are_todays_read_only_states():
+    ts = ProbeSchedule().t_values
+    states = tomography._probe_states(3, ts, DEFAULT_TOL)
+    assert tomography._probe_states(3, ts, DEFAULT_TOL) is states
+    for p, row in zip(projection_family(3), states):
+        for t, c in zip(ts, row):
+            assert c.mat.tobytes() == probe_state(p, t, 3).mat.tobytes()
+            spec = c.spectrum()
+            assert all(not a.flags.writeable for a in (c.mat, spec.w, spec.v))

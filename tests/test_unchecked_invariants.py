@@ -8,7 +8,11 @@ a primed spectrum against the matrix (orthonormal eigenvectors,
 non-increasing eigenvalues, reassembly).  The stacked samplers build
 their spectra known by construction in ``ensembles._spectra``; the
 fixture wraps it to check every slice against its matrix the same way.
-Each pipeline that takes a fast path then runs once at d = 3.
+Each pipeline that takes a fast path then runs once at d = 3.  The
+fixed probe sets (tomography's probe states, the peel's probes and
+``projection_family``) are cached, so the fixture clears those caches
+before each case, which makes the case build them through the checked
+path, and after it, so the rebuilt objects reach no later test.
 """
 
 import sys
@@ -31,7 +35,7 @@ from chi2lab import (
     run_property_suite,
     spectral_peel,
 )
-from chi2lab import ensembles, operators
+from chi2lab import ensembles, operators, peeling, tomography
 from chi2lab.config import DEFAULT_TOL
 from chi2lab.ensembles import haar_unitary, random_nonsingular_density, random_psd
 from chi2lab.linalg import op_norm
@@ -39,21 +43,32 @@ from chi2lab.linalg import op_norm
 CONE = ConeOptConfig(restarts=2, max_iters=200, seed=2)
 
 
+def _clear_probe_caches():
+    tomography._probe_states.cache_clear()
+    peeling._probes.cache_clear()
+    operators.projection_family.cache_clear()
+
+
 @pytest.fixture
 def checked(monkeypatch):
     original = operators._unchecked
     original_spectra = ensembles._spectra
-    # built: objects or stacks checked; primed: spectra checked
-    counts = {"built": 0, "primed": 0}
+    # built: objects or stacks checked; primed: spectra checked; reached:
+    # modules whose _unchecked was called
+    counts = {"built": 0, "primed": 0, "reached": set()}
 
-    def rebuild(cls, mat, *, tol=DEFAULT_TOL, spectrum=None):
-        obj = cls(mat, tol)
-        counts["built"] += 1
-        if spectrum is not None:
-            spectrum.validate(obj.mat)
-            obj.__dict__["_spectrum"] = spectrum
-            counts["primed"] += 1
-        return obj
+    def rebuild_in(module):
+        def rebuild(cls, mat, *, tol=DEFAULT_TOL, spectrum=None):
+            obj = cls(mat, tol)
+            counts["built"] += 1
+            counts["reached"].add(module)
+            if spectrum is not None:
+                spectrum.validate(obj.mat)
+                obj.__dict__["_spectrum"] = spectrum
+                counts["primed"] += 1
+            return obj
+
+        return rebuild
 
     def spectra(eigs, rng):
         mats, spec = original_spectra(eigs, rng)
@@ -67,10 +82,12 @@ def checked(monkeypatch):
         if name.startswith("chi2lab") and getattr(mod, "_unchecked", None) is original
     ]
     for name in patched:
-        monkeypatch.setattr(sys.modules[name], "_unchecked", rebuild)
+        monkeypatch.setattr(sys.modules[name], "_unchecked", rebuild_in(name))
     assert {"chi2lab.ensembles", "chi2lab.tomography"} <= set(patched)
     monkeypatch.setattr(ensembles, "_spectra", spectra)
-    return counts
+    _clear_probe_caches()
+    yield counts
+    _clear_probe_caches()
 
 
 def _suite():
@@ -115,6 +132,15 @@ def _states():
     assert abs(res.state.trace() - 1.0) <= 1e-10
 
 
+# the modules whose own _unchecked calls a case must reach
+REACHES = {
+    _tomography: {"chi2lab.tomography"},
+    _decompile: {"chi2lab.decompile", "chi2lab.wigner"},
+    _infimum: {"chi2lab.optimize"},
+    _states: {"chi2lab.optimize"},
+}
+
+
 @pytest.mark.parametrize(
     "run, primes",
     [
@@ -132,3 +158,4 @@ def test_fast_paths_keep_their_invariants(checked, run, primes):
     run()
     assert checked["built"] > 0
     assert (checked["primed"] > 0) == primes
+    assert REACHES.get(run, set()) <= checked["reached"]
