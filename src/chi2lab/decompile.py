@@ -10,9 +10,11 @@ argument is run numerically:
      restricted map on slightly mixed states and rounding to the top
      eigenprojection, read by power iteration and certified by the
      Davis-Kahan residual bound (with a half-epsilon stability recheck);
-     each projection is imaged once per scale;
-  4. orthogonality and transition-probability checks;
-  5. synthesis of the implementing (anti)unitary per scale;
+     each projection is imaged once per scale.  A request is a stack of
+     unit rows: each unseen row calls phi at both mixing weights, in
+     order, and the rounding then runs once on the stack of outputs;
+  4. orthogonality and transition-probability checks, one stack each;
+  5. synthesis of the implementing (anti)unitary per scale, one stack;
   6. cross-scale consistency of the synthesized operators up to phase;
   7. verification of phi(A) = U A U* (or the antiunitary variant) on
      fresh samples.
@@ -31,9 +33,9 @@ import numpy as np
 from .divergence import Alpha
 from .ensembles import random_pd
 from .errors import Chi2LabError
-from .linalg import hermitian_part, op_norm
+from .linalg import _dots, _hs_squares, hermitian_part, op_norm
 from .matio import matrix_to_obj
-from .operators import PdOperator, RankOneProjection, _unchecked
+from .operators import PdOperator, _unchecked
 from .wigner import (
     UNITARY,
     ConjugationMap,
@@ -101,8 +103,9 @@ class _CountingMap:
         return self._phi(a)
 
 
-def _top_vector(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top eigenvector of a Hermitian matrix and a bound on its error.
+def _top_vector(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvector of a Hermitian matrix, or of each matrix of a stack
+    such as ``(n, d, d)``, and a bound on its error.
 
     Power iteration from the column with the largest diagonal entry.
     With ``rho = x* h x`` and ``r = h x - rho x``, every other eigenvalue
@@ -111,17 +114,18 @@ def _top_vector(h: np.ndarray) -> tuple[np.ndarray, float]:
     gives ``sin angle(x, v_1) <= ||r|| / (rho - s)``.  When ``rho <= s``
     no gap is certified and the bound is ``inf``.
     """
-    x = h[:, int(np.argmax(h.diagonal().real))]
+    start = np.argmax(np.diagonal(h, axis1=-2, axis2=-1).real, axis=-1)
+    x = np.take_along_axis(h, start[..., None, None], axis=-1)[..., 0]
     for _ in range(_POWER_STEPS):
-        x = h @ x
-        x = x / np.sqrt(np.vdot(x, x).real)
-    hx = h @ x
-    rho = np.vdot(x, hx).real
-    r = hx - rho * x
-    gap = rho - np.sqrt(max(np.vdot(h, h).real - rho * rho, 0.0))
-    if gap <= 0.0:
-        return x, float("inf")
-    return x, float(np.sqrt(np.vdot(r, r).real) / gap)
+        x = (h @ x[..., None])[..., 0]
+        x = x / np.sqrt(_dots(x, x).real)[..., None]
+    hx = (h @ x[..., None])[..., 0]
+    rho = _dots(x, hx).real
+    r = hx - rho[..., None] * x
+    gap = rho - np.sqrt(np.maximum(_hs_squares(h) - rho * rho, 0.0))
+    bound = np.full_like(gap, np.inf)
+    np.divide(np.sqrt(_dots(r, r).real), gap, out=bound, where=gap > 0.0)
+    return x, bound
 
 
 def _phase_aligned_distance(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -172,29 +176,27 @@ def preserver_decompile(
     rounding_flagged = False
 
     def restricted_projection_map(lam: float) -> ProjectionMap:
-        images: dict[bytes, RankOneProjection] = {}
+        images: dict[bytes, np.ndarray] = {}
 
-        def image(p: RankOneProjection) -> RankOneProjection:
+        def image_rows(rows: np.ndarray) -> np.ndarray:
             nonlocal rounding_flagged
-            key = p.vector.tobytes()
-            if key in images:
-                return images[key]
-            tops = []
-            worst = 0.0
-            for eps in (_EPSILON, _EPSILON / 2.0):
-                mixed = (1.0 - eps) * p.matrix + (eps / d) * eye
-                out = phi(_unchecked(PdOperator, lam * mixed)).mat / lam
-                top, bound = _top_vector(hermitian_part(out))
-                tops.append(top)
-                worst = max(worst, bound)
-            stability = 1.0 - abs(np.vdot(tops[0], tops[1])) ** 2
-            if max(stability, worst) > _ROUNDING_TOL and not rounding_flagged:
-                rounding_flagged = True
-                failures.append("projection-rounding")
-            images[key] = RankOneProjection(tops[1])
-            return images[key]
+            keys = [row.tobytes() for row in rows]
+            new = list(dict.fromkeys(k for k in keys if k not in images))
+            if new:
+                v = np.frombuffer(b"".join(new), dtype=np.complex128).reshape(-1, 1, d, 1)
+                # per row, the mixing weights _EPSILON and _EPSILON / 2 in turn
+                eps = np.array([_EPSILON, _EPSILON / 2.0])[:, None, None]
+                mixed = lam * ((1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * eye)
+                outs = [phi(_unchecked(PdOperator, m)).mat for m in mixed.reshape(-1, d, d)]
+                tops, bounds = _top_vector(hermitian_part(np.reshape(outs, mixed.shape) / lam))
+                stability = 1.0 - np.abs(_dots(tops[:, 0], tops[:, 1])) ** 2
+                if not rounding_flagged and max(stability.max(), bounds.max()) > _ROUNDING_TOL:
+                    rounding_flagged = True
+                    failures.append("projection-rounding")
+                images.update(zip(new, tops[:, 1]))
+            return np.array([images[k] for k in keys])
 
-        return ProjectionMap(image)
+        return ProjectionMap(image_rows)
 
     # stage 4: orthogonality and transition checks per scale
     orth_residual = 0.0

@@ -80,7 +80,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_stack(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``(n, d, d)`` Haar-distributed unitaries from one stacked QR."""
+    """``(n, d, d)`` Haar-distributed unitaries from one stacked QR (none for n = 0)."""
+    if n == 0:
+        return np.empty((0, d, d), dtype=np.complex128)
     return _haar((n,), d, rng)
 
 

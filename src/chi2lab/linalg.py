@@ -196,7 +196,8 @@ def jacobi_eigh(
     which names it.  A slice whose largest entry lies outside the safe
     range is solved scaled by an exact power of two, and its ``w`` scaled
     back, so tiny matrices are rotated rather than taken as already
-    diagonal and huge ones do not overflow.
+    diagonal and huge ones do not overflow.  An eigenvalue beyond the
+    float maximum comes back as ``inf`` or ``-inf``.
     """
     a = np.array(mat, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -205,7 +206,8 @@ def jacobi_eigh(
     if e is None:
         return _jacobi(a, max_sweeps, off_factor)
     w, v = _jacobi(_ldexp(a, -e[..., None, None]), max_sweeps, off_factor)
-    return np.ldexp(w, e[..., None]), v
+    with np.errstate(over="ignore"):
+        return np.ldexp(w, e[..., None]), v
 
 
 def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:

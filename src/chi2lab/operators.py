@@ -147,6 +147,35 @@ class NonsingularDensity(DensityOperator, PdOperator):
     """Invertible density operator."""
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """A C-contiguous complex vector, or each row of an ``(n, d)`` stack, at
+    unit norm; a row's norm is summed as ``np.linalg.norm`` sums a vector,
+    so its bytes do not depend on the stack.  Raises ValueError on a
+    non-finite or (near) zero row."""
+    # the largest real or imaginary part: finite even where the modulus
+    # of a finite entry overflows
+    parts = np.abs(v.view(np.float64))
+    top = np.maximum.reduce(parts, None, initial=0.0)
+    if not top < np.inf:
+        raise ValueError("vector entries must be finite")
+    if top > 2.0**_SAFE_EXP:
+        # an exact power-of-two prescale keeps the squared norm finite; on
+        # the small side every row is rejected as near zero anyway
+        amax = parts.max(axis=-1, initial=0.0, keepdims=True)
+        v = _ldexp(v, -np.where(amax > 2.0**_SAFE_EXP, np.frexp(amax)[1], 0))
+    re, im = v.real, v.imag
+    if v.ndim == 1:
+        n = float(np.sqrt(re.dot(re) + im.dot(im)))
+        small = n < 1e-12
+    else:
+        n = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        small = n.min(initial=1.0) < 1e-12
+        n = n[:, None]
+    if small:
+        raise ValueError("cannot project along a (near) zero vector")
+    return v / n
+
+
 @dataclass(frozen=True, eq=False)
 class RankOneProjection:
     """Rank-one projection v v* for a unit vector v."""
@@ -154,20 +183,7 @@ class RankOneProjection:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vector, dtype=np.complex128).reshape(-1)
-        # the largest real or imaginary part: finite even where the modulus
-        # of a finite entry overflows
-        amax = np.abs(v.view(np.float64)).max(initial=0.0)
-        if not amax < np.inf:
-            raise ValueError("vector entries must be finite")
-        if amax > 2.0**_SAFE_EXP:
-            # an exact power-of-two prescale keeps the squared norm finite; on
-            # the small side every vector is rejected as near zero anyway
-            v = _ldexp(v, -int(np.frexp(amax)[1]))
-        n = float(np.linalg.norm(v))
-        if n < 1e-12:
-            raise ValueError("cannot project along a (near) zero vector")
-        v = v / n
+        v = _unit_rows(np.ascontiguousarray(self.vector, dtype=np.complex128).reshape(-1))
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
 

@@ -12,6 +12,7 @@ probe image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from .ensembles import haar_stack
 from .errors import InconsistentSymmetry, NotASymmetry
 from .linalg import _dots, op_norm
-from .operators import PdOperator, RankOneProjection, _unchecked, projection_family
+from .operators import (PdOperator, RankOneProjection, _freeze, _unchecked, _unit_rows,
+                        projection_family)
 
 __all__ = [
     "ConjugationMap",
@@ -93,19 +95,30 @@ class ConjugationMap:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """A map from rank-one projections to rank-one projections."""
+    """A map of rank-one projections: ``fn`` takes the ``(n, d)`` unit rows of
+    n projections to ``(n, d)`` image rows, which the map scales to unit norm
+    with ``RankOneProjection``'s checks.  A ``RankOneProjection`` is imaged
+    as the stack of one."""
 
-    fn: Callable[[RankOneProjection], RankOneProjection]
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, p: RankOneProjection) -> RankOneProjection:
-        out = self.fn(p)
-        if not isinstance(out, RankOneProjection):
-            raise TypeError("projection map must return RankOneProjection")
-        return out
+    def __call__(self, rows):
+        one = isinstance(rows, RankOneProjection)
+        rows = rows.vector[None] if one else rows
+        out = np.ascontiguousarray(self.fn(rows), dtype=np.complex128)
+        if out.shape != rows.shape:
+            raise ValueError(f"projection map returned shape {out.shape} for rows {rows.shape}")
+        return RankOneProjection(out[0]) if one else _unit_rows(out)
 
 
 def conjugation_projection_map(conj: ConjugationMap) -> ProjectionMap:
-    return ProjectionMap(lambda p: RankOneProjection(conj.apply_vector(p.vector)))
+    return ProjectionMap(lambda rows: conj.apply_vector(rows.T).T)
+
+
+@lru_cache(maxsize=16)
+def _family_rows(d: int) -> np.ndarray:
+    """The unit vectors of ``projection_family(d)`` as one read-only stack."""
+    return _freeze(np.array([p.vector for p in projection_family(d)]))
 
 
 def _sample_pairs(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +138,11 @@ def _sample_pairs(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 def _overlap_drifts(xi: ProjectionMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``|tr(xi(P) xi(R)) - tr(P R)|`` for P, R along each pair of rows of
-    ``a`` and ``b``; every row reaches ``xi`` as a RankOneProjection."""
-    p = [RankOneProjection(v) for v in a]
-    r = [RankOneProjection(v) for v in b]
-    before = _dots(np.array([q.vector for q in p]), np.array([q.vector for q in r]))
-    after = _dots(np.array([xi(q).vector for q in p]), np.array([xi(q).vector for q in r]))
+    ``a`` and ``b``; both stacks reach ``xi`` as one stack of unit rows."""
+    n = len(a)
+    rows = _unit_rows(np.concatenate([a, b]))
+    images = xi(rows)
+    before, after = _dots(rows[:n], rows[n:]), _dots(images[:n], images[n:])
     return np.abs(np.abs(after) ** 2 - np.abs(before) ** 2)
 
 
@@ -155,8 +168,8 @@ def check_transition_probabilities(
     sums.  Returns (all pairs within 1e-8, worst residual).
     """
     a, b = _sample_pairs(d, samples, seed)
-    # a + b stays unnormalised: RankOneProjection scales it to the same
-    # bytes as the (e_i + e_j) probe of projection_family
+    # a + b stays unnormalised: _unit_rows scales it to the same bytes as
+    # the (e_i + e_j) probe of projection_family
     drifts = _overlap_drifts(xi, np.concatenate([a, a]), np.concatenate([b, a + b]))
     worst = float(drifts.max())
     return worst <= 1e-8, worst
@@ -165,16 +178,14 @@ def check_transition_probabilities(
 def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     """Construct the (anti)unitary implementing a symmetry of the projections.
 
-    The map is evaluated on the standard d^2 probe family only.  Raises
-    NotASymmetry if the probe images violate transition probabilities
-    beyond 1e-6, and InconsistentSymmetry if no phase assignment or kind
-    reproduces the images within 1e-7.
+    The map is evaluated once, on the stack of the standard d^2 probe
+    family only.  Raises NotASymmetry if the probe images violate
+    transition probabilities beyond 1e-6, and InconsistentSymmetry if no
+    phase assignment or kind reproduces the images within 1e-7.
     """
-    probes = projection_family(d)
-    images = [xi(p) for p in probes]
-    pv = np.column_stack([p.vector for p in probes])
-    iv = np.column_stack([q.vector for q in images])
-    drift = np.abs(np.abs(iv.conj().T @ iv) ** 2 - np.abs(pv.conj().T @ pv) ** 2)
+    pv = _family_rows(d)
+    iv = xi(pv)
+    drift = np.abs(np.abs(iv.conj() @ iv.T) ** 2 - np.abs(pv.conj() @ pv.T) ** 2)
     off = np.argwhere(np.triu(drift > 1e-6, 1))
     if off.size:
         i, j = off[0]
@@ -182,33 +193,30 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
             f"probe pair ({i}, {j}) transition probability off by {drift[i, j]:.3e}"
         )
     # basis images fix the columns up to phase
-    cols = [images[i].vector.copy() for i in range(d)]
-    first = cols[0]
-    nz = np.flatnonzero(np.abs(first) > 1e-8)[0]
-    cols[0] = first * (abs(first[nz]) / first[nz])
+    cols = iv[:d].copy()
+    nz = np.flatnonzero(np.abs(cols[0]) > 1e-8)[0]
+    cols[0] *= abs(cols[0, nz]) / cols[0, nz]
     # projection_family: d basis probes, then per pair i < j in triu_indices
     # order (e_i + e_j) and (e_i + i e_j); the pairs (0, j) lead, so
     # (e_0 + e_j) sits at d + 2(j - 1) and (e_0 + i e_1) at d + 1
-    for j in range(1, d):
-        w = images[d + 2 * (j - 1)].vector
-        a0 = np.vdot(cols[0], w)
-        aj = np.vdot(cols[j], w)
-        if abs(a0) < 1e-6 or abs(aj) < 1e-6:
-            raise InconsistentSymmetry(
-                f"superposition probe (0, {j}) does not overlap both columns"
-            )
-        ratio = aj / a0
-        cols[j] = cols[j] * (ratio / abs(ratio))
-    u = np.column_stack(cols)
+    w = iv[d:3 * d - 2:2]
+    a0 = w @ cols[0].conj()
+    aj = _dots(cols[1:], w)
+    weak = np.flatnonzero((np.abs(a0) < 1e-6) | (np.abs(aj) < 1e-6))
+    if weak.size:
+        raise InconsistentSymmetry(
+            f"superposition probe (0, {weak[0] + 1}) does not overlap both columns"
+        )
+    ratio = aj / a0
+    cols[1:] *= (ratio / np.abs(ratio))[:, None]
+    u = cols.T
     # the imaginary probe (e_0 + i e_1)/sqrt2 separates the two kinds:
     # its image matches U v for a unitary and U conj(v) for an antiunitary
-    probe_vec = probes[d + 1].vector
-    image = images[d + 1]
     candidates = []
     for kind in (UNITARY, ANTIUNITARY):
         cand = ConjugationMap(u, kind)
-        predicted = RankOneProjection(cand.apply_vector(probe_vec))
-        if 1.0 - image.overlap(predicted) <= 1e-7:
+        predicted = _unit_rows(cand.apply_vector(pv[d + 1]))
+        if 1.0 - abs(np.vdot(iv[d + 1], predicted)) ** 2 <= 1e-7:
             candidates.append(cand)
     if not candidates:
         raise InconsistentSymmetry(
@@ -217,9 +225,9 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     result = candidates[0]
     # for unit vectors p, q: ||p p* - q q*||_op = ||q - p (p* q)||, free of
     # the cancellation in sqrt(1 - |p* q|^2)
-    pred = result.apply_vector(pv)
-    pred /= np.linalg.norm(pred, axis=0)
-    misses = np.linalg.norm(iv - pred * np.sum(pred.conj() * iv, axis=0), axis=0)
+    pred = result.apply_vector(pv.T).T
+    pred /= np.linalg.norm(pred, axis=1)[:, None]
+    misses = np.linalg.norm(iv - pred * _dots(pred, iv)[:, None], axis=1)
     bad = np.flatnonzero(misses > 1e-7)
     if bad.size:
         raise InconsistentSymmetry(

@@ -7,12 +7,15 @@ import pytest
 from chi2lab import (
     ConjugationMap,
     PdOperator,
+    RankOneProjection,
     preserver_decompile,
+    projection_family,
 )
 from chi2lab import linalg
 from chi2lab.decompile import _top_vector
-from chi2lab.ensembles import haar_unitary, random_hermitian
+from chi2lab.ensembles import haar_unitary, random_hermitian, random_pd
 from chi2lab.linalg import jacobi_eigh, op_norm
+from chi2lab.operators import _unchecked
 
 
 def test_identity_map():
@@ -114,6 +117,7 @@ def _near_rank_one_draws(rng):
 def test_top_vector_bound_covers_the_true_angle():
     rng = np.random.default_rng(41)
     finite = 0
+    by_dim = {}
     for _ in range(4):
         for h in _near_rank_one_draws(rng):
             x, bound = _top_vector(h)
@@ -121,7 +125,15 @@ def test_top_vector_bound_covers_the_true_angle():
             sin_angle = np.linalg.norm(x - v * np.vdot(v, x))
             assert bound >= sin_angle - 1e-14
             finite += np.isfinite(bound)
+            by_dim.setdefault(len(h), []).append((h, x, bound))
     assert finite >= 300
+    # once more on the whole stack of each dimension: every slice matches
+    # its own 2-D call
+    for draws in by_dim.values():
+        xs, bounds = _top_vector(np.array([h for h, _, _ in draws]))
+        for (_, x, bound), xk, bk in zip(draws, xs, bounds):
+            assert np.max(np.abs(xk - x)) <= 1e-15
+            assert bk == bound or abs(bk - bound) <= 1e-15 * bound
 
 
 @pytest.mark.parametrize("h", [np.diag([1.0, -1.0]), np.eye(3)])
@@ -165,3 +177,73 @@ def test_decompile_runs_no_eigensolve(monkeypatch):
     truth = ConjugationMap(haar_unitary(3, rng), "antiunitary")
     assert preserver_decompile(truth.as_preserver(), 3, 0.5).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("d, images", [(2, 186), (3, 180), (4, 168), (6, 216), (8, 384)])
+def test_stage_three_queries_per_dimension(d, images):
+    # 3 scales x 2 mixing weights x the distinct rows of the checks and
+    # the d^2 family
+    report = preserver_decompile(lambda a: a, d, 0.5)
+    assert report.ok
+    assert report.stage_queries == {"trace": 8, "images": images, "verification": 8}
+
+
+def _reference_phi_inputs(d, seed=0):
+    """Reference: every phi input of ``preserver_decompile`` in order, one
+    probe projection at a time: 8 trace samples; per scale the pairs of
+    the orthogonality check, then the sums of the transition check; per
+    scale the probe family; 8 verification samples.  A projection's first
+    request images it at both mixing weights, later ones reuse it."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+    out = []
+    samples = [random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5))) for _ in range(8)]
+    out += [a.mat.tobytes() for a in samples]
+    pairs = [(eye[i], eye[j]) for i in range(d) for j in range(i + 1, d)]
+    pair_rng = np.random.default_rng(seed + 1)
+    while len(pairs) < 10:
+        q = haar_unitary(d, pair_rng)
+        pairs.append((q[:, 0], q[:, 1]))
+    orth = [RankOneProjection(v) for v in [v for v, _ in pairs] + [w for _, w in pairs]]
+    trans = orth[:len(pairs)] + orth + [RankOneProjection(v + w) for v, w in pairs]
+    seen = {lam: set() for lam in (0.5, 1.0, 2.0)}
+
+    def image(lam, projections):
+        for p in projections:
+            if p.vector.tobytes() in seen[lam]:
+                continue
+            seen[lam].add(p.vector.tobytes())
+            for eps in (1e-4, 1e-4 / 2.0):
+                mixed = (1.0 - eps) * p.matrix + (eps / d) * eye
+                out.append((lam * mixed).tobytes())
+
+    for lam in seen:
+        image(lam, orth)
+        image(lam, trans)
+    for lam in seen:
+        image(lam, projection_family(d))
+    samples = [random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5))) for _ in range(8)]
+    return out + [a.mat.tobytes() for a in samples]
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary", "congruence"])
+def test_phi_inputs_match_the_per_probe_loop(d, kind):
+    rng = np.random.default_rng(20 + d)
+    if kind == "congruence":
+        # the bench's non-preserver: congruence by a non-unitary S
+        s = haar_unitary(d, rng) @ np.diag(np.linspace(0.6, 1.6, d)) @ haar_unitary(d, rng)
+
+        def target(a):
+            return _unchecked(PdOperator, s @ a.mat @ s.conj().T, tol=a.tol)
+    else:
+        target = ConjugationMap(haar_unitary(d, rng), kind).as_preserver()
+    seen = []
+
+    def phi(a):
+        seen.append(a.mat.tobytes())
+        return target(a)
+
+    report = preserver_decompile(phi, d, 0.5)
+    assert report.ok == (kind != "congruence")
+    assert seen == _reference_phi_inputs(d)

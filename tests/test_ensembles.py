@@ -65,6 +65,16 @@ def test_invalid_kind_and_dim():
         random_ensemble("pd", 1, seed=0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_an_empty_haar_stack_reads_nothing_from_the_generator(d):
+    rng = np.random.default_rng(33)
+    before = rng.bit_generator.state
+    stack = haar_stack(d, rng, 0)
+    assert stack.shape == (0, d, d) and stack.dtype == np.complex128
+    assert rng.bit_generator.state == before
+    assert haar_unitary(d, rng).tobytes() == haar_unitary(d, np.random.default_rng(33)).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 def test_haar_unitary_is_the_first_slice_of_a_stack(d):
     # a stacked QR equals the 2-D QR slice by slice, and a stack of n reads

@@ -446,6 +446,19 @@ def test_hs_norm_beyond_the_float_maximum_is_inf():
     assert hs_norm(np.array([[1e308, 1e308]])) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
 
 
+def test_jacobi_eigenvalues_beyond_the_float_maximum_are_inf():
+    # an overflow warning would fail the test (RuntimeWarnings are errors);
+    # the eigenvalues are (1 +- sqrt 5) / 2 * 1.7e308
+    m = np.array([[1.7e308, 1.7e308j], [-1.7e308j, 0.0]])
+    w, v = jacobi_eigh(m)
+    assert w[0] == np.inf
+    assert w[1] == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0 * 1.7e308, rel=1e-14)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-15)
+    ws, _ = jacobi_eigh(np.stack([m, np.eye(2)]))
+    assert ws[0].tobytes() == w.tobytes()
+    assert ws[1].tolist() == [1.0, 1.0]
+
+
 def test_hs_majorizes_op():
     rng = np.random.default_rng(5)
     for _ in range(30):

@@ -14,7 +14,7 @@ from chi2lab import (
     RankOneProjection,
     projection_family,
 )
-from chi2lab.operators import hermitian_from_overlaps
+from chi2lab.operators import _unit_rows, hermitian_from_overlaps
 
 
 def test_complex_matrix_validation():
@@ -130,6 +130,34 @@ def test_rank_one_projection_of_a_strided_vector():
     u = np.arange(1.0, 10.0).reshape(3, 3) + 1j
     p = RankOneProjection(u[:, 1])
     assert p.vector.tobytes() == (u[:, 1] / np.linalg.norm(u[:, 1])).tobytes()
+
+
+def test_unit_rows_match_rank_one_projection_bytes():
+    rng = np.random.default_rng(23)
+    stacks = []
+    for d in (2, 3, 6):
+        eye = np.eye(d, dtype=np.complex128)
+        i, j = np.triu_indices(d, 1)
+        stacks.append(np.concatenate([eye, eye[i] + eye[j], eye[i] + 1j * eye[j]]))
+        g = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+        stacks.append(g * 10.0 ** rng.uniform(-8, 8, (20, 1)))
+    stacks.append(np.array([[1.7e308 + 1.7e308j, 0.0], [1e300, -1e300j], [3.0, 4.0j]]))
+    for rows in stacks:
+        got = _unit_rows(rows)
+        assert got.shape == rows.shape
+        for row, out in zip(rows, got):
+            assert out.tobytes() == RankOneProjection(row).vector.tobytes()
+
+
+def test_unit_rows_reject_a_bad_row_anywhere_in_the_stack():
+    good = np.ones((3, 2), dtype=np.complex128)
+    for k in range(3):
+        for bad, match in ((complex(np.nan, 0.0), "finite"), (complex(0.0, np.inf), "finite"),
+                           (0.0, "zero")):
+            rows = good.copy()
+            rows[k] = bad
+            with pytest.raises(ValueError, match=match):
+                _unit_rows(rows)
 
 
 def test_projection_family_is_built_once():

@@ -29,7 +29,7 @@ def test_conjugation_map_validates_unitarity():
 
 
 def test_identity_map_synthesizes_to_identity():
-    conj = wigner_synthesize(ProjectionMap(lambda p: p), 3)
+    conj = wigner_synthesize(ProjectionMap(lambda rows: rows), 3)
     assert conj.kind == "unitary"
     # identity up to a global phase
     m = conj.u.conj().T @ np.eye(3)
@@ -38,7 +38,7 @@ def test_identity_map_synthesizes_to_identity():
 
 
 def test_entrywise_conjugation_is_antiunitary():
-    xi = ProjectionMap(lambda p: RankOneProjection(p.vector.conj()))
+    xi = ProjectionMap(lambda rows: rows.conj())
     conj = wigner_synthesize(xi, 3)
     assert conj.kind == "antiunitary"
     c = np.trace(conj.u) / abs(np.trace(conj.u))
@@ -67,11 +67,11 @@ def test_checks_pass_on_haar_conjugation():
     assert ok and worst <= 1e-10
 
 
-def _toy_violator(p: RankOneProjection) -> RankOneProjection:
+def _toy_violator(rows: np.ndarray) -> np.ndarray:
     # fixes e1 but folds e2 onto the diagonal direction
-    if abs(p.vector[1]) ** 2 > 0.999:
-        return RankOneProjection(np.array([1.0, 1.0]) / np.sqrt(2))
-    return p
+    out = rows.copy()
+    out[np.abs(rows[:, 1]) ** 2 > 0.999] = np.array([1.0, 1.0]) / np.sqrt(2)
+    return out
 
 
 def test_checks_fail_on_toy_violator():
@@ -85,9 +85,9 @@ def test_checks_fail_on_toy_violator():
 
 
 def _recording(seen: list) -> ProjectionMap:
-    def xi(p: RankOneProjection) -> RankOneProjection:
-        seen.append(p.vector.tobytes())
-        return p
+    def xi(rows: np.ndarray) -> np.ndarray:
+        seen.extend(row.tobytes() for row in rows)
+        return rows
 
     return ProjectionMap(xi)
 
@@ -128,7 +128,7 @@ def test_synthesize_rejects_violator():
 
 
 def test_identity_map_reproduces_probes():
-    conj = wigner_synthesize(ProjectionMap(lambda p: p), 2)
+    conj = wigner_synthesize(ProjectionMap(lambda rows: rows), 2)
     for v in (np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0j])):
         p = RankOneProjection(v)
         assert op_norm(conj.apply(p.matrix) - p.matrix) <= 1e-7
@@ -145,8 +145,8 @@ def _first_drifting_pair(probes, images):
 
 
 def _table_map(probes, images):
-    table = {p.vector.tobytes(): q for p, q in zip(probes, images)}
-    return ProjectionMap(lambda p: table[p.vector.tobytes()])
+    table = {p.vector.tobytes(): q.vector for p, q in zip(probes, images)}
+    return ProjectionMap(lambda rows: np.array([table[row.tobytes()] for row in rows]))
 
 
 def test_synthesize_names_the_first_drifting_pair():
@@ -201,7 +201,7 @@ def test_sample_pairs_match_the_per_pair_haar_plan(d):
 def test_checks_match_the_per_pair_overlap_loop(d):
     rng = np.random.default_rng(50 + d)
     s = haar_unitary(d, rng) @ np.diag(np.linspace(0.6, 1.6, d)) @ haar_unitary(d, rng)
-    xi = ProjectionMap(lambda p: RankOneProjection(s @ p.vector))
+    xi = ProjectionMap(lambda rows: rows @ s.T)
     orth, trans = 0.0, 0.0
     for va, vb in _pair_plan_loop(d, 20, seed=d):
         a, b, ab = (RankOneProjection(v) for v in (va, vb, va + vb))
@@ -213,9 +213,37 @@ def test_checks_match_the_per_pair_overlap_loop(d):
     assert not ok and abs(worst - trans) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "image, match",
+    [
+        (lambda rows: rows[:, :-1], "shape"),
+        (lambda rows: rows[:-1], "shape"),
+        (lambda rows: np.where(rows == 0, np.nan, rows), "finite"),
+        (lambda rows: rows * np.arange(len(rows))[:, None], "zero"),
+    ],
+    ids=["short-rows", "missing-row", "not-finite", "zero-row"],
+)
+def test_projection_map_checks_its_image_rows(image, match):
+    xi = ProjectionMap(image)
+    with pytest.raises(ValueError, match=match):
+        wigner_synthesize(xi, 3)
+    with pytest.raises(ValueError, match=match):
+        xi(projection_family(3)[1])
+
+
+def test_a_projection_is_imaged_as_the_stack_of_one():
+    # an entrywise map, so each image row has the same bytes in any stack
+    w = np.array([1.0, 2.0j, -3.0, 0.5 + 0.5j])
+    xi = ProjectionMap(lambda rows: rows.conj() * w)
+    family = projection_family(4)
+    rows = xi(np.array([p.vector for p in family]))
+    for p, row in zip(family, rows):
+        assert xi(p).vector.tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize("d", [0, 1])
 def test_checks_reject_dimensions_below_two(d):
-    xi = ProjectionMap(lambda p: pytest.fail("xi was called"))
+    xi = ProjectionMap(lambda rows: pytest.fail("xi was called"))
     for check in (check_orthogonality_preservation, check_transition_probabilities):
         with pytest.raises(ValueError, match="at least 2"):
             check(xi, d)
