@@ -385,12 +385,13 @@ class SpectralDecomposition:
 
         Eigenvalues at or below ``support_rel * lmax`` count as kernel and
         map to zero.  Negative powers of a singular operator require
-        ``pseudo=True``, otherwise SingularOperator is raised.
+        ``pseudo=True``, otherwise SingularOperator is raised.  For a stack,
+        ``p`` may also be an ``(n, 1)`` column, one exponent per slice.
         """
         cutoff, full = self._cutoff(support_rel)
         if full:
             f = self.w**p
-        elif p < 0.0 and not pseudo:
+        elif not pseudo and (p.min() if isinstance(p, np.ndarray) else p) < 0.0:
             raise SingularOperator(
                 "negative power of a singular operator; pass pseudo=True "
                 "for the support-restricted pseudo-power"
@@ -398,6 +399,8 @@ class SpectralDecomposition:
         else:
             above = self.w > cutoff
             f = np.zeros(self.w.shape)
+            if isinstance(p, np.ndarray):
+                p = np.broadcast_to(p, f.shape)[above]
             f[above] = self.w[above] ** p
         return _spectral_fn(self.v, f)
 

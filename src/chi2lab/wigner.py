@@ -180,8 +180,9 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
 
     The map is evaluated once, on the stack of the standard d^2 probe
     family only.  Raises NotASymmetry if the probe images violate
-    transition probabilities beyond 1e-6, and InconsistentSymmetry if no
-    phase assignment or kind reproduces the images within 1e-7.
+    transition probabilities beyond 1e-6 or the basis images are not
+    orthonormal within ConjugationMap's 1e-8, and InconsistentSymmetry if
+    no phase assignment or kind reproduces the images within 1e-7.
     """
     pv = _family_rows(d)
     iv = xi(pv)
@@ -209,12 +210,15 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
         )
     ratio = aj / a0
     cols[1:] *= (ratio / np.abs(ratio))[:, None]
-    u = cols.T
+    try:
+        kinds = [ConjugationMap(cols.T, kind) for kind in (UNITARY, ANTIUNITARY)]
+    except ValueError as exc:
+        # the 1e-6 drift bound lets basis images overlap by up to 1e-3
+        raise NotASymmetry(f"basis probe images are not orthonormal: {exc}") from None
     # the imaginary probe (e_0 + i e_1)/sqrt2 separates the two kinds:
     # its image matches U v for a unitary and U conj(v) for an antiunitary
     candidates = []
-    for kind in (UNITARY, ANTIUNITARY):
-        cand = ConjugationMap(u, kind)
+    for cand in kinds:
         predicted = _unit_rows(cand.apply_vector(pv[d + 1]))
         if 1.0 - abs(np.vdot(iv[d + 1], predicted)) ** 2 <= 1e-7:
             candidates.append(cand)

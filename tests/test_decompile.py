@@ -47,6 +47,20 @@ def test_trace_violating_map_flagged_at_stage_one():
     assert not report.ok
 
 
+_NEAR_FAILURES = ("trace", "transition", "wigner(scale=0.5)", "wigner(scale=1)",
+                  "wigner(scale=2)", "synthesis", "verification")
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-5, 1e-4])
+def test_near_preserver_congruence_is_recorded_not_raised(size):
+    # at 1e-6 the basis images pass synthesis's 1e-6 drift check but are
+    # not unitary within ConjugationMap's 1e-8: a stage failure, not a crash
+    m = np.eye(3) + size * random_hermitian(3, np.random.default_rng(1))
+    report = preserver_decompile(lambda a: PdOperator(m @ a.mat @ m.conj().T), 3, 0.5)
+    assert report.failures == _NEAR_FAILURES
+    assert report.query_count == 196
+
+
 def test_idempotence_on_recovered_map():
     rng = np.random.default_rng(8)
     truth = ConjugationMap(haar_unitary(2, rng), "unitary")

@@ -17,7 +17,7 @@ from chi2lab import (
     support_contained,
     support_projection,
 )
-from chi2lab.ensembles import haar_unitary, random_hermitian, random_psd
+from chi2lab.ensembles import haar_unitary, pd_stack, psd_stack, random_hermitian, random_psd
 from chi2lab.linalg import (
     SpectralDecomposition,
     _jacobi,
@@ -469,3 +469,40 @@ def test_hs_majorizes_op():
 def test_hermitian_rejects_asymmetric():
     with pytest.raises(NotHermitian):
         HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _slice_powers(spec, p, **kwargs):
+    return np.array([
+        SpectralDecomposition(spec.w[k], spec.v[k]).power(float(p[k, 0]), **kwargs)
+        for k in range(len(p))
+    ])
+
+
+def test_power_exponent_column_matches_per_slice_calls():
+    # numpy's scalar fast paths (reciprocal, sqrt) differ from the generic
+    # pow a column takes by up to 1 ulp, so agreement is to 2 ulp relative
+    # to each slice's norm, not bitwise
+    rng = np.random.default_rng(21)
+    p = np.array([-1.0, -0.5, -0.25, 0.0, -0.0, 0.5, 0.25, 1.0, -0.75, 2.0])[:, None]
+    for d in (2, 4, 6):
+        for _, spec, kwargs in (
+            (*pd_stack(d, rng, len(p)), {}),
+            (*psd_stack(d, rng, len(p), rank=d - 1), {"pseudo": True}),
+        ):
+            got = spec.power(p, **kwargs)
+            want = _slice_powers(spec, p, **kwargs)
+            scale = np.linalg.norm(want, 2, axis=(-2, -1))
+            assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 2 * _EPS * scale)
+
+
+def test_power_exponent_column_on_a_singular_stack_needs_pseudo():
+    _, spec = psd_stack(3, np.random.default_rng(22), 4, rank=2)
+    p = np.array([0.5, -0.5, 0.25, 1.0])[:, None]
+    with pytest.raises(SingularOperator):
+        spec.power(p)
+    # nonnegative columns need no pseudo-power
+    np.testing.assert_array_equal(spec.power(np.abs(p)), spec.power(np.abs(p), pseudo=True))
+    assert spec.power(p, pseudo=True).shape == (4, 3, 3)

@@ -51,11 +51,13 @@ def test_render_text_shape():
 
 def test_failing_property_serializes_a_replayable_witness(monkeypatch):
     def chi2_at_most_median(rng, alpha, d, n):
-        # fails on each trial whose divergence lies above the block median
+        # fails on each trial whose divergence lies above its alpha block's
+        # median; the stack holds the three alpha blocks in turn
         a, _ = psd_stack(d, rng, n)
         b, bs = pd_stack(d, rng, n)
         v = properties._chi2s(a, b, bs, alpha)
-        return v <= np.median(v), v, lambda k: properties._witness(a=a[k], b=b[k])
+        median = np.median(v.reshape(3, -1), axis=1).repeat(n // 3)
+        return v <= median, v, lambda k: properties._witness(a=a[k], b=b[k])
 
     monkeypatch.setattr(properties, "_PROPERTIES", (("injected", chi2_at_most_median),))
     reports = run_property_suite([0.0, 0.5, 1.0], [2, 3], 9, seed=4)
@@ -83,3 +85,23 @@ def test_witness_is_the_worst_failing_trial(monkeypatch):
     assert report.failures == 2
     assert report.worst_residual == 7.0
     assert report.witness == {"k": 5}
+
+
+def test_each_report_reads_its_own_alpha_rows(monkeypatch):
+    # the residual of every trial is its own alpha plus its dim, so a report
+    # read from another (alpha, dim) block's rows has the wrong worst residual
+    def residual_is_alpha(rng, alpha, d, n):
+        assert alpha.shape == (n, 1)
+        return np.ones(n, dtype=bool), alpha[:, 0] + d, lambda k: {}
+
+    monkeypatch.setattr(properties, "_PROPERTIES", (
+        ("first", residual_is_alpha), ("second", residual_is_alpha),
+    ))
+    alphas, dims = [0.75, 0.0, 0.5], [3, 2]
+    reports = run_property_suite(alphas, dims, 4, seed=0)
+    assert [(r.name, r.alpha, r.dim) for r in reports] == [
+        (name, a, d) for name in ("first", "second") for a in alphas for d in dims
+    ]
+    for r in reports:
+        assert r.trials == 4 and r.failures == 0
+        assert r.worst_residual == r.alpha + r.dim
