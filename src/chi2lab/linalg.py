@@ -11,6 +11,8 @@ singular value.
 
 A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
 by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
+The support rule of the powers lives in ``SpectralDecomposition._powers``,
+which returns ``f(w)`` to ``power`` and to the divergence kernel alike.
 
 Stacks: ``jacobi_eigh``, ``cluster_eigenpairs``, ``spectral_decomposition``
 and ``SpectralDecomposition`` also take an ``(n, d, d)`` stack of
@@ -25,7 +27,7 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -356,6 +358,17 @@ class SpectralDecomposition:
             out.append(proj)
         return tuple(out)
 
+    @cached_property
+    def _real_v(self) -> np.ndarray:
+        """``V`` as a read-only real ``(2d, 2d)`` matrix ``E`` per slice, with
+        ``z.view(float) @ E == (z @ V).view(float)`` for complex rows ``z``:
+        rows ``k`` of ``V`` and ``iV``, interleaved, as floats.  Built once."""
+        d = self.v.shape[-1]
+        e = np.multiply(self.v[..., :, None, :], [[1.0], [1.0j]], order="C").view(np.float64)
+        e = e.reshape(*self.v.shape[:-2], 2 * d, 2 * d)
+        e.flags.writeable = False
+        return e
+
     def reassemble(self) -> np.ndarray:
         """The Hermitian part of ``V diag(w) V*``."""
         return hermitian_part(_spectral_fn(self.v, self.w))
@@ -388,21 +401,27 @@ class SpectralDecomposition:
         ``pseudo=True``, otherwise SingularOperator is raised.  For a stack,
         ``p`` may also be an ``(n, 1)`` column, one exponent per slice.
         """
+        return _spectral_fn(self.v, self._powers(p, pseudo=pseudo, support_rel=support_rel)[0])
+
+    def _powers(self, *ps, pseudo: bool, support_rel: float) -> np.ndarray:
+        """``power``'s eigenvalues ``f(w)`` per exponent of ``ps``, on a new first
+        axis.  Exponents are spread over ``w``'s shape first: a float and an
+        ``(n, 1)`` column take one loop, so stacks match float calls bit for bit."""
         cutoff, full = self._cutoff(support_rel)
+        p = np.empty((len(ps), *self.w.shape))
+        for k, q in enumerate(ps):
+            p[k] = q
         if full:
-            f = self.w**p
-        elif not pseudo and (p.min() if isinstance(p, np.ndarray) else p) < 0.0:
+            return self.w**p
+        if not pseudo and p.min() < 0.0:
             raise SingularOperator(
                 "negative power of a singular operator; pass pseudo=True "
                 "for the support-restricted pseudo-power"
             )
-        else:
-            above = self.w > cutoff
-            f = np.zeros(self.w.shape)
-            if isinstance(p, np.ndarray):
-                p = np.broadcast_to(p, f.shape)[above]
-            f[above] = self.w[above] ** p
-        return _spectral_fn(self.v, f)
+        above = self.w > cutoff
+        f = np.zeros(p.shape)
+        f[:, above] = self.w[above] ** p[:, above]
+        return f
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
         """Orthogonal projection onto the span of the above-cutoff eigenspaces
@@ -472,31 +491,14 @@ def cluster_eigenpairs(
     an ``(n, d)`` / ``(n, d, d)`` stack each row merges on its own.
     """
     vals, v = _sorted(np.asarray(w, dtype=np.float64), np.asarray(v))
-    if vals.ndim == 1:
-        vals = np.array(_chain_merge(vals.tolist(), tol.cluster))
-    else:
-        # merge only the rows that hold a near-tie; + 0.0 turns -0.0 into
-        # 0.0 elsewhere, as a mean summed from 0.0 does
-        delta = tol.cluster * np.maximum(1.0, np.abs(vals[:, :1]))
-        tied = (~(vals[:, :-1] - vals[:, 1:] > delta)).any(axis=1)
-        vals = vals + 0.0
-        for k in tied.nonzero()[0].tolist():
-            vals[k] = _chain_merge(vals[k].tolist(), tol.cluster)
-    return SpectralDecomposition(vals, v)
-
-
-def _chain_merge(vals: list[float], cluster: float) -> list[float]:
-    """Sorted eigenvalues with each run of neighbours within
-    ``cluster * max(1, |lmax|)`` replaced by its mean."""
-    delta = cluster * max(1.0, abs(vals[0]))
-    merged: list[float] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i - 1] - vals[i] > delta:
-            run = vals[start:i]
-            merged += [sum(run) / len(run)] * len(run)
-            start = i
-    return merged
+    # runs numbered across rows; bincount sums each from 0.0 up, so a lone -0.0 becomes 0.0
+    delta = tol.cluster * np.maximum(1.0, np.abs(vals[..., :1]))
+    breaks = np.empty(vals.shape, dtype=bool)
+    breaks[..., 0] = True
+    np.greater(vals[..., :-1] - vals[..., 1:], delta, out=breaks[..., 1:])
+    ids = breaks.cumsum() - 1
+    means = np.bincount(ids, vals.ravel()) / np.bincount(ids)
+    return SpectralDecomposition(means[ids].reshape(vals.shape), v)
 
 
 def spectral_decomposition(

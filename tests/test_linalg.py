@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chi2lab import (
     NotHermitian,
@@ -471,9 +472,6 @@ def test_hermitian_rejects_asymmetric():
         HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
 
-_EPS = np.finfo(np.float64).eps
-
-
 def _slice_powers(spec, p, **kwargs):
     return np.array([
         SpectralDecomposition(spec.w[k], spec.v[k]).power(float(p[k, 0]), **kwargs)
@@ -482,9 +480,8 @@ def _slice_powers(spec, p, **kwargs):
 
 
 def test_power_exponent_column_matches_per_slice_calls():
-    # numpy's scalar fast paths (reciprocal, sqrt) differ from the generic
-    # pow a column takes by up to 1 ulp, so agreement is to 2 ulp relative
-    # to each slice's norm, not bitwise
+    # a float exponent and a column both go through one elementwise loop,
+    # so each slice equals its own float call bit for bit
     rng = np.random.default_rng(21)
     p = np.array([-1.0, -0.5, -0.25, 0.0, -0.0, 0.5, 0.25, 1.0, -0.75, 2.0])[:, None]
     for d in (2, 4, 6):
@@ -494,8 +491,21 @@ def test_power_exponent_column_matches_per_slice_calls():
         ):
             got = spec.power(p, **kwargs)
             want = _slice_powers(spec, p, **kwargs)
-            scale = np.linalg.norm(want, 2, axis=(-2, -1))
-            assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 2 * _EPS * scale)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_real_form_of_v_multiplies_complex_rows_like_v():
+    rng = np.random.default_rng(23)
+    _, stack = pd_stack(4, rng, 5)
+    one = eigh(random_psd(6, rng))
+    for spec in (stack, one, SpectralDecomposition(one.w, np.asfortranarray(one.v))):
+        e = spec._real_v
+        assert e is spec._real_v and not e.flags.writeable
+        d = spec.v.shape[-1]
+        assert e.shape == spec.v.shape[:-2] + (2 * d, 2 * d)
+        z = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        got = (z.view(np.float64) @ e).view(np.complex128)
+        np.testing.assert_allclose(got, z @ spec.v, rtol=0, atol=1e-14)
 
 
 def test_power_exponent_column_on_a_singular_stack_needs_pseudo():
@@ -506,3 +516,50 @@ def test_power_exponent_column_on_a_singular_stack_needs_pseudo():
     # nonnegative columns need no pseudo-power
     np.testing.assert_array_equal(spec.power(np.abs(p)), spec.power(np.abs(p), pseudo=True))
     assert spec.power(p, pseudo=True).shape == (4, 3, 3)
+
+
+def _chain_merge(vals: list[float], cluster: float) -> list[float]:
+    """The per-row merge ``cluster_eigenpairs`` ran before it was vectorised:
+    sorted eigenvalues with each run of neighbours within
+    ``cluster * max(1, |lmax|)`` replaced by its mean."""
+    delta = cluster * max(1.0, abs(vals[0]))
+    merged: list[float] = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i - 1] - vals[i] > delta:
+            run = vals[start:i]
+            merged += [sum(run) / len(run)] * len(run)
+            start = i
+    return merged
+
+
+# rows built from steps that land inside, at the edge of, or outside the
+# merge window, so runs chain across several neighbours
+_STEPS = st.sampled_from([0.0, 1e-12, 3e-9, 1e-8, 1.5e-8, 1e-3, 0.25, 1.0])
+_ROWS = st.tuples(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 3.5, -2e3, 1e6]),
+    st.lists(st.tuples(_STEPS, st.sampled_from([0.0, -0.0, 1.0])), min_size=0, max_size=15),
+)
+
+
+def _row(start, steps):
+    vals = [start]
+    for step, zero in steps:
+        # an exact zero (of either sign) now and then, else a step down
+        vals.append(zero if zero != 1.0 and vals[-1] > 0.0 else vals[-1] - step)
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROWS, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_cluster_merge_equals_the_per_row_chain_merge(rows, seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + len(rows[0][1])
+    w = np.array([(_row(start, steps) + [0.0] * d)[:d] for start, steps in rows])
+    w = w[:, rng.permutation(d)]  # cluster_eigenpairs sorts first
+    v = haar_unitary(d, rng)
+    want = np.array([_chain_merge(sorted(row, reverse=True), 1e-8) for row in w.tolist()])
+    stacked = cluster_eigenpairs(w, np.broadcast_to(v, (len(w), d, d)))
+    assert stacked.w.tobytes() == want.tobytes()
+    for k in range(len(w)):
+        assert cluster_eigenpairs(w[k], v).w.tobytes() == want[k].tobytes()
