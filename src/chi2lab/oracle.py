@@ -23,8 +23,8 @@ class DivergenceOracle:
 
     def __init__(self, query_fn: Callable, noise_sigma: float = 0.0,
                  seed: int | None = None):
-        if noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         self._fn = query_fn
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(seed)

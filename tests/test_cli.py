@@ -133,6 +133,14 @@ def test_tomography_cli(mats, capsys):
     assert obj["recovery_error"] <= 1e-7
 
 
+@pytest.mark.parametrize("cmd", ["tomography", "peel"])
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_noise_must_be_finite_and_nonnegative(cmd, noise, mats, capsys):
+    argv = [cmd, "--hidden", mats["d73"], "--alpha", "0.5", "--noise", noise]
+    assert main(argv) == 2
+    assert "noise_sigma must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_peel_cli(mats, capsys):
     rc = main(["peel", "--hidden", mats["d73"], "--alpha", "0.5", "--json"])
     assert rc == 0

@@ -25,6 +25,7 @@ from chi2lab.linalg import (
     cluster_eigenpairs,
     complete_to_unitary,
     _round_robin_plan,
+    _stacked_plan,
     hermitian_part,
     hs_norm,
     jacobi_eigh,
@@ -113,33 +114,37 @@ def test_jacobi_relative_accuracy_on_graded_matrices(d):
 
 def test_stacked_jacobi_matches_each_slice_bit_for_bit():
     # every slice keeps its own prescale, threshold and sweep count, so a
-    # stacked solve must reproduce each slice's own 2-D solve exactly
-    rng = np.random.default_rng(21)
-    d = 4
-    u = haar_unitary(d, rng)
-    graded = [_graded_pd(d, rng, decades=3.75) for _ in range(3)]
-    slices = [random_hermitian(d, rng) for _ in range(3)] + graded + [
-        2.0**-990 * random_hermitian(d, rng),
-        2.0**990 * random_hermitian(d, rng),
-        np.zeros((d, d)),
-        np.diag(rng.standard_normal(d)),
-        hermitian_part((u * [1.0, 1.0, 0.5, 0.5 + 1e-12]) @ u.conj().T),
-    ]
-    stack = np.array(slices, dtype=complex)
-    w, v = jacobi_eigh(stack)
-    spec = spectral_decomposition(stack)
-    assert w.shape == (len(slices), d) and v.shape == stack.shape
-    for k, m in enumerate(slices):
-        wk, vk = jacobi_eigh(m)
-        assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
-        one = spectral_decomposition(m)
-        assert spec.w[k].tobytes() == one.w.tobytes()
-        assert spec.v[k].tobytes() == one.v.tobytes()
-    assert SpectralDecomposition(spec.w[-1], spec.v[-1]).multiplicities == (2, 2)
-    for k in range(3, 6):
-        ref = _reference_eigenvalues(slices[k])
-        assert ref[0] / ref[-1] > 1e6
-        assert np.max(np.abs(w[k] - ref) / ref) <= 1e-13
+    # stacked solve must reproduce each slice's own 2-D solve exactly; odd d
+    # drops the padding pair of each round
+    for d in (2, 3, 4, 5, 8, 16):
+        rng = np.random.default_rng(21)
+        u = haar_unitary(d, rng)
+        tied = np.where(np.arange(d) < d // 2, 1.0, 0.5)
+        tied[-1] += 1e-12
+        graded = [_graded_pd(d, rng, decades=3.75) for _ in range(3)]
+        slices = [random_hermitian(d, rng) for _ in range(3)] + graded + [
+            2.0**-990 * random_hermitian(d, rng),
+            2.0**990 * random_hermitian(d, rng),
+            np.zeros((d, d)),
+            np.diag(rng.standard_normal(d)),
+            hermitian_part((u * tied) @ u.conj().T),
+        ]
+        stack = np.array(slices, dtype=complex)
+        w, v = jacobi_eigh(stack)
+        spec = spectral_decomposition(stack)
+        assert w.shape == (len(slices), d) and v.shape == stack.shape
+        for k, m in enumerate(slices):
+            wk, vk = jacobi_eigh(m)
+            assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
+            one = spectral_decomposition(m)
+            assert spec.w[k].tobytes() == one.w.tobytes()
+            assert spec.v[k].tobytes() == one.v.tobytes()
+        last = SpectralDecomposition(spec.w[-1], spec.v[-1])
+        assert last.multiplicities == (d // 2, d - d // 2)
+        for k in range(3, 6):
+            ref = _reference_eigenvalues(slices[k])
+            assert ref[0] / ref[-1] > 1e6
+            assert np.max(np.abs(w[k] - ref) / ref) <= 1e-13
 
 
 def test_stacked_jacobi_at_d_1():
@@ -162,7 +167,7 @@ def test_stacked_jacobi_failure_names_the_slice():
 
 
 def test_round_robin_plan_visits_each_pair_once_per_sweep():
-    for d in range(2, 18):
+    for d in range(1, 18):
         rounds, off = _round_robin_plan(d)
         assert len(rounds) == d + d % 2 - 1
         seen = []
@@ -181,6 +186,30 @@ def test_round_robin_plan_visits_each_pair_once_per_sweep():
         np.testing.assert_array_equal(np.setdiff1d(np.arange(d * d), diag), off)
 
 
+def test_rotation_plan_fills_the_real_form_of_each_round():
+    # the kernel stores [c, c, c, c, u, u, -u, -u] at a round's real indices;
+    # that must be the real form of the complex J built from the same lanes
+    rng = np.random.default_rng(25)
+    for d in range(1, 17):
+        for n in (1, 3):
+            for idx, rot in _stacked_plan(d, n):
+                lanes = len(idx) // 4
+                c = rng.uniform(0.5, 1.0, lanes)
+                cu = rng.standard_normal(lanes) + 1j * rng.standard_normal(lanes)
+                j = np.empty((n, d, d), dtype=complex)
+                j[...] = np.eye(d)
+                j.put(idx, np.concatenate([c, c, cu, -cu.conj()]))
+                e = np.empty((n, 2 * d, 2 * d))
+                e[...] = np.eye(2 * d)
+                u = cu.view(np.float64)
+                e.put(rot, np.concatenate([c, c, c, c, u, u, -u, -u]))
+                assert np.array_equal(e, SpectralDecomposition(np.zeros((n, d)), j)._real_v)
+                z = rng.standard_normal((n, 3, d)) + 1j * rng.standard_normal((n, 3, d))
+                np.testing.assert_allclose(
+                    z.view(np.float64) @ e, (z @ j).view(np.float64), rtol=0, atol=1e-14
+                )
+
+
 def test_jacobi_trivial_inputs_return_early():
     w, v = jacobi_eigh(np.array([[2.5]]), max_sweeps=0)
     assert w.tolist() == [2.5]
@@ -196,6 +225,21 @@ def test_jacobi_is_bitwise_deterministic():
     w2, v2 = jacobi_eigh(m.copy())
     assert w1.tobytes() == w2.tobytes()
     assert v1.tobytes() == v2.tobytes()
+
+
+def test_jacobi_ignores_the_memory_layout_of_its_input():
+    # the rotations multiply float views of the entries; Fortran order and
+    # transposed or strided views solve as their C-ordered copies, bit for bit
+    m = random_hermitian(5, np.random.default_rng(12))
+    stack = np.array([m, m.conj(), m.real])
+    for x, ref in (
+        (np.asfortranarray(m), m),
+        (m.T.conj(), m.T.conj().copy()),
+        (np.asfortranarray(stack), stack),
+        (stack[::2], stack[::2].copy()),
+    ):
+        for got, want in zip(jacobi_eigh(x), jacobi_eigh(ref)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_jacobi_zero_and_subnormal_lanes():

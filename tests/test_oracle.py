@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from chi2lab import (
     DivergenceOracle,
@@ -43,3 +44,13 @@ def test_noise_is_seeded_and_additive():
     vb = [b.query(None) for _ in range(5)]
     assert va == vb
     assert any(abs(v - 2.0) > 1e-6 for v in va)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
+    # nan would pass every comparison and give a silently noiseless oracle;
+    # inf would turn every answer into inf
+    with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+        DivergenceOracle(lambda x: 1.0, noise_sigma=sigma)
+    with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+        chi2_oracle(random_psd(2, np.random.default_rng(0)), 0.5, noise_sigma=sigma)
