@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: relative floor for PSD membership (eigenvalues >= -psd * max(1, lmax))
+    #: relative floor for PSD membership (eigenvalues >= -psd * max(1, lmax)),
+    #: certified by a Cholesky factorization of M + psd * max(1, ||M||_op) * I,
+    #: or by the eigenvalues when it fails; the spectrum clamps eigenvalues
+    #: inside the floor to 0, the matrix keeps them
     psd: float = 1e-10
     #: relative gap lmin > pd * lmax required for PD membership
     pd: float = 1e-10

@@ -60,7 +60,8 @@ def _prescale_exponents(m: np.ndarray) -> np.ndarray | None:
     the largest entry is already in the safe range, zero or not finite;
     None when every exponent is 0."""
     amax = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if 2.0**-_SAFE_EXP <= amax.min() and amax.max() <= 2.0**_SAFE_EXP:
+    lo, hi = (float(amax),) * 2 if amax.ndim == 0 else (amax.min(), amax.max())
+    if 2.0**-_SAFE_EXP <= lo and hi <= 2.0**_SAFE_EXP:
         return None
     # the modulus of a finite entry may overflow; its parts do not
     amax = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
@@ -96,8 +97,20 @@ def _hs_squares(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """Return (M + M*) / 2, per matrix of a stack."""
-    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    """Return (M + M*) / 2, per matrix of a stack.
+
+    A matrix whose largest entry lies above the safe range is scaled by an
+    exact power of two first, so a sum of two finite entries above half
+    the float maximum does not overflow.
+    """
+    # a squared norm within 4^SAFE_EXP (a cheaper test than the entries) keeps
+    # every entry in the safe range; inf or nan fails it
+    e = None if np.vdot(mat, mat).real <= 4.0**_SAFE_EXP else _prescale_exponents(mat)
+    if e is None:
+        return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    e = e[..., None, None]
+    m = _ldexp(np.asarray(mat, dtype=np.complex128), -e)
+    return _ldexp((m + m.conj().swapaxes(-1, -2)) / 2.0, e)
 
 
 def hs_norm(mat: np.ndarray) -> float:
@@ -521,12 +534,24 @@ def cluster_eigenpairs(
     vals, v = _sorted(np.asarray(w, dtype=np.float64), np.asarray(v))
     # runs numbered across rows; bincount sums each from 0.0 up, so a lone -0.0 becomes 0.0
     delta = tol.cluster * np.maximum(1.0, np.abs(vals[..., :1]))
+    # a sorted row holds its largest magnitude at an end
+    top = max(vals[0], -vals[-1]) if vals.ndim == 1 else np.abs(vals).max(initial=0.0)
+    huge = top > 2.0**_SAFE_EXP
+    if huge:
+        # a gap or a run's sum may overflow where the mean does not: a row
+        # beyond the safe range merges scaled by an exact power of two
+        tops = np.abs(vals).max(axis=-1, keepdims=True)
+        e = np.where(tops > 2.0**_SAFE_EXP, np.frexp(tops)[1], 0)
+        vals, delta = np.ldexp(vals, -e), np.ldexp(delta, -e)
     breaks = np.empty(vals.shape, dtype=bool)
     breaks[..., 0] = True
     np.greater(vals[..., :-1] - vals[..., 1:], delta, out=breaks[..., 1:])
     ids = breaks.cumsum() - 1
-    means = np.bincount(ids, vals.ravel()) / np.bincount(ids)
-    return SpectralDecomposition(means[ids].reshape(vals.shape), v)
+    means = (np.bincount(ids, vals.ravel()) / np.bincount(ids))[ids].reshape(vals.shape)
+    if huge:
+        with np.errstate(over="ignore"):
+            means = np.ldexp(means, e)
+    return SpectralDecomposition(means, v)
 
 
 def spectral_decomposition(

@@ -1,11 +1,16 @@
 """Typed operator hierarchy on a finite-dimensional complex Hilbert space.
 
 ``ComplexMatrix`` wraps a validated square array; ``HermitianMatrix``
-symmetrizes on construction; ``PsdOperator`` clamps negligible negative
-eigenvalues to zero; ``PdOperator`` additionally requires a spectral gap
-above zero; ``DensityOperator`` fixes the trace to one.  All instances
-are immutable and cache their clustered eigendecomposition, so repeated
-spectral queries against the same operator cost one factorization.
+symmetrizes on construction; ``PsdOperator`` admits eigenvalues down to a
+small negative floor, which its spectrum clamps to zero; ``PdOperator``
+additionally requires a spectral gap above zero; ``DensityOperator``
+fixes the trace to one.  All instances are immutable.  Each solves its
+clustered eigendecomposition at most once and caches it, so repeated
+spectral queries against the same operator cost one factorization:
+``PsdOperator`` and ``DensityOperator`` certify membership by a shifted
+Cholesky factorization and solve on the first ``spectrum()`` call, while
+``PdOperator`` and ``NonsingularDensity`` solve at construction.  A
+``PsdOperator``'s ``mat`` is the Hermitian part of its input, unclamped.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .linalg import (
     _SAFE_EXP,
     SpectralDecomposition,
     _ldexp,
+    _prescale_exponents,
     hermitian_part,
     hs_norm,
     op_norm,
@@ -95,33 +101,89 @@ class HermitianMatrix(ComplexMatrix):
         object.__setattr__(self, "mat", _freeze(sym))
 
     def spectrum(self) -> SpectralDecomposition:
-        """Clustered eigendecomposition, computed once and cached."""
+        """Clustered eigendecomposition, computed on the first call and cached."""
         cached = self.__dict__.get("_spectrum")
         if cached is None:
-            cached = spectral_decomposition(self.mat, self.tol)
+            cached = self._solve()
             self.__dict__["_spectrum"] = cached
         return cached
 
+    def _solve(self) -> SpectralDecomposition:
+        return spectral_decomposition(self.mat, self.tol)
+
+
+def _clamped(spec: SpectralDecomposition) -> SpectralDecomposition:
+    """``spec`` with its negative eigenvalues raised to 0."""
+    return replace(spec, w=np.maximum(spec.w, 0.0)) if spec.lmin < 0.0 else spec
+
+
+def _cholesky_certifies_psd(m: np.ndarray, rel: float) -> bool:
+    """Whether ``m + rel * max(1, ||m||_op) * I`` has a Cholesky factor.
+
+    Success shows that no eigenvalue of the Hermitian ``m`` lies below
+    ``-rel * max(1, ||m||_op)``, up to the factorization's backward error
+    of order ``d * u * ||m||`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, ch. 10); failure shows nothing.  LAPACK
+    only decides here and produces no output bits.  A matrix whose
+    largest entry lies above the safe range is factored scaled by an exact
+    power of two, where its norm, above 1 before scaling, sets the shift.
+    """
+    e = _prescale_exponents(m)
+    if e is not None and e > 0:
+        m = _ldexp(m, -e)
+        shift = rel * op_norm(m)
+    else:
+        shift = rel * max(1.0, op_norm(m))
+    try:
+        np.linalg.cholesky(m + shift * np.eye(len(m)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
 
 class PsdOperator(HermitianMatrix):
-    """Positive semidefinite operator; tiny negative eigenvalues clamp to 0."""
+    """Positive semidefinite operator: no eigenvalue below the floor
+    ``-tol.psd * max(1, lmax)``.
+
+    Membership is certified by ``_cholesky_certifies_psd``, with no
+    eigensolve; when the factorization fails, the eigenvalue test decides,
+    and its spectrum is kept.  Otherwise the spectrum is solved on the
+    first ``spectrum()`` call.  Either way negative eigenvalues of the
+    spectrum clamp to 0, while ``mat`` stays the Hermitian part of the
+    input, so the two differ by at most the floor.
+    """
+
+    #: skip the certificate and decide by the eigenvalues at construction,
+    #: for subclasses whose own check reads the spectrum anyway
+    _solve_eagerly = False
 
     def __post_init__(self):
         super().__post_init__()
+        if not self._solve_eagerly and _cholesky_certifies_psd(self.mat, self.tol.psd):
+            return
         spec = spectral_decomposition(self.mat, self.tol)
         floor = -self.tol.psd * max(1.0, spec.lmax)
         if spec.lmin < floor:
             raise NotPositiveSemidefinite(
                 f"eigenvalue {spec.lmin:.3e} below PSD floor {floor:.3e}"
             )
-        if spec.lmin < 0.0:
-            spec = replace(spec, w=np.maximum(spec.w, 0.0))
-            object.__setattr__(self, "mat", _freeze(spec.reassemble()))
-        self.__dict__["_spectrum"] = spec
+        if spec.lmax == np.inf and not self._solve_eagerly:
+            # an eigenvalue beyond the float maximum merges the spectrum into
+            # one infinite cluster, which cannot overrule the failed certificate
+            raise NotPositiveSemidefinite(
+                "eigenvalue beyond the float maximum, and the Cholesky test fails"
+            )
+        self.__dict__["_spectrum"] = _clamped(spec)
+
+    def _solve(self) -> SpectralDecomposition:
+        return _clamped(super()._solve())
 
 
 class PdOperator(PsdOperator):
-    """Positive definite (invertible positive) operator."""
+    """Positive definite (invertible positive) operator; the spectrum is
+    solved at construction to check the gap."""
+
+    _solve_eagerly = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -257,7 +319,8 @@ def support_contained(a: PsdOperator, b: PsdOperator) -> bool:
     _require_same_dim(a, b)
     comp = np.eye(a.dim) - support_projection(b)
     leak = op_norm(comp @ a.mat @ comp)
-    return leak <= a.tol.support * max(1.0, a.spectrum().lmax)
+    # the threshold's second norm is taken only when the leak clears tol.support
+    return leak <= a.tol.support or leak <= a.tol.support * op_norm(a.mat)
 
 
 def norms(m: ComplexMatrix | np.ndarray) -> tuple[float, float]:

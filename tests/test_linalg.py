@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chi2lab import (
     NotHermitian,
+    NotPositiveSemidefinite,
     PdOperator,
     PsdOperator,
     HermitianMatrix,
@@ -502,6 +503,66 @@ def test_jacobi_eigenvalues_beyond_the_float_maximum_are_inf():
     ws, _ = jacobi_eigh(np.stack([m, np.eye(2)]))
     assert ws[0].tobytes() == w.tobytes()
     assert ws[1].tolist() == [1.0, 1.0]
+
+
+def test_hermitian_part_of_entries_above_half_the_float_maximum():
+    # an overflow warning would fail the test (RuntimeWarnings are errors)
+    diag = np.diag([1.7e308, 1.7e308])
+    assert hermitian_part(diag.astype(complex)).tobytes() == diag.astype(complex).tobytes()
+    assert HermitianMatrix(diag).mat.tobytes() == diag.astype(complex).tobytes()
+    for cls in (PsdOperator, PdOperator):
+        assert cls(diag).spectrum().w.tolist() == [1.7e308, 1.7e308]
+    # Hermitian off-diagonal pairs, real and imaginary: eigenvalues +-1.7e308
+    for top in (1.7e308, 1.7e308j):
+        pair = np.array([[0.0, top], [np.conj(top), 0.0]])
+        assert np.array_equal(hermitian_part(pair), pair)
+        assert np.array_equal(HermitianMatrix(pair).mat, pair)
+        for cls in (PsdOperator, PdOperator):
+            with pytest.raises(NotPositiveSemidefinite) as err:
+                cls(pair)
+            assert str(err.value) == "eigenvalue -1.700e+308 below PSD floor -1.700e+298"
+    # eigenvalues (1 +- sqrt 5) / 2 * 1.7e308: the largest overflows, so the
+    # solve merges both into one infinite cluster and cannot decide
+    indefinite = np.array([[1.7e308, 1.7e308j], [-1.7e308j, 0.0]])
+    with pytest.raises(NotPositiveSemidefinite, match="beyond the float maximum"):
+        PsdOperator(indefinite)
+    # eigenvalues 3.4e308 (inf) and 0: certified
+    assert PsdOperator(np.full((2, 2), 1.7e308)).spectrum().lmax == np.inf
+
+
+def test_hermitian_part_keeps_its_bytes_inside_the_safe_range():
+    rng = np.random.default_rng(29)
+    cases = []
+    for d in (1, 2, 4, 16):
+        g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        cases += [g[0], 1e-80 * g[1], 1e80 * g[2], g * 10.0 ** rng.uniform(-80, 80, (5, 1, 1))]
+    for m in cases:
+        want = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        assert hermitian_part(m).tobytes() == want.tobytes()
+    # a huge slice is prescaled on its own; the other slices keep their bytes
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    g[1] *= 1.7e308 / np.abs(g[1].view(float)).max()
+    got = hermitian_part(g)
+    for k in (0, 2):
+        assert got[k].tobytes() == ((g[k] + g[k].conj().T) / 2.0).tobytes()
+    # exact power-of-two scales commute with the sum and the halving
+    assert (got[1] / 2.0**1000).tobytes() == hermitian_part(g[1] / 2.0**1000).tobytes()
+
+
+def test_cluster_means_of_eigenvalues_near_the_float_maximum():
+    # the run sum 3.4e308 and the gap 3.4e308 overflow; the mean does not
+    spec = cluster_eigenpairs(np.array([1.7e308, 1.7e308]), np.eye(2))
+    assert spec.w.tolist() == [1.7e308, 1.7e308]
+    spec = cluster_eigenpairs(np.array([1.7e308, -1.7e308]), np.eye(2))
+    assert spec.w.tolist() == [1.7e308, -1.7e308]
+    # rows in the safe range merge as before, bit for bit
+    w = np.array([[1.7e308, 1.7e308, 1.0], [3.0, 2.0, 2.0 + 1e-12]])
+    spec = cluster_eigenpairs(w, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert spec.w[0].tolist() == [1.7e308, 1.7e308, 1.0]
+    assert spec.w[1].tobytes() == cluster_eigenpairs(w[1], np.eye(3)).w.tobytes()
+    # an empty stack has no largest magnitude to test
+    assert cluster_eigenpairs(np.zeros((0, 3)), np.zeros((0, 3, 3))).w.shape == (0, 3)
+    assert hermitian_part(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
 def test_hs_majorizes_op():

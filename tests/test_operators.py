@@ -14,7 +14,11 @@ from chi2lab import (
     RankOneProjection,
     projection_family,
 )
-from chi2lab.operators import _unit_rows, hermitian_from_overlaps
+from chi2lab import chi2, chi2_extended, linalg, operators
+from chi2lab.config import DEFAULT_TOL
+from chi2lab.ensembles import haar_unitary, random_hermitian, random_pd, random_psd
+from chi2lab.linalg import hermitian_part, op_norm, spectral_decomposition
+from chi2lab.operators import _cholesky_certifies_psd, _unit_rows, hermitian_from_overlaps
 
 
 def test_complex_matrix_validation():
@@ -203,3 +207,169 @@ def test_family_and_inverse_match_the_pair_loops(d):
 def test_spectrum_is_cached():
     a = PsdOperator(np.diag([2.0, 1.0]))
     assert a.spectrum() is a.spectrum()
+
+
+def _eigenvalue_rule(m, tol=DEFAULT_TOL):
+    """The eigenvalue test of PSD membership: None when the Hermitian part of
+    ``m`` has no eigenvalue below ``-tol.psd * max(1, lmax)``, else the
+    NotPositiveSemidefinite message."""
+    spec = spectral_decomposition(hermitian_part(np.asarray(m, dtype=complex)), tol)
+    floor = -tol.psd * max(1.0, spec.lmax)
+    if spec.lmin < floor:
+        return f"eigenvalue {spec.lmin:.3e} below PSD floor {floor:.3e}"
+    return None
+
+
+def _assert_decided_as_by_eigenvalues(m, accept=None):
+    """The Cholesky certificate and PsdOperator decide ``m`` as the eigenvalue
+    rule does (and as ``accept`` says, when given); a rejection keeps the
+    rule's error type and message."""
+    message = _eigenvalue_rule(m)
+    if accept is not None:
+        assert (message is None) == accept
+    h = hermitian_part(np.asarray(m, dtype=complex))
+    assert _cholesky_certifies_psd(h, DEFAULT_TOL.psd) == (message is None)
+    if message is None:
+        assert "_spectrum" not in PsdOperator(m).__dict__
+        return
+    for cls in (PsdOperator, DensityOperator, PdOperator, NonsingularDensity):
+        with pytest.raises(NotPositiveSemidefinite) as err:
+            cls(m)
+        assert type(err.value) is NotPositiveSemidefinite
+        assert str(err.value) == message
+
+
+def _with_spectrum(w, rng):
+    u = haar_unitary(len(w), rng)
+    return hermitian_part((u * w) @ u.conj().T)
+
+
+def _scaled(m):
+    """``m`` as given, scaled by 1e-170 and by 1e150, and scaled to an
+    operator norm of 1e308, next to the float maximum; at 1e-170 the floor
+    is absolute (1e-10) and admits every matrix, at the others it is
+    relative."""
+    return [m, 1e-170 * m, 1e150 * m, 1e308 * (m / op_norm(m))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_certificate_decides_at_the_floor_as_the_eigenvalue_rule(d):
+    # lmin at -(1 -+ 1e-3) times the floor, just inside and just outside
+    rng = np.random.default_rng(40 + d)
+    for lmax in (0.5, 1.0, 3.0, 1e3) if d > 1 else (0.5,):
+        floor = DEFAULT_TOL.psd * max(1.0, lmax)
+        for side, accept in ((-1e-3, True), (1e-3, False)):
+            inner = rng.uniform(0.0, lmax, max(d - 2, 0))
+            w = np.concatenate([[lmax], inner, [-(1.0 + side) * floor]])[-d:]
+            m, tiny, *huge = _scaled(_with_spectrum(w, rng))
+            _assert_decided_as_by_eigenvalues(m, accept)
+            _assert_decided_as_by_eigenvalues(tiny, True)
+            # the floor is absolute below lmax 1: scaling up moves the edge
+            for big in huge:
+                _assert_decided_as_by_eigenvalues(big, accept and lmax >= 1.0)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_certificate_decides_rank_deficient_draws_as_the_eigenvalue_rule(d):
+    rng = np.random.default_rng(50 + d)
+    for rank in range(1, d + 1):
+        m, tiny, *huge = _scaled(random_psd(d, rng, rank=rank).mat)
+        for x in (m, tiny, *huge):
+            _assert_decided_as_by_eigenvalues(x, True)
+            _assert_decided_as_by_eigenvalues(-x, x is tiny)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_certificate_decides_graded_matrices_as_the_eigenvalue_rule(d):
+    # D H D over 3.75 decades, as the bench grades them: condition near 1e8
+    rng = np.random.default_rng(60 + d)
+    grading = 10.0 ** -np.linspace(0.0, 3.75, d)
+    for _ in range(3):
+        g = np.outer(grading, grading)[np.ix_(p := rng.permutation(d), p)]
+        pd = _with_spectrum(rng.uniform(0.25, 1.25, d), rng) * g
+        indefinite = random_hermitian(d, rng) * g
+        for x in _scaled(pd):
+            _assert_decided_as_by_eigenvalues(x, True)
+        for x in _scaled(indefinite):
+            _assert_decided_as_by_eigenvalues(x)
+
+
+def test_certificate_decides_zero_and_one_dimensional_inputs():
+    for d in (1, 2, 4, 16):
+        _assert_decided_as_by_eigenvalues(np.zeros((d, d)), True)
+    for x, accept in ((1.0, True), (0.0, True), (-1e-11, True), (-1e-9, False),
+                      (1.7e308, True), (-1.7e308, False), (-1e-170, True), (-1e150, False)):
+        _assert_decided_as_by_eigenvalues([[x]], accept)
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    original = linalg.jacobi_eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    return calls
+
+
+def test_psd_solves_on_the_first_spectrum_read(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    # eigenvalues 1 and -1e-12: inside the floor, certified without a solve
+    v = np.array([1.0, 1.0]) / np.sqrt(2)
+    m = np.eye(2) - (1.0 + 1e-12) * np.outer(v, v)
+    a = PsdOperator(m)
+    assert len(calls) == 0
+    # mat stays the Hermitian part; the spectrum clamps
+    assert a.mat.tobytes() == hermitian_part(m.astype(complex)).tobytes()
+    spec = a.spectrum()
+    assert len(calls) == 1
+    assert a.spectrum() is spec and len(calls) == 1
+    assert spec.w.min() >= 0.0
+    spec.validate(a.mat)
+    want = spectral_decomposition(hermitian_part(m.astype(complex)))
+    assert want.lmin < 0.0
+    assert spec.w.tobytes() == np.maximum(want.w, 0.0).tobytes()
+    assert spec.v.tobytes() == want.v.tobytes()
+    calls.clear()
+    rho = DensityOperator(np.diag([0.4, 0.6]))
+    assert len(calls) == 0
+    assert rho.spectrum().w.tolist() == [0.6, 0.4] and len(calls) == 1
+
+
+def test_pd_solves_at_construction(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    b = PdOperator(np.diag([2.0, 1.0]))
+    assert len(calls) == 1
+    b.spectrum()
+    assert len(calls) == 1
+    NonsingularDensity(np.diag([0.5, 0.5]))
+    assert len(calls) == 2
+
+
+def test_a_failed_certificate_keeps_the_eigenvalue_tests_spectrum(monkeypatch):
+    monkeypatch.setattr(operators, "_cholesky_certifies_psd", lambda m, rel: False)
+    calls = _counting_solves(monkeypatch)
+    a = PsdOperator(np.diag([1.0, 0.0]))
+    assert len(calls) == 1
+    assert a.spectrum().w.tolist() == [1.0, 0.0] and len(calls) == 1
+    with pytest.raises(NotPositiveSemidefinite, match="eigenvalue -1.000e-03 below"):
+        PsdOperator(np.diag([1.0, -1e-3]))
+
+
+def test_chi2_solves_only_the_second_argument(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    rng = np.random.default_rng(70)
+    a_mat = random_psd(4, rng, rank=2).mat
+    b_mat = random_pd(4, rng).mat
+    s_mat = _with_spectrum([1.0, 0.5, 0.0, 0.0], rng)
+    calls.clear()
+    chi2(PsdOperator(a_mat), PdOperator(b_mat), 0.5)
+    assert len(calls) == 1
+    calls.clear()
+    assert chi2_extended(PsdOperator(a_mat), PsdOperator(s_mat), 0.5).is_infinite
+    assert len(calls) == 1
+    calls.clear()
+    assert chi2_extended(PsdOperator(s_mat / 2), PsdOperator(s_mat), 0.5).is_finite
+    assert len(calls) == 1

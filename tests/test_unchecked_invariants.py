@@ -8,6 +8,10 @@ a primed spectrum against the matrix (orthonormal eigenvectors,
 non-increasing eigenvalues, reassembly).  The stacked samplers build
 their spectra known by construction in ``ensembles._spectra``; the
 fixture wraps it to check every slice against its matrix the same way.
+A ``PsdOperator`` certified without an eigensolve, or wrapped without a
+spectrum, solves it on the first ``spectrum()`` call; the fixture wraps
+that lazy solve too, and checks each spectrum it returns against the
+matrix, with every eigenvalue clamped to ``>= 0``.
 Each pipeline that takes a fast path then runs once at d = 3.  The
 fixed probe sets (tomography's probe states, the peel's probes and
 ``projection_family``) are cached, so the fixture clears those caches
@@ -53,9 +57,10 @@ def _clear_probe_caches():
 def checked(monkeypatch):
     original = operators._unchecked
     original_spectra = ensembles._spectra
-    # built: objects or stacks checked; primed: spectra checked; reached:
-    # modules whose _unchecked was called
-    counts = {"built": 0, "primed": 0, "reached": set()}
+    original_solve = operators.PsdOperator._solve
+    # built: objects or stacks checked; primed: spectra checked; lazy: lazy
+    # solves checked; reached: modules whose _unchecked was called
+    counts = {"built": 0, "primed": 0, "lazy": 0, "reached": set()}
 
     def rebuild_in(module):
         def rebuild(cls, mat, *, tol=DEFAULT_TOL, spectrum=None):
@@ -77,6 +82,13 @@ def checked(monkeypatch):
         counts["primed"] += 1
         return mats, spec
 
+    def solve(self):
+        spec = original_solve(self)
+        assert spec.w.min() >= 0.0
+        spec.validate(self.mat)
+        counts["lazy"] += 1
+        return spec
+
     patched = [
         name for name, mod in list(sys.modules.items())
         if name.startswith("chi2lab") and getattr(mod, "_unchecked", None) is original
@@ -85,6 +97,7 @@ def checked(monkeypatch):
         monkeypatch.setattr(sys.modules[name], "_unchecked", rebuild_in(name))
     assert {"chi2lab.ensembles", "chi2lab.tomography"} <= set(patched)
     monkeypatch.setattr(ensembles, "_spectra", spectra)
+    monkeypatch.setattr(operators.PsdOperator, "_solve", solve)
     _clear_probe_caches()
     yield counts
     _clear_probe_caches()
@@ -98,6 +111,14 @@ def _suite():
 def _tomography():
     hidden = random_psd(3, np.random.default_rng(1))
     rec = quadratic_form_tomography(chi2_oracle(hidden, 0.25), 3, 0.25)
+    assert op_norm(rec.mat - hidden.mat) <= 1e-6
+
+
+def _tomography_at_an_endpoint():
+    # alpha 0 fits tr(A^2 P) and takes the square root of a PsdOperator
+    # certified without a solve: its spectrum is solved lazily
+    hidden = random_psd(3, np.random.default_rng(1))
+    rec = quadratic_form_tomography(chi2_oracle(hidden, 0.0), 3, 0.0)
     assert op_norm(rec.mat - hidden.mat) <= 1e-6
 
 
@@ -130,11 +151,17 @@ def _states():
     half = PdOperator(np.eye(2) / 2)
     res = maximize_over_states(lambda x: chi2(x, half, 0.5), 2, CONE)
     assert abs(res.state.trace() - 1.0) <= 1e-10
+    # the state is wrapped without a spectrum; reading it solves lazily
+    assert abs(res.state.spectrum().w.sum() - 1.0) <= 1e-10
 
+
+# the cases that solve a spectrum lazily
+LAZY = {_tomography_at_an_endpoint, _states}
 
 # the modules whose own _unchecked calls a case must reach
 REACHES = {
     _tomography: {"chi2lab.tomography"},
+    _tomography_at_an_endpoint: {"chi2lab.tomography"},
     _decompile: {"chi2lab.decompile", "chi2lab.wigner"},
     _infimum: {"chi2lab.optimize"},
     _states: {"chi2lab.optimize"},
@@ -146,6 +173,7 @@ REACHES = {
     [
         (_suite, True),
         (_tomography, True),
+        (_tomography_at_an_endpoint, True),
         (_peel, True),
         (_decompile, True),
         (_f_divergence, True),
@@ -158,4 +186,5 @@ def test_fast_paths_keep_their_invariants(checked, run, primes):
     run()
     assert checked["built"] > 0
     assert (checked["primed"] > 0) == primes
+    assert (checked["lazy"] > 0) == (run in LAZY)
     assert REACHES.get(run, set()) <= checked["reached"]
