@@ -213,19 +213,22 @@ def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np
     return stack
 
 
-def _shifted_values(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _shifted_values(stack: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """``tr(R D^-alpha) * tr(R D^(alpha-1))`` for ``R = v v*`` and a unit
     vector ``v``, read off a query stack: one ``(n,)`` vector, or a stack of
-    vectors against a stack of query stacks.  One matrix-vector product and
-    two inner products per vector."""
+    vectors against a stack of query stacks.  Per vector, one
+    matrix-vector product ``u = stack v`` and one ``(2, n)`` product of
+    ``u``'s halves with ``conj(v)`` give both inner products; each slice of
+    a stack equals its one-vector call bit for bit."""
     n = v.shape[-1]
-    u = np.matmul(stack, v[..., None])[..., 0]
-    s_neg, s_one = _dots(v, u[..., :n]).real, _dots(v, u[..., n:]).real
     if v.ndim == 1:
-        # one query, on plain floats: numpy's per-call cost on scalars
-        # would dominate the rank-one query loop
-        return max(float(s_neg), 0.0) * max(float(s_one), 0.0)
-    return np.maximum(s_neg, 0.0) * np.maximum(s_one, 0.0)
+        # one query, read back on plain floats: numpy's per-call cost on
+        # scalars would dominate the rank-one query loop
+        s_neg, s_one = (stack.dot(v).reshape(2, n) @ v.conj()).real.tolist()
+        return max(s_neg, 0.0) * max(s_one, 0.0)
+    u = np.matmul(stack, v[..., None])
+    s = (u.reshape(*u.shape[:-2], 2, n) @ v.conj()[..., None])[..., 0].real
+    return np.maximum(s[..., 0], 0.0) * np.maximum(s[..., 1], 0.0)
 
 
 def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
@@ -233,11 +236,13 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
 
     For unit-trace D this equals chi2(R, D, alpha) + 1.  It is the query
     of the rank-one oracle, a quartic form in R's vector whose fit
-    ``spectral_peel`` reads D's spectrum from.  The order,
-    the dimensions and positive definiteness of D are checked on every
-    call.  The two powers of D are built once per (D, alpha) from D's
-    cached eigendecomposition; after that a call in dimension n costs
-    one ``(2n, n)`` matrix-vector product and two inner products, O(n^2).
+    ``spectral_peel`` reads D's spectrum from.  This public function
+    checks the order, the dimensions and positive definiteness of D on
+    every call; ``rank_one_query_oracle`` checks the order and D once,
+    when it is built.  The two powers of D are built once per (D, alpha)
+    from D's cached eigendecomposition; after that a call in dimension n
+    costs one ``(2n, n)`` matrix-vector product and one ``(2, n)``
+    product, O(n^2).
     """
     alpha = Alpha(alpha)
     _require_same_dim(r, d)

@@ -527,25 +527,38 @@ def cluster_eigenpairs(
 
     ``v`` holds orthonormal eigenvectors in its columns.  Neighbours that
     sit within ``tol.cluster * max(1, |lmax|)`` chain-merge into one
-    eigenspace whose eigenvalue is their mean.  Every spectrum built from
-    eigenpairs, computed or known by construction, goes through here.  On
-    an ``(n, d)`` / ``(n, d, d)`` stack each row merges on its own.
+    eigenspace whose eigenvalue is their mean.  An eigenvalue that
+    overflowed to +-inf stays apart from every finite one: ``lmax`` is
+    then the largest finite eigenvalue (0 if there is none).  Every
+    spectrum built from eigenpairs, computed or known by construction,
+    goes through here.  On an ``(n, d)`` / ``(n, d, d)`` stack each row
+    merges on its own.
     """
     vals, v = _sorted(np.asarray(w, dtype=np.float64), np.asarray(v))
-    # runs numbered across rows; bincount sums each from 0.0 up, so a lone -0.0 becomes 0.0
-    delta = tol.cluster * np.maximum(1.0, np.abs(vals[..., :1]))
     # a sorted row holds its largest magnitude at an end
     top = max(vals[0], -vals[-1]) if vals.ndim == 1 else np.abs(vals).max(initial=0.0)
     huge = top > 2.0**_SAFE_EXP
-    if huge:
+    if not huge:
+        delta = tol.cluster * np.maximum(1.0, np.abs(vals[..., :1]))
+        gaps = vals[..., :-1] - vals[..., 1:]
+    else:
         # a gap or a run's sum may overflow where the mean does not: a row
-        # beyond the safe range merges scaled by an exact power of two
-        tops = np.abs(vals).max(axis=-1, keepdims=True)
+        # beyond the safe range merges scaled by an exact power of two.  An
+        # infinite eigenvalue sets neither that power nor the window, which
+        # would be inf and merge the whole row into one infinite cluster.
+        finite = np.isfinite(vals)
+        lead = np.max(vals, axis=-1, keepdims=True, where=finite, initial=-np.inf)
+        delta = tol.cluster * np.maximum(1.0, np.abs(np.where(lead > -np.inf, lead, 0.0)))
+        tops = np.max(np.abs(vals), axis=-1, keepdims=True, where=finite, initial=0.0)
         e = np.where(tops > 2.0**_SAFE_EXP, np.frexp(tops)[1], 0)
         vals, delta = np.ldexp(vals, -e), np.ldexp(delta, -e)
+        # two equal infinities leave a nan gap, which merges them
+        with np.errstate(invalid="ignore"):
+            gaps = vals[..., :-1] - vals[..., 1:]
     breaks = np.empty(vals.shape, dtype=bool)
     breaks[..., 0] = True
-    np.greater(vals[..., :-1] - vals[..., 1:], delta, out=breaks[..., 1:])
+    np.greater(gaps, delta, out=breaks[..., 1:])
+    # runs numbered across rows; bincount sums each from 0.0 up, so a lone -0.0 becomes 0.0
     ids = breaks.cumsum() - 1
     means = (np.bincount(ids, vals.ravel()) / np.bincount(ids))[ids].reshape(vals.shape)
     if huge:

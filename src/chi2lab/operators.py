@@ -168,8 +168,8 @@ class PsdOperator(HermitianMatrix):
                 f"eigenvalue {spec.lmin:.3e} below PSD floor {floor:.3e}"
             )
         if spec.lmax == np.inf and not self._solve_eagerly:
-            # an eigenvalue beyond the float maximum merges the spectrum into
-            # one infinite cluster, which cannot overrule the failed certificate
+            # an eigenvalue beyond the float maximum makes the floor -inf, so
+            # the eigenvalue test cannot overrule the failed certificate
             raise NotPositiveSemidefinite(
                 "eigenvalue beyond the float maximum, and the Cholesky test fails"
             )

@@ -1,9 +1,22 @@
 """Query-counted divergence oracles.
 
-An oracle abstracts access to divergence values of a hidden operator:
-exact by default, optionally corrupted by seeded additive Gaussian
-noise.  Each oracle owns a mutable query counter, so a reconstruction
-run should treat its oracle as exclusively owned.
+An oracle answers divergence queries about one hidden operator: exact by
+default, optionally corrupted by seeded additive Gaussian noise.  The
+hidden operator is immutable, so whatever a query does not need to
+re-check is checked, or built, once when the oracle is constructed: the
+order, and for the rank-one oracle the hidden operator's positive
+definiteness and its query stack.  A query then checks only its probe and
+runs the kernel the public divergence functions share.
+
+Raised at construction: ``ValueError`` for an order outside [0, 1] or a
+bad ``noise_sigma``, and from ``rank_one_query_oracle``
+``NotPositiveDefinite`` for a hidden operator that is not positive
+definite.  Raised by the query, on every query: ``DimensionMismatch`` for
+a probe of the wrong dimension, and from ``chi2_oracle``
+``NotPositiveDefinite`` for a probe state that is not positive definite.
+
+Each oracle owns a mutable query counter, so a reconstruction run should
+treat its oracle as exclusively owned.
 """
 
 from __future__ import annotations
@@ -12,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import chi2, chi2_shifted
-from .operators import PdOperator, PsdOperator
+from .divergence import Alpha, _gram_value, _query_stack, _require_pd, _shifted_values
+from .operators import PdOperator, PsdOperator, RankOneProjection, _require_same_dim
 
 __all__ = ["DivergenceOracle", "chi2_oracle", "rank_one_query_oracle"]
 
@@ -40,16 +53,39 @@ class DivergenceOracle:
 
 def chi2_oracle(hidden: PsdOperator, alpha: float, *, noise_sigma: float = 0.0,
                 seed: int | None = None) -> DivergenceOracle:
-    """Oracle answering C -> chi2(hidden, C, alpha) for positive definite C."""
-    return DivergenceOracle(
-        lambda probe: chi2(hidden, probe, alpha), noise_sigma, seed
-    )
+    """Oracle answering C -> chi2(hidden, C, alpha) for positive definite C.
+
+    The order is checked here.  Each query checks the probe state's
+    dimension and positive definiteness, as ``chi2`` does, and returns
+    ``chi2``'s value bit for bit.
+    """
+    alpha = float(Alpha(alpha))
+
+    def query(probe: PsdOperator):
+        _require_same_dim(hidden, probe)
+        spec = probe.spectrum()
+        _require_pd(spec, probe.tol)
+        return _gram_value(hidden.mat - probe.mat, spec, alpha, probe.tol.support, pseudo=False)
+
+    return DivergenceOracle(query, noise_sigma, seed)
 
 
 def rank_one_query_oracle(hidden: PdOperator, alpha: float, *,
                           noise_sigma: float = 0.0,
                           seed: int | None = None) -> DivergenceOracle:
-    """Oracle answering R -> shifted rank-one query against the hidden operator."""
-    return DivergenceOracle(
-        lambda probe: chi2_shifted(probe, hidden, alpha), noise_sigma, seed
-    )
+    """Oracle answering R -> chi2_shifted(R, hidden, alpha).
+
+    The order and the hidden operator's positive definiteness are checked
+    here, and its query stack is built here.  Each query checks only the
+    probe's dimension, and returns ``chi2_shifted``'s value bit for bit.
+    """
+    alpha = float(Alpha(alpha))
+    spec = hidden.spectrum()
+    _require_pd(spec, hidden.tol)
+    stack = _query_stack(hidden, spec, alpha)
+
+    def query(probe: RankOneProjection) -> float:
+        _require_same_dim(probe, hidden)
+        return _shifted_values(stack, probe.vector)
+
+    return DivergenceOracle(query, noise_sigma, seed)

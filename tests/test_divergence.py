@@ -14,17 +14,20 @@ from chi2lab import (
     chi2_limit_probe,
     chi2_shifted,
     quadratic_relative_entropy,
+    rank_one_query_oracle,
 )
-from chi2lab.divergence import _gram_value, _query_stack
+from chi2lab.divergence import _gram_value, _query_powers, _query_stack, _shifted_values
 from chi2lab.ensembles import (
     haar_unitary,
     hermitian_stack,
+    nonsingular_density_stack,
     pd_stack,
     psd_stack,
     random_hermitian,
     random_nonsingular_density,
     random_pd,
     random_psd,
+    unit_vector_stack,
 )
 from chi2lab.linalg import SpectralDecomposition, _dots
 from chi2lab.operators import NonsingularDensity, _unchecked
@@ -320,6 +323,33 @@ def test_stacked_gram_value_slices_equal_their_2d_calls(d):
             assert by_column[k].tobytes() == _gram_value(diff[k], one, alpha, 1e-10, pseudo).tobytes()
             for alpha, stacked in by_float.items():
                 assert stacked[k].tobytes() == _gram_value(diff[k], one, alpha, 1e-10, pseudo).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 16])
+def test_stacked_shifted_values_slices_equal_their_one_vector_calls(d):
+    rng = np.random.default_rng(50 + d)
+    n = 40
+    _, spec = nonsingular_density_stack(d, rng, n)
+    v = unit_vector_stack(d, rng, n)
+    for alpha in _KERNEL_ALPHAS:
+        stacks = _query_powers(spec, alpha)
+        stacked = _shifted_values(stacks, v)
+        for k in range(n):
+            one = _shifted_values(stacks[k], v[k])
+            assert stacked[k].tobytes() == np.float64(one).tobytes()
+
+
+def test_noisy_rank_one_oracle_adds_one_seeded_draw_per_query_in_order():
+    rng = np.random.default_rng(6)
+    hidden = random_nonsingular_density(4, rng)
+    probes = [RankOneProjection(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+              for _ in range(25)]
+    sigma, seed = 1e-3, 17
+    exact = np.array([chi2_shifted(r, hidden, 0.25) for r in probes])
+    oracle = rank_one_query_oracle(hidden, 0.25, noise_sigma=sigma, seed=seed)
+    got = np.array([oracle.query(r) for r in probes])
+    want = exact + sigma * np.random.default_rng(seed).standard_normal(len(probes))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -521,8 +521,8 @@ def test_hermitian_part_of_entries_above_half_the_float_maximum():
             with pytest.raises(NotPositiveSemidefinite) as err:
                 cls(pair)
             assert str(err.value) == "eigenvalue -1.700e+308 below PSD floor -1.700e+298"
-    # eigenvalues (1 +- sqrt 5) / 2 * 1.7e308: the largest overflows, so the
-    # solve merges both into one infinite cluster and cannot decide
+    # eigenvalues (1 +- sqrt 5) / 2 * 1.7e308: the largest overflows, which
+    # makes the PSD floor -inf, so the eigenvalue test cannot decide
     indefinite = np.array([[1.7e308, 1.7e308j], [-1.7e308j, 0.0]])
     with pytest.raises(NotPositiveSemidefinite, match="beyond the float maximum"):
         PsdOperator(indefinite)
@@ -562,6 +562,26 @@ def test_cluster_means_of_eigenvalues_near_the_float_maximum():
     assert spec.w[1].tobytes() == cluster_eigenpairs(w[1], np.eye(3)).w.tobytes()
     # an empty stack has no largest magnitude to test
     assert cluster_eigenpairs(np.zeros((0, 3)), np.zeros((0, 3, 3))).w.shape == (0, 3)
+
+
+def test_cluster_keeps_an_overflowed_eigenvalue_apart():
+    # eigenvalues 3.4e308 (inf) and 0: an inf window would merge the row
+    assert PsdOperator(np.full((2, 2), 1.7e308)).spectrum().w.tolist() == [np.inf, 0.0]
+    assert cluster_eigenpairs(np.array([np.inf, 1e-11, 0.0]), np.eye(3)).w.tolist() == [
+        np.inf, 5e-12, 5e-12]
+    # the prescale comes from the finite 1.7e308, not from inf
+    spec = cluster_eigenpairs(np.array([np.inf, 1.7e308, 1.7e308, -np.inf]), np.eye(4))
+    assert spec.w.tolist() == [np.inf, 1.7e308, 1.7e308, -np.inf]
+    # equal infinities merge; with no finite eigenvalue the window is 1e-10
+    assert cluster_eigenpairs(np.array([np.inf, np.inf, 0.0]), np.eye(3)).w.tolist() == [
+        np.inf, np.inf, 0.0]
+    assert cluster_eigenpairs(np.array([np.inf, -np.inf]), np.eye(2)).w.tolist() == [
+        np.inf, -np.inf]
+    # other rows of the stack keep their bytes
+    w = np.array([[np.inf, 2.0, 2.0 + 1e-12], [3.0, 2.0, 2.0 + 1e-12]])
+    spec = cluster_eigenpairs(w, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert spec.w[0].tolist() == [np.inf, 2.0 + 5e-13, 2.0 + 5e-13]
+    assert spec.w[1].tobytes() == cluster_eigenpairs(w[1], np.eye(3)).w.tobytes()
     assert hermitian_part(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
