@@ -136,7 +136,12 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
 
 def chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     """Divergence of A against positive definite B; always >= 0."""
-    alpha = Alpha(alpha)
+    return _chi2(a, b, Alpha(alpha))
+
+
+def _chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
+    """``chi2`` for an order already checked: checks the dimensions and B's
+    positive definiteness, then evaluates."""
     _require_same_dim(a, b)
     spec = b.spectrum()
     _require_pd(spec, b.tol)

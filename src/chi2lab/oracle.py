@@ -6,7 +6,7 @@ hidden operator is immutable, so whatever a query does not need to
 re-check is checked, or built, once when the oracle is constructed: the
 order, and for the rank-one oracle the hidden operator's positive
 definiteness and its query stack.  A query then checks only its probe and
-runs the kernel the public divergence functions share.
+runs the code the public divergence functions run after their own checks.
 
 Raised at construction: ``ValueError`` for an order outside [0, 1] or a
 bad ``noise_sigma``, and from ``rank_one_query_oracle``
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import Alpha, _gram_value, _query_stack, _require_pd, _shifted_values
+from .divergence import Alpha, _chi2, _query_stack, _require_pd, _shifted_values
 from .operators import PdOperator, PsdOperator, RankOneProjection, _require_same_dim
 
 __all__ = ["DivergenceOracle", "chi2_oracle", "rank_one_query_oracle"]
@@ -56,18 +56,11 @@ def chi2_oracle(hidden: PsdOperator, alpha: float, *, noise_sigma: float = 0.0,
     """Oracle answering C -> chi2(hidden, C, alpha) for positive definite C.
 
     The order is checked here.  Each query checks the probe state's
-    dimension and positive definiteness, as ``chi2`` does, and returns
-    ``chi2``'s value bit for bit.
+    dimension and positive definiteness, as ``chi2`` does, through the
+    same code, and returns ``chi2``'s value bit for bit.
     """
     alpha = float(Alpha(alpha))
-
-    def query(probe: PsdOperator):
-        _require_same_dim(hidden, probe)
-        spec = probe.spectrum()
-        _require_pd(spec, probe.tol)
-        return _gram_value(hidden.mat - probe.mat, spec, alpha, probe.tol.support, pseudo=False)
-
-    return DivergenceOracle(query, noise_sigma, seed)
+    return DivergenceOracle(lambda probe: _chi2(hidden, probe, alpha), noise_sigma, seed)
 
 
 def rank_one_query_oracle(hidden: PdOperator, alpha: float, *,

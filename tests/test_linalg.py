@@ -562,6 +562,7 @@ def test_cluster_means_of_eigenvalues_near_the_float_maximum():
     assert spec.w[1].tobytes() == cluster_eigenpairs(w[1], np.eye(3)).w.tobytes()
     # an empty stack has no largest magnitude to test
     assert cluster_eigenpairs(np.zeros((0, 3)), np.zeros((0, 3, 3))).w.shape == (0, 3)
+    assert hermitian_part(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
 def test_cluster_keeps_an_overflowed_eigenvalue_apart():
@@ -582,7 +583,6 @@ def test_cluster_keeps_an_overflowed_eigenvalue_apart():
     spec = cluster_eigenpairs(w, np.broadcast_to(np.eye(3), (2, 3, 3)))
     assert spec.w[0].tolist() == [np.inf, 2.0 + 5e-13, 2.0 + 5e-13]
     assert spec.w[1].tobytes() == cluster_eigenpairs(w[1], np.eye(3)).w.tobytes()
-    assert hermitian_part(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
 def test_hs_majorizes_op():
