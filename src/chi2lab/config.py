@@ -27,9 +27,13 @@ class Tolerances:
     hermitian: float = 1e-12
     #: |tr - 1| bound for density operators
     trace_one: float = 1e-10
-    #: Jacobi stops once the off-diagonal norm falls below this times ||M||_HS
+    #: Jacobi stopping rule, on each route of ``linalg.jacobi_eigh``: a
+    #: positive definite matrix (one-sided route, on Y with Y Y* = M) stops
+    #: once max |G_pq| / sqrt(G_pp G_qq) of G = Y* Y falls to this; any other
+    #: (two-sided route) once its off-diagonal norm falls below this times
+    #: ||M||_HS.  Exactly diagonal matrices run no sweep.
     jacobi_off: float = 1e-14
-    #: Jacobi sweep cap; exceeding it raises SolverFailure
+    #: Jacobi sweep cap on both routes; exceeding it raises SolverFailure
     jacobi_sweeps: int = 100
 
 

@@ -5,12 +5,18 @@ applies up to d/2 disjoint rotations as one unitary (Brent and Luk, SIAM
 J. Sci. Stat. Comput. 6, 1985), built as its real ``(2d, 2d)`` form in
 the layout of ``SpectralDecomposition._real_v`` and applied by real
 matmuls on float views, since BLAS multiplies small real stacks several
-times faster than complex ones.  At the target scale (d <= 16) it is
-deterministic and keeps high relative accuracy on graded positive
-matrices (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which
-downstream divergence code relies on when second arguments are nearly
-singular.  Norms are not eigensolves: ``op_norm`` takes the largest
-singular value.
+times faster than complex ones.  Each matrix takes one of three routes,
+chosen from the matrix alone: an exactly diagonal one (or d = 1) is its
+own spectrum; one with a Cholesky factor ``H = L L*`` (positive
+definite) is solved by one-sided Jacobi on the columns of ``L W``, with
+``W`` the eigenbasis of ``L* L`` from LAPACK as a preconditioner, so
+that at most a sweep or two remain; every other one (indefinite, or
+singular PSD) by two-sided Jacobi on the matrix itself.  At the target
+scale (d <= 16) the solver is deterministic and keeps high relative
+accuracy on graded positive definite matrices (Demmel and Veselic, SIAM
+J. Matrix Anal. Appl. 13, 1992), which downstream divergence code relies
+on when second arguments are nearly singular.  Norms are not
+eigensolves: ``op_norm`` takes the largest singular value.
 
 A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
 by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
@@ -20,11 +26,12 @@ which returns ``f(w)`` to ``power`` and to the divergence kernel alike.
 Stacks: ``jacobi_eigh``, ``cluster_eigenpairs``, ``spectral_decomposition``
 and ``SpectralDecomposition`` also take an ``(n, d, d)`` stack of
 matrices, with ``(n, d)`` eigenvalues, and treat each slice on its own.
-One kernel serves both shapes; a 2-D call is the n = 1 case.  Each slice
-of a stacked solve gets its own prescale and convergence threshold and is
-frozen once converged, and every per-slice reduction is the BLAS dot a
-single solve makes, so slice k equals the 2-D solve of that slice bit for
-bit.
+One kernel per route serves both shapes; a 2-D call is the n = 1 case.
+Each slice of a stacked solve gets its own prescale, route and
+convergence threshold and is frozen once converged, every LAPACK call
+and per-slice reduction is the one a single solve makes, and a mixed
+stack is factored by one Cholesky call, so slice k equals the 2-D solve
+of that slice bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import SingularOperator, SolverFailure
@@ -213,48 +221,184 @@ def jacobi_eigh(
     """Diagonalize a Hermitian matrix, or each slice of an ``(n, d, d)``
     stack, by round-robin Jacobi rotations.
 
-    Each sweep visits every pair ``p < q`` once, in the rounds of
-    ``_round_robin_plan``.  The rotations of a round touch disjoint rows
-    and columns, so each is computed from entries no other rotation of
-    the round changes, and the round is applied as one unitary ``J``:
-    ``a <- J* a J``, ``v <- v J``.  This is cyclic Jacobi with another
-    pair order.  ``J`` is built directly as its real ``(2d, 2d)`` form in
-    ``SpectralDecomposition._real_v``'s layout and applied by real
-    matmuls on float views: ``y = a J``, then ``a <- y* J`` and ``v <- v J``.
-
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in decreasing order
     and eigenvectors in the columns of ``v`` (shapes ``(n, d)`` and
-    ``(n, d, d)`` for a stack).  A slice has converged when its
-    off-diagonal Hilbert-Schmidt norm drops below ``off_factor`` times its
-    own ``||M||_HS``; from then on it is left as it is.  A slice still
-    above its threshold after ``max_sweeps`` sweeps raises SolverFailure,
-    which names it.  A slice whose largest entry lies outside the safe
-    range is solved scaled by an exact power of two, and its ``w`` scaled
-    back, so tiny matrices are rotated rather than taken as already
+    ``(n, d, d)`` for a stack).  A slice whose largest entry lies outside
+    the safe range is solved scaled by an exact power of two, and its ``w``
+    scaled back, so tiny matrices are rotated rather than taken as already
     diagonal and huge ones do not overflow.  An eigenvalue beyond the
     float maximum comes back as ``inf`` or ``-inf``.
+
+    Each slice then takes one of three routes, chosen from the slice alone:
+
+    - d = 1, or an exactly diagonal slice: its diagonal, with ``v = I``.
+    - A slice ``H`` with a Cholesky factor ``H = L L*``: one-sided
+      (Hestenes) Jacobi on the columns of ``Y = L W`` (``_one_sided``).
+      ``W`` is the eigenbasis of ``L* L`` from LAPACK ``eigh``, a
+      preconditioner (Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29,
+      2008) that leaves the columns nearly orthogonal: random positive
+      definite slices need no sweep, graded ones about one.  As
+      ``Y Y* = H``, once the columns are orthogonal the eigenvalues are
+      their squared norms and the eigenvectors the columns over their
+      norms.  The slice has converged when the Gram matrix ``G = Y* Y``
+      has ``max |G_pq| / sqrt(G_pp G_qq) <= off_factor``, checked once
+      per sweep.
+    - Every other slice (indefinite, or singular but PSD): two-sided
+      Jacobi on the slice itself (``_two_sided``).  It has converged when
+      its off-diagonal Hilbert-Schmidt norm drops below ``off_factor``
+      times its own ``||M||_HS``.
+
+    Each sweep visits every pair ``p < q`` once, in the rounds of
+    ``_round_robin_plan``.  The rotations of a round touch disjoint rows
+    and columns, so each is computed from entries no other rotation of the
+    round changes, and the round is applied as one unitary ``J``, built
+    directly as its real ``(2d, 2d)`` form in
+    ``SpectralDecomposition._real_v``'s layout and applied by real matmuls
+    on float views.  The two-sided route sets ``a <- J* a J`` (as
+    ``y = a J``, then ``a <- y* J``) and ``v <- v J``: cyclic Jacobi with
+    another pair order.  The one-sided route builds ``J`` from the entries
+    of ``G``, recomputed each round, and sets ``Y <- Y J``.  A converged
+    slice is left as it is.  A slice still unconverged after
+    ``max_sweeps`` sweeps raises SolverFailure, which names it.
+
+    The one-sided route keeps every eigenvalue of a graded positive
+    definite ``D A D`` to high relative accuracy, as two-sided Jacobi does
+    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): ``L``
+    carries the grading in its rows, and a unitary applied from the right
+    keeps each rounding error small relative to its own row.  ``W`` only
+    decides how many sweeps are needed.
     """
     # C order: the rotations multiply float views, which need contiguous rows
     a = np.array(mat, dtype=np.complex128, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     e = _prescale_exponents(a)
+    if e is not None:
+        a = _ldexp(a, -e[..., None, None])
+    shape, d = a.shape, a.shape[-1]
+    a = a.reshape(-1, d, d)
+    n = len(a)
+    # each slice's route; a route that takes the whole stack gets it as it
+    # is, the others their slices, and a stuck slice is named by its index
+    diagonal = ~a.reshape(n, d * d).take(_round_robin_plan(d)[1], axis=-1).any(axis=-1)
+    chol = a if diagonal.all() else _cholesky_or_nan(a)
+    factored = np.isfinite(chol).all(axis=(-2, -1)) & ~diagonal
+    w = v = None
+    stuck = []
+    for kernel, x, take in (
+        (_diagonal, a, diagonal),
+        (_one_sided, chol, factored),
+        (_two_sided, a, ~(diagonal | factored)),
+    ):
+        if take.all():
+            w, v, stuck = kernel(x, max_sweeps, off_factor)
+            break
+        if take.any():
+            rows = np.flatnonzero(take)
+            if w is None:
+                w, v = np.empty((n, d)), np.empty_like(a)
+            w[rows], v[rows], bad = kernel(x[rows], max_sweeps, off_factor)
+            stuck += [(rows[k], detail) for k, detail in bad]
+    w, v = _finish(shape, w, v, stuck, max_sweeps)
     if e is None:
-        return _jacobi(a, max_sweeps, off_factor)
-    w, v = _jacobi(_ldexp(a, -e[..., None, None]), max_sweeps, off_factor)
+        return w, v
     with np.errstate(over="ignore"):
         return np.ldexp(w, e[..., None]), v
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_eigh`` on a complex ``(d, d)`` or ``(n, d, d)`` array it may
-    overwrite."""
-    shape = a.shape
-    d = shape[-1]
-    a = a.reshape(-1, d, d)
-    n = len(a)
+def _finish(shape, w, v, stuck, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``(w, v)`` of an ``(n, d, d)`` solve, sorted and shaped
+    as the input ``shape``; raises SolverFailure naming the first slice of
+    ``stuck``, its unconverged ``(slice, detail)`` pairs, if any."""
+    if stuck:
+        k, detail = min(stuck, key=lambda s: s[0])
+        where = f" on slice {k} ({len(stuck)} of {len(w)} unconverged)" if len(shape) == 3 else ""
+        raise SolverFailure(
+            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps{where} ({detail})"
+        )
+    return _sorted(w.reshape(shape[:-1]), v.reshape(shape))
+
+
+def _cholesky_or_nan(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor ``L``, ``L L* = H``, of each slice ``H`` of
+    a complex ``(n, d, d)`` stack, read from its lower triangle; a slice that
+    does not factor comes back as NaN.
+
+    ``np.linalg.cholesky`` raises for the whole stack when one slice fails.
+    Its gufunc ``numpy.linalg._umath_linalg.cholesky_lo``, which is private
+    numpy API, fills that slice with NaN instead while invalid values are
+    ignored, so a mixed stack factors in one call.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.cholesky_lo(a, signature="D->D")
+
+
+def _round_unitary(entries: np.ndarray, rot: np.ndarray, eyes: np.ndarray):
+    """The real form of one round's unitary ``J``, from the round's entries
+    ``[a_pp..., a_qq..., a_pq..., a_qp...]`` of a Hermitian (or Gram) matrix
+    ``A`` in ``_stacked_plan``'s layout, with ``rot`` the round's real
+    indices; also ``t |a_pq|`` per lane, so that ``J* A J`` has ``(p, q)``
+    entries zero and diagonal entries ``a_pp - t |a_pq|`` and
+    ``a_qq + t |a_pq|``."""
+    m = len(entries) // 4
+    app = entries[:m].real
+    aqq = entries[m : 2 * m].real
+    apq = entries[2 * m : 3 * m]
+    # k = 2 sign(aqq - app) / (|aqq - app| + hypot(aqq - app, 2 r)),
+    # so t = k r = tan(theta) is the smaller root (|t| <= 1) and
+    # k apq = t * phase.  A lane with apq == 0 gets t == 0 (no
+    # rotation).  Flooring the denominator at the smallest normal
+    # double keeps out 0 / 0 and keeps k finite; it alters only lanes
+    # whose entries are subnormal themselves.
+    diff = aqq - app
+    r = np.abs(apq)
+    k = np.copysign(2.0, diff) / np.maximum(np.abs(diff) + np.hypot(diff, 2.0 * r), _TINY)
+    t = k * r
+    c = 1.0 / np.hypot(1.0, t)
+    cu = c * k * apq
+    # J has the block [[c, c t phase], [-conj(c t phase), c]] on (p, q).
+    # Its real form e has z.view(float) @ e equal to (z @ J).view(float)
+    # for complex rows z.  e is C-ordered, so reshape(-1) is a view, and
+    # an indexed store into it is about twice as fast as put.
+    e = eyes.copy()
+    u = cu.view(np.float64)
+    e.reshape(-1)[rot] = np.concatenate([c, c, c, c, u, u, -u, -u])
+    return e, t * r
+
+
+def _real_eyes(x: np.ndarray) -> np.ndarray:
+    """A real ``(2d, 2d)`` identity per slice of the ``(..., d, d)`` array
+    ``x``, the start of each round's real form."""
+    d = x.shape[-1]
+    eyes = np.empty((*x.shape[:-2], 2 * d, 2 * d))
+    eyes[...] = np.eye(2 * d)
+    return eyes
+
+
+def _diagonal(a: np.ndarray, max_sweeps: int, off_factor: float):
+    """The exactly diagonal route on an ``(n, d, d)`` stack: each diagonal,
+    with ``v = I``, and no unconverged slice."""
+    n, d = len(a), a.shape[-1]
     v = np.empty_like(a)
     v[...] = np.eye(d)
+    return a.reshape(n, d * d)[:, :: d + 1].real, v, []
+
+
+def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-sided route alone on a complex ``(d, d)`` or ``(n, d, d)``
+    array, sorted and raising as ``jacobi_eigh`` does: the reference the
+    other routes are tested against."""
+    d = a.shape[-1]
+    return _finish(a.shape, *_two_sided(a.reshape(-1, d, d), max_sweeps, off_factor), max_sweeps)
+
+
+def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
+    """Two-sided Jacobi on a complex ``(n, d, d)`` stack it may overwrite:
+    unsorted ``(w, v)`` and the unconverged ``(slice, detail)`` pairs."""
+    n, d = len(a), a.shape[-1]
+    v = np.empty_like(a)
+    v[...] = np.eye(d)
+    live = np.arange(0)
     if d > 1:
         _, off_idx = _round_robin_plan(d)
         thresh = off_factor * np.sqrt(_hs_squares(a))
@@ -264,8 +408,6 @@ def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarr
         live, al, vl, tl = np.arange(n), a, v, thresh
         if n == 1:
             al, vl = a[0], v[0]
-        eyes = np.empty((*al.shape[:-2], 2 * d, 2 * d))
-        eyes[...] = np.eye(2 * d)
         for sweep in range(max_sweeps + 1):
             x = al.reshape(*al.shape[:-2], d * d).take(off_idx, axis=-1)
             off = np.sqrt(_dots(x, x).real).reshape(-1)
@@ -282,55 +424,83 @@ def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarr
                 a[live[done]], v[live[done]] = al[done], vl[done]
                 keep = ~done
                 live, al, vl, tl, off = live[keep], al[keep], vl[keep], tl[keep], off[keep]
-                eyes = eyes[: len(live)]
             if sweep == max_sweeps:
                 break
+            eyes = _real_eyes(al)
             for idx, rot in _stacked_plan(d, len(live)):
-                m = len(idx) // 4
                 entries = al.take(idx)
-                app = entries[:m].real
-                aqq = entries[m : 2 * m].real
-                apq = entries[2 * m : 3 * m]
-                # k = 2 sign(aqq - app) / (|aqq - app| + hypot(aqq - app, 2 r)),
-                # so t = k r = tan(theta) is the smaller root (|t| <= 1) and
-                # k apq = t * phase.  A lane with apq == 0 gets t == 0 (no
-                # rotation).  Flooring the denominator at the smallest normal
-                # double keeps out 0 / 0 and keeps k finite; it alters only lanes
-                # whose entries are subnormal themselves.
-                diff = aqq - app
-                r = np.abs(apq)
-                k = np.copysign(2.0, diff) / np.maximum(
-                    np.abs(diff) + np.hypot(diff, 2.0 * r), _TINY
-                )
-                t = k * r
-                c = 1.0 / np.hypot(1.0, t)
-                cu = c * k * apq
-                # J has the block [[c, c t phase], [-conj(c t phase), c]] on
-                # (p, q).  Its real form e has z.view(float) @ e equal to
-                # (z @ J).view(float) for complex rows z, so a <- J* a J, taken
-                # as (a J)* J, and v <- v J are real matmuls on float views.
-                # e and al are C-ordered, so reshape(-1) is a view, and an
-                # indexed store into it is about twice as fast as put.
-                e = eyes.copy()
-                u = cu.view(np.float64)
-                e.reshape(-1)[rot] = np.concatenate([c, c, c, c, u, u, -u, -u])
+                e, tr = _round_unitary(entries, rot, eyes)
+                # a <- J* a J, taken as (a J)* J, and v <- v J; al is C-ordered
                 y = (al.view(np.float64) @ e).view(np.complex128)
                 y = np.conjugate(y.swapaxes(-1, -2), order="C")
                 al = (y.view(np.float64) @ e).view(np.complex128)
                 vl = (vl.view(np.float64) @ e).view(np.complex128)
                 # the rotated diagonal (Rutishauser's update) and the
                 # annihilated pair, set exactly
-                tr = t * r
-                al.reshape(-1)[idx] = np.concatenate([app - tr, aqq + tr, np.zeros(2 * m)])
-        if len(live):
-            k = int(live[0])
-            where = f" on slice {k} ({len(live)} of {n} unconverged)" if len(shape) == 3 else ""
-            raise SolverFailure(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps{where} "
-                f"(off-diagonal norm {off[0]:.3e}, threshold {thresh[k]:.3e})"
-            )
+                m = len(idx) // 4
+                al.reshape(-1)[idx] = np.concatenate(
+                    [entries[:m].real - tr, entries[m : 2 * m].real + tr, np.zeros(2 * m)]
+                )
+    stuck = [
+        (k, f"off-diagonal norm {x:.3e}, threshold {thresh[k]:.3e}")
+        for k, x in zip(live.tolist(), off.tolist() if len(live) else [])
+    ]
     w = a.reshape(n, d * d)[:, :: d + 1].real
-    return _sorted(w.reshape(shape[:-1]), v.reshape(shape))
+    return w, v, stuck
+
+
+def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
+    """One-sided Jacobi on an ``(n, d, d)`` stack of Cholesky factors ``L``:
+    unsorted ``(w, v)`` of each ``L L*`` and the unconverged ``(slice,
+    detail)`` pairs."""
+    n, d = len(l), l.shape[-1]
+    _, off_idx = _round_robin_plan(d)
+    # Y = L W with W the eigenbasis of L* L, so Y* Y is nearly diagonal
+    y = l @ np.linalg.eigh(_gram(l))[1]
+    w = np.empty((n, d))
+    # as in _two_sided: the unconverged slices, a stack of one as 2-D
+    live, yl = np.arange(n), y
+    if n == 1:
+        yl = y[0]
+    for sweep in range(max_sweeps + 1):
+        g = _gram(yl)
+        gd = g.reshape(*g.shape[:-2], d * d)[..., :: d + 1].real
+        s = np.sqrt(gd)
+        rel = np.abs(g) / s[..., :, None] / s[..., None, :]
+        off = rel.reshape(-1, d * d).take(off_idx, axis=-1).max(axis=-1, initial=0.0)
+        done = off <= off_factor
+        converged = np.count_nonzero(done)
+        if converged == len(live):
+            if len(live) == n:
+                y, w = yl.reshape(y.shape), gd.reshape(w.shape)
+            else:
+                y[live], w[live] = yl, gd
+            live = live[:0]
+            break
+        if converged:
+            y[live[done]], w[live[done]] = yl[done], gd[done]
+            keep = ~done
+            live, yl, g, off = live[keep], yl[keep], g[keep], off[keep]
+        if sweep == max_sweeps:
+            break
+        eyes = _real_eyes(yl)
+        for r, (idx, rot) in enumerate(_stacked_plan(d, len(live))):
+            if r:
+                g = _gram(yl)
+            e, _ = _round_unitary(g.take(idx), rot, eyes)
+            yl = (yl.view(np.float64) @ e).view(np.complex128)
+    stuck = [
+        (k, f"largest relative Gram entry {x:.3e}, threshold {off_factor:.1e}")
+        for k, x in zip(live.tolist(), off.tolist())
+    ]
+    if stuck:  # jacobi_eigh raises without reading w or v
+        return w, y, stuck
+    return w, y / np.sqrt(w)[:, None, :], stuck
+
+
+def _gram(y: np.ndarray) -> np.ndarray:
+    """``Y* Y`` per slice, one BLAS product each."""
+    return y.conj().swapaxes(-1, -2) @ y
 
 
 def _sorted(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -187,11 +187,17 @@ class PdOperator(PsdOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        spec = self.spectrum()
+        spec, scaled = self.spectrum(), ""
+        if spec.lmax == np.inf:
+            # the gap test would read inf on its right: decide it on the
+            # spectrum of mat scaled by an exact power of two
+            e = int(_prescale_exponents(self.mat))
+            spec = spectral_decomposition(_ldexp(self.mat, -e), self.tol)
+            scaled = f" (of the matrix scaled by 2^-{e})"
         if not spec.is_positive_definite(self.tol.pd):
             raise NotPositiveDefinite(
                 f"lmin {spec.lmin:.3e} does not clear "
-                f"{self.tol.pd:.1e} * lmax {spec.lmax:.3e}"
+                f"{self.tol.pd:.1e} * lmax {spec.lmax:.3e}{scaled}"
             )
 
 

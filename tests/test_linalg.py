@@ -22,6 +22,7 @@ from chi2lab import (
 from chi2lab.ensembles import haar_unitary, pd_stack, psd_stack, random_hermitian, random_psd
 from chi2lab.linalg import (
     SpectralDecomposition,
+    _cholesky_or_nan,
     _jacobi,
     cluster_eigenpairs,
     complete_to_unitary,
@@ -128,6 +129,10 @@ def test_stacked_jacobi_matches_each_slice_bit_for_bit():
             2.0**990 * random_hermitian(d, rng),
             np.zeros((d, d)),
             np.diag(rng.standard_normal(d)),
+            # a positive definite slice, which factors, beside a slice of
+            # rounding noise, which does not
+            pd_stack(d, rng, None)[0],
+            1e-15 * random_hermitian(d, rng),
             hermitian_part((u * tied) @ u.conj().T),
         ]
         stack = np.array(slices, dtype=complex)
@@ -142,6 +147,8 @@ def test_stacked_jacobi_matches_each_slice_bit_for_bit():
             assert spec.v[k].tobytes() == one.v.tobytes()
         last = SpectralDecomposition(spec.w[-1], spec.v[-1])
         assert last.multiplicities == (d // 2, d - d // 2)
+        routes = np.isfinite(_cholesky_or_nan(stack)).all(axis=(-2, -1))
+        assert routes[[3, 4, 5, 10, 12]].all() and not routes[[0, 1, 2, 11]].any()
         for k in range(3, 6):
             ref = _reference_eigenvalues(slices[k])
             assert ref[0] / ref[-1] > 1e6
@@ -165,6 +172,98 @@ def test_stacked_jacobi_failure_names_the_slice():
     ])
     with pytest.raises(SolverFailure, match=r"slice 2 \(1 of 4 unconverged\)"):
         jacobi_eigh(stack, max_sweeps=1)
+
+
+def _test_matrix(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """A random positive definite, graded positive definite or indefinite
+    Hermitian d x d matrix."""
+    if kind == "indefinite":
+        # eigenvalues of alternating sign, 0.25 to 1.25 in modulus
+        u = haar_unitary(d, rng)
+        signs = np.where(np.arange(d) % 2, -1.0, 1.0)
+        return hermitian_part((u * (signs * rng.uniform(0.25, 1.25, d))) @ u.conj().T)
+    if kind == "graded":
+        return _graded_pd(d, rng, decades=rng.uniform(1.0, 5.0))
+    return pd_stack(d, rng, None)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 16),
+    st.sampled_from(["pd", "graded", "indefinite"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_jacobi_residual_and_orthogonality(d, kind, seed):
+    # positive definite and graded slices take the one-sided route,
+    # indefinite ones the two-sided route; both stop once their off-diagonal
+    # part falls below 1e-14 (45 eps) of the scale, relative (one-sided) or
+    # normwise (two-sided), so c = 50 bounds both criteria
+    m = _test_matrix(kind, d, np.random.default_rng(seed))
+    factored = np.isfinite(_cholesky_or_nan(m.astype(complex))).all()
+    assert factored == (kind != "indefinite")
+    w, v = jacobi_eigh(m)
+    bound = 50 * d * np.finfo(np.float64).eps
+    assert op_norm(m @ v - v * w) <= bound * op_norm(m)
+    assert op_norm(v.conj().T @ v - np.eye(d)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["pd", "graded"])
+def test_one_sided_route_agrees_with_two_sided_jacobi(kind):
+    # _jacobi, the two-sided route alone, is the reference: each eigenvalue
+    # of a positive definite slice agrees within 1e-13 relative, also for
+    # a stack of such slices
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4, 6, 8, 16):
+        stack = np.array([_test_matrix(kind, d, rng) for _ in range(4)], dtype=complex)
+        assert np.isfinite(_cholesky_or_nan(stack)).all()
+        ref, _ = _jacobi(stack.copy(), 100, 1e-14)
+        w, _ = jacobi_eigh(stack)
+        assert np.max(np.abs(w - ref) / ref) <= 1e-13
+
+
+def test_cholesky_or_nan_factors_each_slice_of_a_mixed_stack():
+    # one call factors the positive definite slices and leaves NaN in the
+    # others, with no RuntimeWarning (an error here), where np.linalg.cholesky
+    # raises for the whole stack
+    rng = np.random.default_rng(33)
+    u = haar_unitary(4, rng)
+    singular = hermitian_part((u[:, :2] * [1.0, 0.5]) @ u[:, :2].conj().T)
+    stack = np.array([
+        pd_stack(4, rng, None)[0],
+        random_hermitian(4, rng),
+        1e-15 * random_hermitian(4, rng),
+        _graded_pd(4, rng),
+        -np.eye(4),
+        singular - 1e-12 * np.eye(4),
+    ], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    chol = _cholesky_or_nan(stack)
+    assert chol.shape == stack.shape
+    factored = np.isfinite(chol).all(axis=(-2, -1))
+    assert factored.tolist() == [True, False, False, True, False, False]
+    assert np.isnan(chol[~factored]).all()
+    for k in np.flatnonzero(factored):
+        assert chol[k].tobytes() == np.linalg.cholesky(stack[k]).tobytes()
+        np.testing.assert_allclose(chol[k] @ chol[k].conj().T, stack[k], rtol=0, atol=1e-15)
+
+
+def test_one_sided_sweep_cap_raises_and_names_the_slice():
+    # a graded positive definite slice needs a rotation sweep after the
+    # preconditioner, so max_sweeps=0 fails on the one-sided route
+    rng = np.random.default_rng(35)
+    b = _graded_pd(8, rng)
+    assert np.isfinite(_cholesky_or_nan(b.astype(complex))).all()
+    w, _ = jacobi_eigh(b, max_sweeps=1)
+    with pytest.raises(SolverFailure, match="largest relative Gram entry"):
+        jacobi_eigh(b, max_sweeps=0)
+    # the count covers both Jacobi routes: slice 1 on the one-sided route
+    # and the indefinite slice 3 on the two-sided one; the diagonal slice 0
+    # and the random positive definite slice 2 need no sweep
+    stack = np.array([np.eye(8), b, pd_stack(8, rng, None)[0], random_hermitian(8, rng)])
+    with pytest.raises(SolverFailure, match=r"slice 1 \(2 of 4 unconverged\)"):
+        jacobi_eigh(stack, max_sweeps=0)
+    assert jacobi_eigh(stack)[0][1].tobytes() == w.tobytes()
 
 
 def test_round_robin_plan_visits_each_pair_once_per_sweep():

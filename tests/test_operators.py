@@ -53,6 +53,18 @@ def test_pd_rejects_singular():
         PdOperator(np.diag([1.0, 0.0]))
 
 
+def test_pd_gap_when_the_largest_eigenvalue_overflows():
+    # eigenvalues 2.7e308 (inf) and 7e307: the gap test reads inf * tol.pd on
+    # its right, so it is decided on the matrix scaled by 2^-1024, where
+    # PsdOperator's Cholesky certificate already accepts the matrix
+    m = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+    assert PdOperator(m).spectrum().w.tolist() == PsdOperator(m).spectrum().w.tolist()
+    assert PdOperator(m).spectrum().w.tolist() == [np.inf, pytest.approx(7e307, rel=1e-14)]
+    # eigenvalues 3.4e308 (inf) and 0: PSD but singular, scaled or not
+    with pytest.raises(NotPositiveDefinite, match=r"scaled by 2\^-1024"):
+        PdOperator(np.full((2, 2), 1.7e308))
+
+
 def test_density_trace_check():
     DensityOperator(np.diag([0.4, 0.6]))
     with pytest.raises(NotDensity):
