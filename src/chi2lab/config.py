@@ -31,7 +31,8 @@ class Tolerances:
     #: positive definite matrix (one-sided route, on Y with Y Y* = M) stops
     #: once max |G_pq| / sqrt(G_pp G_qq) of G = Y* Y falls to this; any other
     #: (two-sided route) once its off-diagonal norm falls below this times
-    #: ||M||_HS.  Exactly diagonal matrices run no sweep.
+    #: ||M||_HS.  Exactly diagonal matrices take the two-sided route and
+    #: run no sweep.
     jacobi_off: float = 1e-14
     #: Jacobi sweep cap on both routes; exceeding it raises SolverFailure
     jacobi_sweeps: int = 100

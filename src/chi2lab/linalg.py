@@ -5,18 +5,19 @@ applies up to d/2 disjoint rotations as one unitary (Brent and Luk, SIAM
 J. Sci. Stat. Comput. 6, 1985), built as its real ``(2d, 2d)`` form in
 the layout of ``SpectralDecomposition._real_v`` and applied by real
 matmuls on float views, since BLAS multiplies small real stacks several
-times faster than complex ones.  Each matrix takes one of three routes,
-chosen from the matrix alone: an exactly diagonal one (or d = 1) is its
-own spectrum; one with a Cholesky factor ``H = L L*`` (positive
-definite) is solved by one-sided Jacobi on the columns of ``L W``, with
-``W`` the eigenbasis of ``L* L`` from LAPACK as a preconditioner, so
-that at most a sweep or two remain; every other one (indefinite, or
-singular PSD) by two-sided Jacobi on the matrix itself.  At the target
-scale (d <= 16) the solver is deterministic and keeps high relative
-accuracy on graded positive definite matrices (Demmel and Veselic, SIAM
-J. Matrix Anal. Appl. 13, 1992), which downstream divergence code relies
-on when second arguments are nearly singular.  Norms are not
-eigensolves: ``op_norm`` takes the largest singular value.
+times faster than complex ones.  Each matrix takes one of two routes,
+chosen from the matrix alone: one with a Cholesky factor ``H = L L*``
+(positive definite) and a nonzero off-diagonal entry is solved by
+one-sided Jacobi on the columns of ``L W``, with ``W`` the eigenbasis of
+``L* L`` from LAPACK as a preconditioner, so that at most a sweep or two
+remain; every other one (indefinite, singular PSD, exactly diagonal, or
+d = 1) by two-sided Jacobi on the matrix itself, which returns an exactly
+diagonal matrix as it is, with no rotation.  At the target scale
+(d <= 16) the solver is deterministic and keeps high relative accuracy
+on graded positive definite matrices (Demmel and Veselic, SIAM J. Matrix
+Anal. Appl. 13, 1992), which downstream divergence code relies on when
+second arguments are nearly singular.  Norms are not eigensolves:
+``op_norm`` takes the largest singular value.
 
 A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
 by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
@@ -229,10 +230,10 @@ def jacobi_eigh(
     diagonal and huge ones do not overflow.  An eigenvalue beyond the
     float maximum comes back as ``inf`` or ``-inf``.
 
-    Each slice then takes one of three routes, chosen from the slice alone:
+    Each slice then takes one of two routes, chosen from the slice alone:
 
-    - d = 1, or an exactly diagonal slice: its diagonal, with ``v = I``.
-    - A slice ``H`` with a Cholesky factor ``H = L L*``: one-sided
+    - A slice ``H`` with a Cholesky factor ``H = L L*`` and a nonzero
+      off-diagonal entry: one-sided
       (Hestenes) Jacobi on the columns of ``Y = L W`` (``_one_sided``).
       ``W`` is the eigenbasis of ``L* L`` from LAPACK ``eigh``, a
       preconditioner (Drmac and Veselic, SIAM J. Matrix Anal. Appl. 29,
@@ -243,10 +244,11 @@ def jacobi_eigh(
       norms.  The slice has converged when the Gram matrix ``G = Y* Y``
       has ``max |G_pq| / sqrt(G_pp G_qq) <= off_factor``, checked once
       per sweep.
-    - Every other slice (indefinite, or singular but PSD): two-sided
-      Jacobi on the slice itself (``_two_sided``).  It has converged when
-      its off-diagonal Hilbert-Schmidt norm drops below ``off_factor``
-      times its own ``||M||_HS``.
+    - Every other slice (indefinite, singular but PSD, exactly diagonal,
+      or d = 1): two-sided Jacobi on the slice itself (``_two_sided``).  It
+      has converged when its off-diagonal Hilbert-Schmidt norm drops below
+      ``off_factor`` times its own ``||M||_HS``, so an exactly diagonal
+      slice comes back as its diagonal, with ``v = I``, before any sweep.
 
     Each sweep visits every pair ``p < q`` once, in the rounds of
     ``_round_robin_plan``.  The rotations of a round touch disjoint rows
@@ -265,8 +267,12 @@ def jacobi_eigh(
     definite ``D A D`` to high relative accuracy, as two-sided Jacobi does
     (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): ``L``
     carries the grading in its rows, and a unitary applied from the right
-    keeps each rounding error small relative to its own row.  ``W`` only
-    decides how many sweeps are needed.
+    keeps each rounding error small relative to its own row.  ``W`` is
+    unitary only to rounding, though, and ``Y Y* = L W W* L*`` has the
+    eigenvalues of ``L L*`` each times a factor within ``||W* W - I||`` of
+    1 (Ostrowski's theorem), which adds a relative error of a few
+    ``d eps`` to every eigenvalue: graded inputs read about 1e-15 relative,
+    against a few 1e-16 on the two-sided route.
     """
     # C order: the rotations multiply float views, which need contiguous rows
     a = np.array(mat, dtype=np.complex128, order="C")
@@ -281,15 +287,11 @@ def jacobi_eigh(
     # each slice's route; a route that takes the whole stack gets it as it
     # is, the others their slices, and a stuck slice is named by its index
     diagonal = ~a.reshape(n, d * d).take(_round_robin_plan(d)[1], axis=-1).any(axis=-1)
-    chol = a if diagonal.all() else _cholesky_or_nan(a)
+    chol = _cholesky_or_nan(a)
     factored = np.isfinite(chol).all(axis=(-2, -1)) & ~diagonal
     w = v = None
     stuck = []
-    for kernel, x, take in (
-        (_diagonal, a, diagonal),
-        (_one_sided, chol, factored),
-        (_two_sided, a, ~(diagonal | factored)),
-    ):
+    for kernel, x, take in ((_one_sided, chol, factored), (_two_sided, a, ~factored)):
         if take.all():
             w, v, stuck = kernel(x, max_sweeps, off_factor)
             break
@@ -375,15 +377,6 @@ def _real_eyes(x: np.ndarray) -> np.ndarray:
     return eyes
 
 
-def _diagonal(a: np.ndarray, max_sweeps: int, off_factor: float):
-    """The exactly diagonal route on an ``(n, d, d)`` stack: each diagonal,
-    with ``v = I``, and no unconverged slice."""
-    n, d = len(a), a.shape[-1]
-    v = np.empty_like(a)
-    v[...] = np.eye(d)
-    return a.reshape(n, d * d)[:, :: d + 1].real, v, []
-
-
 def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided route alone on a complex ``(d, d)`` or ``(n, d, d)``
     array, sorted and raising as ``jacobi_eigh`` does: the reference the
@@ -408,6 +401,7 @@ def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
         live, al, vl, tl = np.arange(n), a, v, thresh
         if n == 1:
             al, vl = a[0], v[0]
+        eyes = _real_eyes(al)
         for sweep in range(max_sweeps + 1):
             x = al.reshape(*al.shape[:-2], d * d).take(off_idx, axis=-1)
             off = np.sqrt(_dots(x, x).real).reshape(-1)
@@ -424,9 +418,9 @@ def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
                 a[live[done]], v[live[done]] = al[done], vl[done]
                 keep = ~done
                 live, al, vl, tl, off = live[keep], al[keep], vl[keep], tl[keep], off[keep]
+                eyes = eyes[: len(live)]
             if sweep == max_sweeps:
                 break
-            eyes = _real_eyes(al)
             for idx, rot in _stacked_plan(d, len(live)):
                 entries = al.take(idx)
                 e, tr = _round_unitary(entries, rot, eyes)
@@ -462,6 +456,7 @@ def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
     live, yl = np.arange(n), y
     if n == 1:
         yl = y[0]
+    eyes = _real_eyes(yl)
     for sweep in range(max_sweeps + 1):
         g = _gram(yl)
         gd = g.reshape(*g.shape[:-2], d * d)[..., :: d + 1].real
@@ -481,9 +476,9 @@ def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
             y[live[done]], w[live[done]] = yl[done], gd[done]
             keep = ~done
             live, yl, g, off = live[keep], yl[keep], g[keep], off[keep]
+            eyes = eyes[: len(live)]
         if sweep == max_sweeps:
             break
-        eyes = _real_eyes(yl)
         for r, (idx, rot) in enumerate(_stacked_plan(d, len(live))):
             if r:
                 g = _gram(yl)
