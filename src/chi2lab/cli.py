@@ -70,14 +70,13 @@ def _parse_tolerances(pairs) -> Tolerances:
     for item in pairs:
         try:
             name, raw = item.split("=", 1)
-            value = float(raw)
+            overrides[name] = int(raw) if name == "jacobi_sweeps" else float(raw)
         except ValueError:
             raise ValueError(f"bad tolerance override {item!r}; use NAME=VALUE")
         if name not in names:
             raise ValueError(
                 f"unknown tolerance {name!r}; choose from {sorted(names)}"
             )
-        overrides[name] = int(value) if name == "jacobi_sweeps" else value
     return dataclasses.replace(DEFAULT_TOL, **overrides)
 
 

@@ -7,7 +7,8 @@ defaults below are the shipped contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,13 @@ class Tolerances:
     jacobi_off: float = 1e-14
     #: Jacobi sweep cap on both routes; exceeding it raises SolverFailure
     jacobi_sweeps: int = 100
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, sweeps = getattr(self, f.name), f.name == "jacobi_sweeps"
+            if not (isinstance(value, int) if sweeps else math.isfinite(value)) or value < 0:
+                want = "an integer" if sweeps else "finite and"
+                raise ValueError(f"tolerance {f.name} must be {want} >= 0, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

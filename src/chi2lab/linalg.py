@@ -278,6 +278,8 @@ def jacobi_eigh(
     a = np.array(mat, dtype=np.complex128, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     e = _prescale_exponents(a)
     if e is not None:
         a = _ldexp(a, -e[..., None, None])

@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     _SAFE_EXP,
     SpectralDecomposition,
+    _cholesky_or_nan,
     _ldexp,
     _prescale_exponents,
     hermitian_part,
@@ -134,11 +135,7 @@ def _cholesky_certifies_psd(m: np.ndarray, rel: float) -> bool:
         shift = rel * op_norm(m)
     else:
         shift = rel * max(1.0, op_norm(m))
-    try:
-        np.linalg.cholesky(m + shift * np.eye(len(m)))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool(np.isfinite(_cholesky_or_nan(m + shift * np.eye(len(m)))).all())
 
 
 class PsdOperator(HermitianMatrix):

@@ -1,4 +1,6 @@
-"""Constrained minimization used by reconstruction and verification.
+"""Constrained black-box minimization, no longer called or exported by the
+package: it stays only because ``chi2bench/tracer.py`` wraps its four entry
+points by name, and goes together with the tracer's optimizer rows.
 
 Every search runs one loop, ``_descend``: gradient descent with the
 two-point (Barzilai-Borwein) step and a monotone backtracking safeguard,
@@ -11,9 +13,8 @@ Mahony and Sepulchre, *Optimization Algorithms on Matrix Manifolds*,
 G G* + floor * I) steps are taken as they come.
 
 Objectives arrive as black-box oracles, so gradients are central finite
-differences (the decompiler cannot assume an analytic form).  Failure to
-converge is reported through a flag, never an exception, and the best
-value found is still returned.
+differences.  Failure to converge is reported through a flag, never an
+exception, and the best value found is still returned.
 """
 
 from __future__ import annotations

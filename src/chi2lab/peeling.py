@@ -49,7 +49,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
 from .errors import ReconstructionError
-from .linalg import SpectralDecomposition, cluster_eigenpairs, jacobi_eigh
+from .linalg import SpectralDecomposition, spectral_decomposition
 from .operators import RankOneProjection
 from .oracle import DivergenceOracle
 
@@ -194,10 +194,8 @@ def spectral_peel(
     # coordinates stands for two orderings of the tensor index
     weight = np.where(np.eye(d, dtype=bool), 1.0, 0.5)
     terms = form[index[:, None, :], index[None, :, :]] * weight[:, None, :] * weight[None, :, :]
-    w, v = jacobi_eigh(terms.sum(axis=2), max_sweeps=tol.jacobi_sweeps,
-                       off_factor=tol.jacobi_off)
     # g is decreasing: D's largest eigenvalue sits at g's smallest
-    spec = cluster_eigenpairs(w, v, tol)
+    spec = spectral_decomposition(terms.sum(axis=2), tol)
     vecs = spec.v[:, ::-1]
     sizes = spec.multiplicities[::-1]
     mono = _monomials(vecs.T, _pairs(d))

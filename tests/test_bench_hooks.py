@@ -7,6 +7,10 @@ otherwise break ``--trace 1`` runs without failing any library test.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +28,21 @@ def tracer():
 
 
 def test_traced_functions_exist(tracer):
-    for mod_name, attrs in tracer.FUNCTIONS.items():
-        mod = importlib.import_module(mod_name)
-        for attr in attrs:
-            assert callable(getattr(mod, attr, None)), f"{mod_name}.{attr}"
+    # the tracer reads sys.modules and imports nothing itself, so a bare
+    # ``import chi2lab`` in a fresh interpreter must load each traced module
+    check = (
+        "import json, sys\n"
+        "import chi2lab\n"
+        "missing = [f'{m}.{a}' for m, attrs in json.loads(sys.argv[1]).items()\n"
+        "           for a in attrs if not callable(getattr(sys.modules.get(m), a, None))]\n"
+        "print(json.dumps(missing))\n"
+    )
+    src = str(TRACER_PATH.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", check, json.dumps(tracer.FUNCTIONS)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == []
 
 
 def test_traced_methods_are_defined_on_their_class(tracer):

@@ -285,3 +285,21 @@ def test_tolerance_flag_only_where_read(mats, capsys):
                  "--tol", "psd=abc"]) == 2
     assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
                  "--tol", "garbage"]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "jacobi_sweeps=-1", "jacobi_sweeps=2.7", "cluster=nan", "psd=inf", "pd=-1e-3",
+])
+def test_out_of_range_tolerance_exits_2(mats, capsys, override):
+    assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
+                 "--tol", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert override.split("=")[0] in captured.err
+
+
+def test_integer_sweep_cap_override(mats, capsys):
+    assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
+                 "--tol", "jacobi_sweeps=3", "--json"]) == 0
+    eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
+    np.testing.assert_allclose(eigenvalues, [0.7, 0.3], atol=1e-6)

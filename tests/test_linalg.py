@@ -77,6 +77,13 @@ def test_jacobi_sweep_cap_raises():
         jacobi_eigh(m, max_sweeps=1)
 
 
+def test_jacobi_rejects_a_negative_sweep_cap():
+    # even a diagonal matrix, which needs no sweep
+    for m in (np.diag([1.0, 2.0]), np.zeros((3, 2, 2))):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            jacobi_eigh(m, max_sweeps=-1)
+
+
 def _graded_pd(d, rng, decades=5.0):
     """B = D H D with H Haar-conjugated, eigenvalues in [0.25, 1.25], and
     D a permuted grading over 5 decades: condition number near 1e10."""

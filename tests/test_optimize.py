@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from chi2lab import (
+from chi2lab import PdOperator, chi2, chi2_shifted, eigh
+from chi2lab.optimize import (
     ConeOptConfig,
-    PdOperator,
     SphereOptConfig,
-    chi2,
-    chi2_shifted,
-    eigh,
     infimum_over_pd,
     maximize_over_rank_one,
     maximize_over_states,

@@ -25,14 +25,11 @@ import numpy as np
 import pytest
 
 from chi2lab import (
-    ConeOptConfig,
     ConjugationMap,
     PdOperator,
     chi2,
     chi2_oracle,
     distinguish_from_f_divergence,
-    infimum_over_pd,
-    maximize_over_states,
     preserver_decompile,
     quadratic_form_tomography,
     rank_one_query_oracle,
@@ -43,6 +40,7 @@ from chi2lab import ensembles, operators, peeling, tomography
 from chi2lab.config import DEFAULT_TOL
 from chi2lab.ensembles import haar_unitary, random_nonsingular_density, random_psd
 from chi2lab.linalg import op_norm
+from chi2lab.optimize import ConeOptConfig, infimum_over_pd, maximize_over_states
 
 CONE = ConeOptConfig(restarts=2, max_iters=200, seed=2)
 
