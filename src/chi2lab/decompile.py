@@ -9,10 +9,12 @@ argument is run numerically:
   3. location of the images of rank-one projections by evaluating the
      restricted map on slightly mixed states and rounding to the top
      eigenprojection, read by power iteration and certified by the
-     Davis-Kahan residual bound (with a half-epsilon stability recheck);
-     each projection is imaged once per scale.  A request is a stack of
-     unit rows: each unseen row calls phi at both mixing weights, in
-     order, and the rounding then runs once on the stack of outputs;
+     Davis-Kahan residual bound; each projection is imaged once per
+     scale, at the mixing weight _EPSILON / 2.  A request is a stack of
+     unit rows: each unseen row calls phi once, in order, then the first
+     d rows a scale images call it again at _EPSILON, a stability sample
+     whose top vectors must agree across the two weights, and the
+     rounding runs once on the stack of outputs;
   4. orthogonality and transition-probability checks, one stack each;
   5. synthesis of the implementing (anti)unitary per scale, one stack;
   6. cross-scale consistency of the synthesized operators up to phase;
@@ -31,9 +33,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divergence import Alpha
-from .ensembles import random_pd
+from .ensembles import pd_stack
 from .errors import Chi2LabError
-from .linalg import _dots, _hs_squares, hermitian_part, op_norm
+from .linalg import SpectralDecomposition, _dots, _hs_squares, hermitian_part, op_norm
 from .matio import matrix_to_obj
 from .operators import PdOperator, _unchecked
 from .wigner import (
@@ -128,6 +130,14 @@ def _top_vector(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, bound
 
 
+def _samples(d: int, rng: np.random.Generator, n: int) -> list[PdOperator]:
+    """n ``random_pd`` draws at scales uniform in [0.5, 1.5], as one stack;
+    each keeps its primed spectrum, so reading it runs no eigensolve."""
+    mats, spec = pd_stack(d, rng, n, scale=rng.uniform(0.5, 1.5, size=(n, 1)))
+    return [_unchecked(PdOperator, m, spectrum=SpectralDecomposition(w, v))
+            for m, w, v in zip(mats, spec.w, spec.v)]
+
+
 def _phase_aligned_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     """min over unimodular c of ||u1 u2* - c I||_op."""
     m = u1 @ u2.conj().T
@@ -163,8 +173,7 @@ def preserver_decompile(
 
     # stage 1: trace preservation
     trace_residual = 0.0
-    for _ in range(_TRACE_SAMPLES):
-        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)))
+    for sample in _samples(d, rng, _TRACE_SAMPLES):
         diff = abs(phi(sample).trace() - sample.trace())
         trace_residual = max(trace_residual, diff)
         if diff > _TRACE_TOL * max(1.0, sample.trace()):
@@ -173,27 +182,28 @@ def preserver_decompile(
     stage_queries = {"trace": phi.count}
 
     # stages 2-3: scale restrictions and extremal-image maps
-    rounding_flagged = False
-
     def restricted_projection_map(lam: float) -> ProjectionMap:
         images: dict[bytes, np.ndarray] = {}
 
         def image_rows(rows: np.ndarray) -> np.ndarray:
-            nonlocal rounding_flagged
             keys = [row.tobytes() for row in rows]
             new = list(dict.fromkeys(k for k in keys if k not in images))
             if new:
-                v = np.frombuffer(b"".join(new), dtype=np.complex128).reshape(-1, 1, d, 1)
-                # per row, the mixing weights _EPSILON and _EPSILON / 2 in turn
-                eps = np.array([_EPSILON, _EPSILON / 2.0])[:, None, None]
+                n = len(new)
+                v = np.frombuffer(b"".join(new), dtype=np.complex128).reshape(n, d, 1)
+                # every new row at _EPSILON / 2, then the rows that fill this
+                # scale's stability sample of d at _EPSILON
+                k = min(n, max(d - len(images), 0))
+                v = np.concatenate([v, v[:k]])
+                eps = np.repeat([_EPSILON / 2.0, _EPSILON], [n, k])[:, None, None]
                 mixed = lam * ((1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * eye)
-                outs = [phi(_unchecked(PdOperator, m)).mat for m in mixed.reshape(-1, d, d)]
-                tops, bounds = _top_vector(hermitian_part(np.reshape(outs, mixed.shape) / lam))
-                stability = 1.0 - np.abs(_dots(tops[:, 0], tops[:, 1])) ** 2
-                if not rounding_flagged and max(stability.max(), bounds.max()) > _ROUNDING_TOL:
-                    rounding_flagged = True
+                outs = [phi(_unchecked(PdOperator, m)).mat for m in mixed]
+                tops, bounds = _top_vector(hermitian_part(np.array(outs) / lam))
+                stability = 1.0 - np.abs(_dots(tops[:k], tops[n:])) ** 2
+                worst = max(bounds.max(), stability.max(initial=0.0))
+                if worst > _ROUNDING_TOL and "projection-rounding" not in failures:
                     failures.append("projection-rounding")
-                images.update(zip(new, tops[:, 1]))
+                images.update(zip(new, tops[:n]))
             return np.array([images[k] for k in keys])
 
         return ProjectionMap(image_rows)
@@ -232,7 +242,8 @@ def preserver_decompile(
         for j in range(i + 1, len(lams)):
             a, b = synthesized[lams[i]], synthesized[lams[j]]
             if a.kind != b.kind:
-                failures.append("kind-mismatch")
+                if "kind-mismatch" not in failures:
+                    failures.append("kind-mismatch")
                 continue
             scale_residual = max(scale_residual, _phase_aligned_distance(a.u, b.u))
     if scale_residual > _SCALE_TOL:
@@ -247,8 +258,7 @@ def preserver_decompile(
         failures.append("synthesis")
         recovered = ConjugationMap(np.eye(d), UNITARY)
     verify_residual = 0.0
-    for _ in range(_VERIFY_SAMPLES):
-        sample = random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5)))
+    for sample in _samples(d, rng, _VERIFY_SAMPLES):
         drift = op_norm(phi(sample).mat - recovered.apply(sample.mat))
         verify_residual = max(verify_residual, drift)
     if verify_residual > _VERIFY_TOL:

@@ -122,8 +122,10 @@ def _lead(n: int | None) -> tuple:
     return () if n is None else (n,)
 
 
-def pd_stack(d: int, rng: np.random.Generator, n: int | None, *, scale: float = 1.0):
-    """``(mats, spectrum)`` of n draws of ``random_pd`` (of one when n is None)."""
+def pd_stack(d: int, rng: np.random.Generator, n: int | None, *,
+             scale: float | np.ndarray = 1.0):
+    """``(mats, spectrum)`` of n draws of ``random_pd`` (of one when n is None);
+    ``scale`` is one float, or an ``(n, 1)`` column of one scale per draw."""
     return _spectra(scale * rng.uniform(_EIG_LOW, _EIG_HIGH, size=(*_lead(n), d)), rng)
 
 

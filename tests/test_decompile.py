@@ -13,7 +13,7 @@ from chi2lab import (
 )
 from chi2lab import linalg
 from chi2lab.decompile import _top_vector
-from chi2lab.ensembles import haar_unitary, random_hermitian, random_pd
+from chi2lab.ensembles import haar_unitary, pd_stack, random_hermitian
 from chi2lab.linalg import jacobi_eigh, op_norm
 from chi2lab.operators import _unchecked
 
@@ -58,7 +58,7 @@ def test_near_preserver_congruence_is_recorded_not_raised(size):
     m = np.eye(3) + size * random_hermitian(3, np.random.default_rng(1))
     report = preserver_decompile(lambda a: PdOperator(m @ a.mat @ m.conj().T), 3, 0.5)
     assert report.failures == _NEAR_FAILURES
-    assert report.query_count == 196
+    assert report.query_count == 115
 
 
 def test_idempotence_on_recovered_map():
@@ -166,14 +166,58 @@ def test_images_far_from_rank_one_flag_projection_rounding(d):
     assert "projection-rounding" in report.failures
 
 
+def test_each_failed_stage_is_recorded_once():
+    # an antiunitary conjugation at scale 2 only: the scale pairs (0.5, 2)
+    # and (1, 2) both mismatch in kind
+    def conjugates_above_trace(a):
+        return PdOperator(a.mat.conj()) if a.trace() > 1.5 else a
+
+    report = preserver_decompile(conjugates_above_trace, 3, 0.5)
+    assert report.failures == ("kind-mismatch", "verification")
+
+
+def test_top_vectors_that_move_with_the_mixing_weight_flag_projection_rounding():
+    # conjugation by a rotation whose angle grows with lambda_min: each
+    # image is a conjugated mixed state, so every Davis-Kahan bound passes,
+    # but the top vector of a real probe turns between the two weights
+    outs = []
+
+    def rotating(a):
+        t = 1e3 * a.spectrum().lmin
+        r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        outs.append(r @ a.mat @ r.T)
+        return PdOperator(outs[-1])
+
+    report = preserver_decompile(rotating, 2, 0.5)
+    assert report.failures == ("projection-rounding", "scale-consistency", "verification")
+    images = np.array(outs[8:-8])
+    assert len(images) == report.stage_queries["images"]
+    assert _top_vector(images)[1].max() <= 1e-12
+
+
+def test_samples_carry_their_spectra():
+    primed = []
+
+    def phi(a):
+        if "_spectrum" in a.__dict__:
+            a.spectrum().validate(a.mat, rtol=1e-14)
+            primed.append(a.mat)
+        return a
+
+    assert preserver_decompile(phi, 3, 0.5).ok
+    # the 8 trace and 8 verification samples, each a slice of one stack
+    assert len(primed) == 16
+
+
 def test_each_probe_is_imaged_once_per_scale():
     rng = np.random.default_rng(6)
     truth = ConjugationMap(haar_unitary(6, rng), "unitary")
     report = preserver_decompile(truth.as_preserver(), 6, 0.5)
     assert report.ok
-    # 3 scales x 36 projections x 2 mixing weights between 8 + 8 samples
-    assert report.stage_queries == {"trace": 8, "images": 216, "verification": 8}
-    assert report.query_count == 232
+    # 3 scales x (36 projections + a stability sample of 6) between 8 + 8
+    # samples
+    assert report.stage_queries == {"trace": 8, "images": 126, "verification": 8}
+    assert report.query_count == 142
 
 
 def test_decompile_runs_no_eigensolve(monkeypatch):
@@ -193,10 +237,10 @@ def test_decompile_runs_no_eigensolve(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("d, images", [(2, 186), (3, 180), (4, 168), (6, 216), (8, 384)])
+@pytest.mark.parametrize("d, images", [(2, 99), (3, 99), (4, 96), (6, 126), (8, 216)])
 def test_stage_three_queries_per_dimension(d, images):
-    # 3 scales x 2 mixing weights x the distinct rows of the checks and
-    # the d^2 family
+    # 3 scales x (the distinct rows of the checks and the d^2 family, plus
+    # a stability sample of d rows)
     report = preserver_decompile(lambda a: a, d, 0.5)
     assert report.ok
     assert report.stage_queries == {"trace": 8, "images": images, "verification": 8}
@@ -206,13 +250,19 @@ def _reference_phi_inputs(d, seed=0):
     """Reference: every phi input of ``preserver_decompile`` in order, one
     probe projection at a time: 8 trace samples; per scale the pairs of
     the orthogonality check, then the sums of the transition check; per
-    scale the probe family; 8 verification samples.  A projection's first
-    request images it at both mixing weights, later ones reuse it."""
+    scale the probe family; 8 verification samples.  Each request images
+    its unseen projections at the mixing weight 1e-4 / 2, then those of
+    them among the first d a scale images at 1e-4; later requests reuse
+    an image.  Each sample stage draws 8 scales, then 8 ``random_pd``
+    matrices as one stack."""
     rng = np.random.default_rng(seed)
     eye = np.eye(d)
-    out = []
-    samples = [random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5))) for _ in range(8)]
-    out += [a.mat.tobytes() for a in samples]
+
+    def samples():
+        mats, _ = pd_stack(d, rng, 8, scale=rng.uniform(0.5, 1.5, size=(8, 1)))
+        return [m.tobytes() for m in mats]
+
+    out = samples()
     pairs = [(eye[i], eye[j]) for i in range(d) for j in range(i + 1, d)]
     pair_rng = np.random.default_rng(seed + 1)
     while len(pairs) < 10:
@@ -223,21 +273,22 @@ def _reference_phi_inputs(d, seed=0):
     seen = {lam: set() for lam in (0.5, 1.0, 2.0)}
 
     def image(lam, projections):
+        sample = max(d - len(seen[lam]), 0)
+        new = []
         for p in projections:
-            if p.vector.tobytes() in seen[lam]:
-                continue
-            seen[lam].add(p.vector.tobytes())
-            for eps in (1e-4, 1e-4 / 2.0):
-                mixed = (1.0 - eps) * p.matrix + (eps / d) * eye
-                out.append((lam * mixed).tobytes())
+            if p.vector.tobytes() not in seen[lam]:
+                seen[lam].add(p.vector.tobytes())
+                new.append(p.matrix)
+        for eps, group in ((1e-4 / 2.0, new), (1e-4, new[:sample])):
+            for m in group:
+                out.append((lam * ((1.0 - eps) * m + (eps / d) * eye)).tobytes())
 
     for lam in seen:
         image(lam, orth)
         image(lam, trans)
     for lam in seen:
         image(lam, projection_family(d))
-    samples = [random_pd(d, rng, scale=float(rng.uniform(0.5, 1.5))) for _ in range(8)]
-    return out + [a.mat.tobytes() for a in samples]
+    return out + samples()
 
 
 @pytest.mark.parametrize("d", [2, 6])

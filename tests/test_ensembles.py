@@ -9,8 +9,8 @@ from chi2lab import (
     RankOneProjection,
     random_ensemble,
 )
-from chi2lab.ensembles import haar_stack, haar_unitary
-from chi2lab.linalg import op_norm
+from chi2lab.ensembles import _EIG_HIGH, _EIG_LOW, haar_stack, haar_unitary, pd_stack
+from chi2lab.linalg import SpectralDecomposition, op_norm
 
 
 @pytest.mark.parametrize(
@@ -85,3 +85,15 @@ def test_haar_unitary_is_the_first_slice_of_a_stack(d):
     assert single.tobytes() == stack[0].tobytes()
     gram = stack.conj().swapaxes(1, 2) @ stack
     assert np.max(np.abs(gram - np.eye(d))) <= 1e-13
+
+
+def test_pd_stack_takes_one_scale_per_draw():
+    rng = np.random.default_rng(12)
+    scales = rng.uniform(0.5, 1.5, size=(8, 1))
+    mats, spec = pd_stack(4, rng, 8, scale=scales)
+    assert mats.shape == (8, 4, 4)
+    for k, (s,) in enumerate(scales):
+        # row k's eigenvalues lie in its own scaled window, and its slice of
+        # the primed spectrum reassembles the row
+        assert np.all((s * _EIG_LOW <= spec.w[k]) & (spec.w[k] <= s * _EIG_HIGH))
+        SpectralDecomposition(spec.w[k], spec.v[k]).validate(mats[k], rtol=1e-14)
