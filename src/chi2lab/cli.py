@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="recover a hidden operator from divergence queries")
     p.add_argument("--hidden", required=True, help="hidden PSD operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--schedule", type=float, nargs="+", default=None)
+    p.add_argument("--schedule", type=float, nargs="+", default=None,
+                   help="probe weights; probe p is queried at those whose "
+                        "index has p's parity, at least 3 each")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int)
     add_common(p, tol=True)

@@ -1,27 +1,32 @@
 """Recovery of a hidden positive operator from divergence queries.
 
 The hidden operator A is only accessible through values of the
-divergence against probe states
+divergence against probe states C = t P + s (I - P), s = (1 - t)/(d - 1),
+t in (0, 1), for rank-one projections P = v v*.  Since
+C^-a = t^-a P + s^-a (I - P), each response is
 
-    C = t P + (1 - t)/(d - 1) (I - P),      t in (0, 1),
+    r_P(t) = (1 - 2 tr A) + x_P / t + (tr A^2 - 2 y_P + x_P) / s
+             + (y_P - x_P) f(t),      f(t) = t^-a s^(a-1) + s^-a t^(a-1),
 
-for rank-one projections P.  As a function of t each response is a
-linear combination of the basis {1, 1/t, 1/(1-t),
-t^-a (1-t)^(a-1), (1-t)^-a t^(a-1)}; the coefficient of 1/t isolates
-the quadratic overlap tr(P A P A), and running P over a complete family
-of d^2 projections pins A down.
+with x_P = <v, A v>^2 and y_P = <v, A^2 v>: the constant and tr A^2 are
+shared by every probe.  Over the complete family of d^2 projections the
+overlaps sqrt(x_P) = tr(A P) pin A down.  At the endpoint orders a = 0, 1
+the x_P column vanishes, and recovery goes through the overlaps y_P of
+A^2 and a positive square root.
 
-At the endpoint orders a = 0, 1 the two power functions collapse onto
-1/t and 1/(1-t), and the 1/t coefficient becomes tr(A^2 P) instead of
-(tr A P)^2; recovery then goes through A^2 and a positive square root.
-At a = 1/2 the two power functions coincide and the duplicate column is
-dropped.
+Probe p of ``projection_family`` order is queried at the schedule weights
+whose index has p's parity, so both halves span the whole interval
+(contiguous halves failed several times as often near the endpoints).
+One least-squares fit of all 2 d^2 + 2 coefficients eliminates each
+probe's own by projecting its equations onto their orthogonal complement,
+solves the shared pair from the stacked projected rows and
+back-substitutes (variable projection: Golub and Pereyra, SIAM J. Numer.
+Anal. 10, 1973).  With three weights in a half, each probe's redundant
+query carries its residual check.
 
-The probe states depend only on ``(d, t_values, tol)``, never on the
-hidden operator, so the d^2 * T states of the latest design are built
-once and reused; only that one design is kept (about 0.5 MB at d = 6 and
-14 MB at d = 16 under tracemalloc).  Each query is still one
-``oracle.query`` call on one of those states.
+The probe states depend only on ``(d, t_values, tol)``, so the states of
+the latest design, one per query, are built once and reused (about
+0.26 MB at d = 6 and 7.0 MB at d = 16 under tracemalloc).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
-from .errors import IllConditionedProbe, InconsistentOracle
+from .errors import DimensionMismatch, IllConditionedProbe, InconsistentOracle
 from .linalg import cluster_eigenpairs, complete_to_unitary
 from .operators import (
     NonsingularDensity,
@@ -50,7 +55,13 @@ __all__ = ["ProbeSchedule", "probe_state", "quadratic_form_tomography"]
 
 @dataclass(frozen=True)
 class ProbeSchedule:
-    """Interior probe weights t; all distinct, strictly inside (0, 1)."""
+    """Interior probe weights t; all distinct, strictly inside (0, 1).
+
+    Probe p of ``projection_family`` order is queried at the weights
+    ``t_values[p % 2::2]``, its half.  With T weights a tomography in
+    dimension d makes ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2)
+    queries: 3 d^2 for the default six.
+    """
 
     t_values: tuple[float, ...] = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
 
@@ -64,9 +75,6 @@ class ProbeSchedule:
             raise ValueError("probe weights must be pairwise distinct")
         object.__setattr__(self, "t_values", ts)
 
-    def __len__(self) -> int:
-        return len(self.t_values)
-
 
 def probe_state(p: RankOneProjection, t: float, d: int,
                 tol: Tolerances = DEFAULT_TOL) -> NonsingularDensity:
@@ -74,10 +82,15 @@ def probe_state(p: RankOneProjection, t: float, d: int,
 
     Its spectrum is known analytically, so the state is assembled with a
     primed decomposition and each divergence query against it costs no
-    eigensolve.
+    eigensolve.  Raises ``ValueError`` for a weight outside (0, 1) or
+    d < 2, and ``DimensionMismatch`` unless P acts on dimension d.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("probe weight must lie in (0, 1)")
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if p.dim != d:
+        raise DimensionMismatch(f"projection of dim {p.dim} vs {d}")
     w = np.full(d, (1.0 - t) / (d - 1))
     w[0] = t
     spec = cluster_eigenpairs(w, complete_to_unitary(p.vector), tol)
@@ -88,23 +101,35 @@ def probe_state(p: RankOneProjection, t: float, d: int,
 def _probe_states(d: int, t_values: tuple[float, ...],
                   tol: Tolerances) -> tuple[tuple[NonsingularDensity, ...], ...]:
     """``probe_state(p, t, d, tol)`` per projection ``p`` of
-    ``projection_family(d)`` (rows) and weight ``t`` (columns)."""
+    ``projection_family(d)`` (rows) and weight ``t`` of p's half of
+    ``t_values`` (columns)."""
     return tuple(
-        tuple(probe_state(p, t, d, tol) for t in t_values)
-        for p in projection_family(d)
+        tuple(probe_state(p, t, d, tol) for t in t_values[i % 2::2])
+        for i, p in enumerate(projection_family(d))
     )
 
 
-def _basis_matrix(alpha: Alpha, ts: np.ndarray) -> np.ndarray:
-    """Columns: [1, 1/t, 1/(1-t), (power functions)] with degenerates dropped."""
-    cols = [np.ones_like(ts), 1.0 / ts, 1.0 / (1.0 - ts)]
-    # at the endpoints both power functions collapse onto 1/t and
-    # 1/(1-t); at alpha = 1/2 they coincide
+def _columns(d: int, alpha: Alpha, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The response's columns at weights ``ts``: shared ``[1, tr A^2]``
+    and local ``[x_P, y_P]``, or ``[y_P]`` at the endpoints."""
+    t = np.asarray(ts)
+    inv_s = (d - 1) / (1.0 - t)
+    f = t ** -alpha * inv_s ** (1.0 - alpha) + inv_s ** alpha * t ** (alpha - 1.0)
+    shared = np.column_stack([np.ones_like(t), inv_s])
+    local = [f - 2.0 * inv_s]
     if not alpha.is_endpoint:
-        cols.append(ts ** (-alpha) * (1.0 - ts) ** (alpha - 1.0))
-        if abs(alpha - 0.5) >= 1e-9:
-            cols.append((1.0 - ts) ** (-alpha) * ts ** (alpha - 1.0))
-    return np.vstack(cols).T
+        local.insert(0, 1.0 / t + inv_s - f)
+    return shared, np.column_stack(local)
+
+
+def _complement(local: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of ``local``'s columns, from
+    ``[-L1^-T L2^T; I]`` (L1 the top k rows): a solve leaves it several
+    times nearer orthogonal to them than an SVD's complement, and the fit
+    of the shared pair amplifies what is left by its condition number."""
+    k = local.shape[1]
+    null = np.vstack([-np.linalg.solve(local[:k].T, local[k:].T), np.eye(len(local) - k)])
+    return np.linalg.qr(null)[0]
 
 
 def quadratic_form_tomography(
@@ -117,41 +142,61 @@ def quadratic_form_tomography(
     """Reconstruct the hidden positive operator behind a divergence oracle.
 
     The oracle must answer query(C) with the divergence of the hidden
-    operator against the probe state C.  Uses exactly
-    ``d^2 * len(schedule)`` queries, all made before any fit is checked;
-    then the first probe in ``projection_family`` order whose fit fails
-    raises.
+    operator against the probe state C.  Each probe is queried at its half
+    of the schedule, so a schedule of T weights takes exactly
+    ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2) queries (3 d^2 by
+    default), all made before any fit is checked; then the first probe in
+    ``projection_family`` order whose fit fails raises.  Raises
+    ``ValueError`` before any query when either half of the schedule
+    holds fewer than 3 weights.
     """
     alpha = Alpha(alpha)
     schedule = schedule or ProbeSchedule()
-    ts = np.asarray(schedule.t_values)
-    basis = _basis_matrix(alpha, ts)
-    if len(schedule) < basis.shape[1]:
-        raise ValueError(
-            f"schedule has {len(schedule)} probes but the fit needs "
-            f"{basis.shape[1]} basis functions"
-        )
-    endpoint = alpha.is_endpoint
-    responses = np.array([
-        [oracle.query(c) for c in row]
+    halves = (schedule.t_values[0::2], schedule.t_values[1::2])
+    if min(len(h) for h in halves) < 3:
+        raise ValueError(f"each half of the schedule needs 3 weights, got "
+                         f"{len(halves[0])} and {len(halves[1])}")
+    rows = [
+        np.array([oracle.query(c) for c in row])
         for row in _probe_states(d, schedule.t_values, tol)
-    ])
-    coeffs = responses @ np.linalg.pinv(basis).T
-    residual = np.max(np.abs(coeffs @ basis.T - responses), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(responses), axis=1))
-    c1 = coeffs[:, 1]
+    ]
+    # variable projection: project each probe's equations off its own
+    # columns, fit the shared pair, then back-substitute
+    fits = []
+    for h, ts in enumerate(halves):
+        shared, local = _columns(d, alpha, ts)
+        fits.append((np.array(rows[h::2]), shared, local, _complement(local)))
+    lhs = np.concatenate([np.tile(perp.T @ shared, (len(r), 1)) for r, shared, _, perp in fits])
+    rhs = np.concatenate([(r @ perp).ravel() for r, _, _, perp in fits])
+    common = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    # x_P, or y_P at the endpoints
+    quad = np.empty(d * d)
+    residual = np.empty(d * d)
+    scale = np.empty(d * d)
+    for h, (responses, shared, local, _) in enumerate(fits):
+        rest = responses - shared @ common
+        coeffs = rest @ np.linalg.pinv(local).T
+        quad[h::2] = coeffs[:, 0]
+        residual[h::2] = np.max(np.abs(rest - coeffs @ local.T), axis=1)
+        scale[h::2] = np.maximum(1.0, np.max(np.abs(responses), axis=1))
     misfit = residual > 1e-6 * scale
-    failed = np.flatnonzero(misfit | (c1 < -1e-8 * scale))
+    negative = quad < -1e-8 * scale
+    failed = np.flatnonzero(misfit | negative)
     if failed.size:
         idx = failed[0]
-        if misfit[idx]:
-            raise IllConditionedProbe(
-                f"probe {idx}: fit residual {residual[idx]:.3e} exceeds "
-                f"1e-6 * {scale[idx]:.3e}"
+        # a misfit shows on every probe of its half, which share the
+        # fitted constant and tr A^2; a negative overlap is the probe's own
+        if negative[idx]:
+            raise InconsistentOracle(
+                f"probe {idx}: negative overlap coefficient {quad[idx]:.3e}"
             )
-        raise InconsistentOracle(f"probe {idx}: negative 1/t coefficient {c1[idx]:.3e}")
-    c1 = np.maximum(c1, 0.0)
-    overlaps = c1 if endpoint else np.sqrt(c1)
+        raise IllConditionedProbe(
+            f"probe {idx}: fit residual {residual[idx]:.3e} exceeds "
+            f"1e-6 * {scale[idx]:.3e}"
+        )
+    quad = np.maximum(quad, 0.0)
+    endpoint = alpha.is_endpoint
+    overlaps = quad if endpoint else np.sqrt(quad)
     recovered = hermitian_from_overlaps(overlaps, d, tol)
     if endpoint:
         # overlaps gave tr(A^2 P): take the positive square root of A^2

@@ -206,7 +206,7 @@ def test_criterion_5_tomography():
                 oracle = chi2_oracle(hidden, alpha)
                 recovered = quadratic_form_tomography(oracle, d, alpha)
                 worst = max(worst, op_norm(recovered.mat - hidden.mat))
-                budget_ok = budget_ok and oracle.count == d * d * 6
+                budget_ok = budget_ok and oracle.count == d * d * 3
     ok = worst <= 1e-6 and budget_ok
     _report(
         5,

@@ -129,7 +129,7 @@ def test_tomography_cli(mats, capsys):
     rc = main(["tomography", "--hidden", mats["d73"], "--alpha", "0.5", "--json"])
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["queries"] == 24
+    assert obj["queries"] == 12
     assert obj["recovery_error"] <= 1e-7
 
 
