@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--schedule", type=float, nargs="+", default=None,
                    help="probe weights; probe p is queried at those whose "
-                        "index has p's parity, at least 3 each")
+                        "index has p's parity, at least 3 each other than 1/d")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int)
     add_common(p, tol=True)

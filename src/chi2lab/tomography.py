@@ -22,7 +22,11 @@ probe's own by projecting its equations onto their orthogonal complement,
 solves the shared pair from the stacked projected rows and
 back-substitutes (variable projection: Golub and Pereyra, SIAM J. Numer.
 Anal. 10, 1973).  With three weights in a half, each probe's redundant
-query carries its residual check.
+query carries its residual check.  The identity tr A^2 = sum_i y_(e_i)
+over the d basis projections joins the fit as one more row of the shared
+pair, which keeps its condition number below about 400 up to d = 16 (the
+halves alone reach 5e3 at d = 8, a = 1/2).  At t = 1/d the probe state is
+I/d whatever P is, so that weight tells nothing of its probe.
 
 The probe states depend only on ``(d, t_values, tol)``, so the states of
 the latest design, one per query, are built once and reused (about
@@ -38,12 +42,19 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .divergence import Alpha
-from .errors import DimensionMismatch, IllConditionedProbe, InconsistentOracle
+from .errors import (
+    DimensionMismatch,
+    IllConditionedProbe,
+    InconsistentOracle,
+    NotPositiveSemidefinite,
+)
 from .linalg import cluster_eigenpairs, complete_to_unitary
 from .operators import (
+    HermitianMatrix,
     NonsingularDensity,
     PsdOperator,
     RankOneProjection,
+    _clamped,
     _unchecked,
     frac_power,
     hermitian_from_overlaps,
@@ -60,7 +71,8 @@ class ProbeSchedule:
     Probe p of ``projection_family`` order is queried at the weights
     ``t_values[p % 2::2]``, its half.  With T weights a tomography in
     dimension d makes ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2)
-    queries: 3 d^2 for the default six.
+    queries: 3 d^2 for the default six.  Each half needs 3 weights other
+    than 1/d, which ``quadratic_form_tomography`` checks for its d.
     """
 
     t_values: tuple[float, ...] = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
@@ -122,14 +134,67 @@ def _columns(d: int, alpha: Alpha, ts: tuple[float, ...]) -> tuple[np.ndarray, n
     return shared, np.column_stack(local)
 
 
-def _complement(local: np.ndarray) -> np.ndarray:
+def _complement(local: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of ``local``'s columns, from
-    ``[-L1^-T L2^T; I]`` (L1 the top k rows): a solve leaves it several
-    times nearer orthogonal to them than an SVD's complement, and the fit
-    of the shared pair amplifies what is left by its condition number."""
+    ``[-L1^-T L2^T; I]`` with L1 the rows ``pivot[:k]`` and L2 the rest: a
+    solve leaves it several times nearer orthogonal to them than an SVD's
+    complement, and the fit of the shared pair amplifies what is left."""
     k = local.shape[1]
-    null = np.vstack([-np.linalg.solve(local[:k].T, local[k:].T), np.eye(len(local) - k)])
+    top, rest = pivot[:k], pivot[k:]
+    null = np.zeros((len(local), len(rest)))
+    null[rest] = np.eye(len(rest))
+    null[top] = -np.linalg.solve(local[top].T, local[rest].T)
     return np.linalg.qr(null)[0]
+
+
+def _shared_pair(parts: list, d: int, robust: bool) -> np.ndarray:
+    """Least-squares constant and tr A^2 from each probe's equations
+    projected off its own columns.  Probes of a half share one projected
+    block, so their stacked rows reduce to the half's mean (or, when
+    ``robust``, its median, which a minority of faulty probes leaves
+    alone).  The mean fit adds the row tr A^2 = sum of y_P over the basis
+    projections, the first d probes; without it the two halves' rows are
+    nearly parallel (condition up to 5e3 at d = 8)."""
+    lhs, rhs = [], []
+    trace_row, trace_val, trace_norm = np.array([0.0, 1.0]), 0.0, 0.0
+    for h, (shared, _, perp, pinv, responses) in enumerate(parts):
+        projected = responses @ perp
+        weight = np.sqrt(len(responses))
+        lhs.append(weight * perp.T @ shared)
+        centre = np.median(projected, axis=0) if robust else projected.mean(axis=0)
+        rhs.append(weight * centre)
+        # y_P = g (r_P - shared c), g the last row of the pseudo-inverse
+        n, g = (d + 1 - h) // 2, pinv[-1]
+        trace_row = trace_row + n * g @ shared
+        trace_val += g @ responses[:n].sum(axis=0)
+        trace_norm += n * g @ g
+    if not robust:
+        lhs.append(trace_row[None] / np.sqrt(trace_norm))
+        rhs.append([trace_val / np.sqrt(trace_norm)])
+    return np.linalg.lstsq(np.vstack(lhs), np.concatenate(rhs), rcond=None)[0]
+
+
+def _back_substitute(parts: list, common: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe in family order: the fitted x_P (y_P at the endpoints)
+    and the largest misfit of its responses."""
+    quad, residual = np.empty(d * d), np.empty(d * d)
+    for h, (shared, local, _, pinv, responses) in enumerate(parts):
+        rest = responses - shared @ common
+        coeffs = rest @ pinv.T
+        quad[h::2] = coeffs[:, 0]
+        residual[h::2] = np.max(np.abs(rest - coeffs @ local.T), axis=1)
+    return quad, residual
+
+
+def _nearest_psd(estimate: HermitianMatrix) -> PsdOperator:
+    """``estimate`` itself when it passes the PSD floor, else the nearest
+    positive operator in Hilbert-Schmidt norm, its negative eigenvalues
+    set to 0 (projected least squares), which is never further from any
+    positive operator than the estimate."""
+    try:
+        return PsdOperator(estimate.mat, estimate.tol)
+    except NotPositiveSemidefinite:
+        return PsdOperator(_clamped(estimate.spectrum()).reassemble(), estimate.tol)
 
 
 def quadratic_form_tomography(
@@ -145,61 +210,71 @@ def quadratic_form_tomography(
     operator against the probe state C.  Each probe is queried at its half
     of the schedule, so a schedule of T weights takes exactly
     ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2) queries (3 d^2 by
-    default), all made before any fit is checked; then the first probe in
-    ``projection_family`` order whose fit fails raises.  Raises
-    ``ValueError`` before any query when either half of the schedule
-    holds fewer than 3 weights.
+    default), all made before any check.  Then the first probe in
+    ``projection_family`` order that answers a negative divergence, whose
+    responses misfit the model or whose fitted x_P is negative (read once
+    every probe fits) raises.  A faulty probe drags the fitted constant
+    and tr A^2 and so misfits every probe of its half; on any misfit the
+    pair is refitted from the halves' medians, so that the checks name the
+    faulty probes themselves while they are a minority of their half.  At
+    d = 2 a half holds two probes, too few to tell which one is faulty, and
+    the probe named may be an innocent one.
+
+    A noisy oracle may leave the estimate (of A^2 at the endpoints)
+    outside the positive cone, as it does about half the time for a
+    singular A; its nearest positive operator is then taken instead.
+    Raises ``ValueError`` before any query when either half of the
+    schedule holds fewer than 3 weights other than 1/d: at t = 1/d every
+    probe state is I/d.
     """
     alpha = Alpha(alpha)
     schedule = schedule or ProbeSchedule()
-    halves = (schedule.t_values[0::2], schedule.t_values[1::2])
-    if min(len(h) for h in halves) < 3:
-        raise ValueError(f"each half of the schedule needs 3 weights, got "
-                         f"{len(halves[0])} and {len(halves[1])}")
+    halves = tuple(np.array(schedule.t_values[h::2]) for h in (0, 1))
+    distance = [np.abs(ts * d - 1.0) for ts in halves]
+    informative = [int(np.sum(x > 1e-6)) for x in distance]
+    if min(informative) < 3:
+        raise ValueError(f"each half of the schedule needs 3 weights other than 1/d, "
+                         f"got {informative[0]} and {informative[1]}")
     rows = [
         np.array([oracle.query(c) for c in row])
         for row in _probe_states(d, schedule.t_values, tol)
     ]
     # variable projection: project each probe's equations off its own
     # columns, fit the shared pair, then back-substitute
-    fits = []
+    parts = []
+    scale, lowest = np.empty(d * d), np.empty(d * d)
     for h, ts in enumerate(halves):
         shared, local = _columns(d, alpha, ts)
-        fits.append((np.array(rows[h::2]), shared, local, _complement(local)))
-    lhs = np.concatenate([np.tile(perp.T @ shared, (len(r), 1)) for r, shared, _, perp in fits])
-    rhs = np.concatenate([(r @ perp).ravel() for r, _, _, perp in fits])
-    common = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    # x_P, or y_P at the endpoints
-    quad = np.empty(d * d)
-    residual = np.empty(d * d)
-    scale = np.empty(d * d)
-    for h, (responses, shared, local, _) in enumerate(fits):
-        rest = responses - shared @ common
-        coeffs = rest @ np.linalg.pinv(local).T
-        quad[h::2] = coeffs[:, 0]
-        residual[h::2] = np.max(np.abs(rest - coeffs @ local.T), axis=1)
+        # pivot the complement on the weights furthest from 1/d, where the
+        # local columns vanish
+        pivot = np.argsort(-distance[h], kind="stable")
+        responses = np.array(rows[h::2])
+        parts.append((shared, local, _complement(local, pivot), np.linalg.pinv(local), responses))
         scale[h::2] = np.maximum(1.0, np.max(np.abs(responses), axis=1))
+        lowest[h::2] = np.min(responses, axis=1)
+    quad, residual = _back_substitute(parts, _shared_pair(parts, d, robust=False), d)
+    if np.any(residual > 1e-6 * scale):
+        quad, residual = _back_substitute(parts, _shared_pair(parts, d, robust=True), d)
     misfit = residual > 1e-6 * scale
-    negative = quad < -1e-8 * scale
-    failed = np.flatnonzero(misfit | negative)
+    negative = lowest < -1e-6 * scale
+    # a misfit leaves every fitted overlap in doubt, so their signs are
+    # checked once every probe fits
+    sign = (quad < -1e-8 * scale) & ~misfit.any()
+    failed = np.flatnonzero(negative | misfit | sign)
     if failed.size:
         idx = failed[0]
-        # a misfit shows on every probe of its half, which share the
-        # fitted constant and tr A^2; a negative overlap is the probe's own
         if negative[idx]:
-            raise InconsistentOracle(
-                f"probe {idx}: negative overlap coefficient {quad[idx]:.3e}"
+            raise InconsistentOracle(f"probe {idx}: negative divergence {lowest[idx]:.3e}")
+        if misfit[idx]:
+            raise IllConditionedProbe(
+                f"probe {idx}: fit residual {residual[idx]:.3e} exceeds "
+                f"1e-6 * {scale[idx]:.3e}"
             )
-        raise IllConditionedProbe(
-            f"probe {idx}: fit residual {residual[idx]:.3e} exceeds "
-            f"1e-6 * {scale[idx]:.3e}"
-        )
+        raise InconsistentOracle(f"probe {idx}: negative overlap coefficient {quad[idx]:.3e}")
     quad = np.maximum(quad, 0.0)
     endpoint = alpha.is_endpoint
-    overlaps = quad if endpoint else np.sqrt(quad)
-    recovered = hermitian_from_overlaps(overlaps, d, tol)
+    recovered = _nearest_psd(hermitian_from_overlaps(quad if endpoint else np.sqrt(quad), d, tol))
     if endpoint:
         # overlaps gave tr(A^2 P): take the positive square root of A^2
-        square = PsdOperator(recovered.mat, tol)
-        return PsdOperator(frac_power(square, 0.5).mat, tol)
-    return PsdOperator(recovered.mat, tol)
+        return PsdOperator(frac_power(recovered, 0.5).mat, tol)
+    return recovered
