@@ -30,7 +30,9 @@ I/d whatever P is, so that weight tells nothing of its probe.
 
 The probe states depend only on ``(d, t_values, tol)``, so the states of
 the latest design, one per query, are built once and reused (about
-0.26 MB at d = 6 and 7.0 MB at d = 16 under tracemalloc).
+0.26 MB at d = 6 and 7.0 MB at d = 16 under tracemalloc); the fit's
+columns, complements and pseudo-inverses depend only on
+``(d, alpha, t_values)`` and are kept for the latest 16 of those.
 """
 
 from __future__ import annotations
@@ -147,6 +149,26 @@ def _complement(local: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     return np.linalg.qr(null)[0]
 
 
+@lru_cache(maxsize=16)
+def _design(d: int, alpha: Alpha,
+            t_values: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per half of ``t_values``: the shared and local columns, an
+    orthonormal basis of the local columns' complement and their
+    pseudo-inverse.  Like the probe states they depend only on the
+    design, so they are built once and kept read-only."""
+    halves = []
+    for ts in (np.array(t_values[0::2]), np.array(t_values[1::2])):
+        shared, local = _columns(d, alpha, ts)
+        # pivot the complement on the weights furthest from 1/d, where the
+        # local columns vanish
+        pivot = np.argsort(-np.abs(ts * d - 1.0), kind="stable")
+        half = (shared, local, _complement(local, pivot), np.linalg.pinv(local))
+        for m in half:
+            m.flags.writeable = False
+        halves.append(half)
+    return tuple(halves)
+
+
 def _shared_pair(parts: list, d: int, robust: bool) -> np.ndarray:
     """Least-squares constant and tr A^2 from each probe's equations
     projected off its own columns.  Probes of a half share one projected
@@ -229,9 +251,8 @@ def quadratic_form_tomography(
     """
     alpha = Alpha(alpha)
     schedule = schedule or ProbeSchedule()
-    halves = tuple(np.array(schedule.t_values[h::2]) for h in (0, 1))
-    distance = [np.abs(ts * d - 1.0) for ts in halves]
-    informative = [int(np.sum(x > 1e-6)) for x in distance]
+    halves = [np.array(schedule.t_values[h::2]) for h in (0, 1)]
+    informative = [int(np.sum(np.abs(ts * d - 1.0) > 1e-6)) for ts in halves]
     if min(informative) < 3:
         raise ValueError(f"each half of the schedule needs 3 weights other than 1/d, "
                          f"got {informative[0]} and {informative[1]}")
@@ -243,13 +264,9 @@ def quadratic_form_tomography(
     # columns, fit the shared pair, then back-substitute
     parts = []
     scale, lowest = np.empty(d * d), np.empty(d * d)
-    for h, ts in enumerate(halves):
-        shared, local = _columns(d, alpha, ts)
-        # pivot the complement on the weights furthest from 1/d, where the
-        # local columns vanish
-        pivot = np.argsort(-distance[h], kind="stable")
+    for h, half in enumerate(_design(d, alpha, schedule.t_values)):
         responses = np.array(rows[h::2])
-        parts.append((shared, local, _complement(local, pivot), np.linalg.pinv(local), responses))
+        parts.append(half + (responses,))
         scale[h::2] = np.maximum(1.0, np.max(np.abs(responses), axis=1))
         lowest[h::2] = np.min(responses, axis=1)
     quad, residual = _back_substitute(parts, _shared_pair(parts, d, robust=False), d)

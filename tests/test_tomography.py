@@ -186,6 +186,17 @@ def test_cached_probe_states_are_todays_read_only_states():
             assert all(not a.flags.writeable for a in (c.mat, spec.w, spec.v))
 
 
+def test_fit_design_is_built_once_and_read_only():
+    from chi2lab.divergence import Alpha
+
+    ts = ProbeSchedule().t_values
+    design = tomography._design(6, Alpha(0.25), ts)
+    assert tomography._design(6, Alpha(0.25), ts) is design
+    assert len(design) == 2
+    for half in design:
+        assert all(not m.flags.writeable for m in half)
+
+
 def test_probe_state_rejects_a_dimension_below_two():
     from chi2lab import RankOneProjection
 
