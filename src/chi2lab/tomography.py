@@ -16,7 +16,7 @@ A^2 and a positive square root.
 
 Probe p of ``projection_family`` order is queried at the schedule weights
 whose index has p's parity, so both halves span the whole interval
-(contiguous halves failed several times as often near the endpoints).
+(contiguous halves came out up to several times less accurate).
 One least-squares fit of all 2 d^2 + 2 coefficients eliminates each
 probe's own by projecting its equations onto their orthogonal complement,
 solves the shared pair from the stacked projected rows and
