@@ -10,13 +10,18 @@ argument is run numerically:
      restricted map on slightly mixed states and rounding to the top
      eigenprojection, read by power iteration and certified by the
      Davis-Kahan residual bound; each projection is imaged once per
-     scale, at the mixing weight _EPSILON / 2.  A request is a stack of
-     unit rows: each unseen row calls phi once, in order, then the first
-     d rows a scale images call it again at _EPSILON, a stability sample
-     whose top vectors must agree across the two weights, and the
-     rounding runs once on the stack of outputs;
-  4. orthogonality and transition-probability checks, one stack each;
-  5. synthesis of the implementing (anti)unitary per scale, one stack;
+     scale, at the mixing weight _EPSILON / 2.  Each scale makes one
+     request, its whole probe plan: the orthogonality pairs [a; b] of
+     stage 4, their unit sums a + b, then the d^2 probe family of stage
+     5, each row once, in first-seen order.  Each row calls phi once, in
+     that order, then the first d rows (orthogonality rows, which lead)
+     call it again at _EPSILON, a stability sample whose top vectors
+     must agree across the two weights, and the rounding runs once on
+     the stack of outputs;
+  4. orthogonality and transition-probability checks, one stack each,
+     read from the scale's images with no map call;
+  5. synthesis of the implementing (anti)unitary per scale, one stack,
+     read the same way;
   6. cross-scale consistency of the synthesized operators up to phase;
   7. verification of phi(A) = U A U* (or the antiunitary variant) on
      fresh samples.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +43,13 @@ from .ensembles import pd_stack
 from .errors import Chi2LabError
 from .linalg import SpectralDecomposition, _dots, _hs_squares, hermitian_part, op_norm
 from .matio import matrix_to_obj
-from .operators import PdOperator, _unchecked
+from .operators import PdOperator, _unchecked, _unit_rows
 from .wigner import (
     UNITARY,
     ConjugationMap,
     ProjectionMap,
+    _family_rows,
+    _sample_pairs,
     check_orthogonality_preservation,
     check_transition_probabilities,
     wigner_synthesize,
@@ -138,8 +146,27 @@ def _samples(d: int, rng: np.random.Generator, n: int) -> list[PdOperator]:
             for m, w, v in zip(mats, spec.w, spec.v)]
 
 
+@lru_cache(maxsize=16)
+def _probe_plan(d: int, seed: int) -> np.ndarray:
+    """Every row stages 4 and 5 image at one scale, as one read-only stack in
+    first-seen order: the orthogonality pairs ``[a; b]`` of
+    ``_sample_pairs(d, _CHECK_SAMPLES, seed)``, their unit sums ``a + b``
+    (the transition check's other rows), then ``_family_rows(d)``; each
+    row once, with the bytes the checks and the synthesis send."""
+    a, b = _sample_pairs(d, _CHECK_SAMPLES, seed)
+    rows = np.concatenate([_unit_rows(np.concatenate([a, b, a + b])), _family_rows(d)])
+    keys = dict.fromkeys(row.tobytes() for row in rows)
+    return np.frombuffer(b"".join(keys), dtype=np.complex128).reshape(-1, d)
+
+
 def _phase_aligned_distance(u1: np.ndarray, u2: np.ndarray) -> float:
-    """min over unimodular c of ||u1 u2* - c I||_op."""
+    """``||u1 u2* - c I||_op`` with ``c = tr / |tr|`` for ``tr = tr(u1 u2*)``,
+    or ``c = 1`` when ``|tr| < 1e-12``.
+
+    An upper bound on the minimum over unimodular c, not the minimum
+    itself, so it errs toward flagging ``scale-consistency``: ``u1 = I``
+    and ``u2 = diag(1, -1)`` read 2 where the minimum is sqrt(2).
+    """
     m = u1 @ u2.conj().T
     tr = np.trace(m)
     if abs(tr) < 1e-12:
@@ -161,7 +188,11 @@ def preserver_decompile(
     verified globally) to be a bijective preserver; violations surface
     as stage-labeled failures in the report.  ``seed`` seeds the random
     samples of stages 1, 4 and 7; both stage-4 checks draw the same pairs.
-    Samples and probes carry the default tolerances.
+    Each scale images its whole probe plan (``_probe_plan``: the stage-4
+    pairs, their sums, then the stage-5 probe family, each row once) in
+    one request before stage 4, so the rounding runs once per scale and
+    the checks and the synthesis make no map call.  Samples and probes
+    carry the default tolerances.
     """
     Alpha(alpha)
     if d < 2:
@@ -181,37 +212,31 @@ def preserver_decompile(
                 failures.append("trace")
     stage_queries = {"trace": phi.count}
 
-    # stages 2-3: scale restrictions and extremal-image maps
+    # stages 2-3: per scale, one request images every row stages 4 and 5
+    # read: each row at _EPSILON / 2, then the first d, this scale's
+    # stability sample, at _EPSILON; those stages make no map call
+    plan = _probe_plan(d, seed + 1)
+    n = len(plan)
+    v = np.concatenate([plan, plan[:d]])[:, :, None]
+    eps = np.repeat([_EPSILON / 2.0, _EPSILON], [n, d])[:, None, None]
+    states = (1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * eye
+    keys = [row.tobytes() for row in plan]
+
     def restricted_projection_map(lam: float) -> ProjectionMap:
-        images: dict[bytes, np.ndarray] = {}
+        outs = [phi(_unchecked(PdOperator, m)).mat for m in lam * states]
+        tops, bounds = _top_vector(hermitian_part(np.array(outs) / lam))
+        stability = 1.0 - np.abs(_dots(tops[:d], tops[n:])) ** 2
+        if max(bounds.max(), stability.max()) > _ROUNDING_TOL:
+            if "projection-rounding" not in failures:
+                failures.append("projection-rounding")
+        images = dict(zip(keys, tops))
+        return ProjectionMap(lambda rows: np.array([images[row.tobytes()] for row in rows]))
 
-        def image_rows(rows: np.ndarray) -> np.ndarray:
-            keys = [row.tobytes() for row in rows]
-            new = list(dict.fromkeys(k for k in keys if k not in images))
-            if new:
-                n = len(new)
-                v = np.frombuffer(b"".join(new), dtype=np.complex128).reshape(n, d, 1)
-                # every new row at _EPSILON / 2, then the rows that fill this
-                # scale's stability sample of d at _EPSILON
-                k = min(n, max(d - len(images), 0))
-                v = np.concatenate([v, v[:k]])
-                eps = np.repeat([_EPSILON / 2.0, _EPSILON], [n, k])[:, None, None]
-                mixed = lam * ((1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * eye)
-                outs = [phi(_unchecked(PdOperator, m)).mat for m in mixed]
-                tops, bounds = _top_vector(hermitian_part(np.array(outs) / lam))
-                stability = 1.0 - np.abs(_dots(tops[:k], tops[n:])) ** 2
-                worst = max(bounds.max(), stability.max(initial=0.0))
-                if worst > _ROUNDING_TOL and "projection-rounding" not in failures:
-                    failures.append("projection-rounding")
-                images.update(zip(new, tops[:n]))
-            return np.array([images[k] for k in keys])
-
-        return ProjectionMap(image_rows)
+    maps = {lam: restricted_projection_map(lam) for lam in _SCALES}
 
     # stage 4: orthogonality and transition checks per scale
     orth_residual = 0.0
     trans_residual = 0.0
-    maps = {lam: restricted_projection_map(lam) for lam in _SCALES}
     for lam, xi in maps.items():
         _, worst_orth = check_orthogonality_preservation(
             xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
@@ -257,10 +282,10 @@ def preserver_decompile(
     else:
         failures.append("synthesis")
         recovered = ConjugationMap(np.eye(d), UNITARY)
-    verify_residual = 0.0
-    for sample in _samples(d, rng, _VERIFY_SAMPLES):
-        drift = op_norm(phi(sample).mat - recovered.apply(sample.mat))
-        verify_residual = max(verify_residual, drift)
+    samples = _samples(d, rng, _VERIFY_SAMPLES)
+    drifts = (np.array([phi(sample).mat for sample in samples])
+              - np.array([recovered.apply(sample.mat) for sample in samples]))
+    verify_residual = float(np.linalg.norm(drifts, 2, axis=(-2, -1)).max())
     if verify_residual > _VERIFY_TOL:
         failures.append("verification")
     stage_queries["verification"] = phi.count - sum(stage_queries.values())

@@ -17,6 +17,7 @@ so slice 0 of a stack is the single draw from the same state.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import cluster_eigenpairs, hermitian_part
 from .operators import (
@@ -68,9 +69,18 @@ def _ginibre(lead: tuple, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar(lead: tuple, d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitaries: QR of complex Ginibre matrices, each Q
-    times the phases of its R's diagonal."""
-    q, r = np.linalg.qr(_ginibre(lead, d, rng))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    times the phases of its R's diagonal.
+
+    The QR runs the gufuncs of ``np.linalg.qr``'s reduced mode,
+    ``numpy.linalg._umath_linalg.qr_r_raw`` then ``qr_reduced`` (private
+    numpy API), so Q matches it bit for bit; R's diagonal is read off the
+    factored array, which ``np.linalg.qr`` would copy into a full ``triu``.
+    """
+    a = _ginibre(lead, d, rng)
+    # factors a in place: R on and above the diagonal, reflectors below
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 

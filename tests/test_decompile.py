@@ -11,10 +11,10 @@ from chi2lab import (
     preserver_decompile,
     projection_family,
 )
-from chi2lab import linalg
-from chi2lab.decompile import _top_vector
+from chi2lab import decompile, linalg
+from chi2lab.decompile import _phase_aligned_distance, _top_vector
 from chi2lab.ensembles import haar_unitary, pd_stack, random_hermitian
-from chi2lab.linalg import jacobi_eigh, op_norm
+from chi2lab.linalg import hermitian_part, jacobi_eigh, op_norm
 from chi2lab.operators import _unchecked
 
 
@@ -248,13 +248,12 @@ def test_stage_three_queries_per_dimension(d, images):
 
 def _reference_phi_inputs(d, seed=0):
     """Reference: every phi input of ``preserver_decompile`` in order, one
-    probe projection at a time: 8 trace samples; per scale the pairs of
-    the orthogonality check, then the sums of the transition check; per
-    scale the probe family; 8 verification samples.  Each request images
-    its unseen projections at the mixing weight 1e-4 / 2, then those of
-    them among the first d a scale images at 1e-4; later requests reuse
-    an image.  Each sample stage draws 8 scales, then 8 ``random_pd``
-    matrices as one stack."""
+    probe projection at a time: 8 trace samples; per scale one request,
+    the pairs of the orthogonality check, then the sums of the transition
+    check, then the probe family; 8 verification samples.  A request
+    images its unseen projections at the mixing weight 1e-4 / 2, then the
+    first d of them at 1e-4.  Each sample stage draws 8 scales, then 8
+    ``random_pd`` matrices as one stack."""
     rng = np.random.default_rng(seed)
     eye = np.eye(d)
 
@@ -284,10 +283,7 @@ def _reference_phi_inputs(d, seed=0):
                 out.append((lam * ((1.0 - eps) * m + (eps / d) * eye)).tobytes())
 
     for lam in seen:
-        image(lam, orth)
-        image(lam, trans)
-    for lam in seen:
-        image(lam, projection_family(d))
+        image(lam, orth + trans + list(projection_family(d)))
     return out + samples()
 
 
@@ -312,3 +308,55 @@ def test_phi_inputs_match_the_per_probe_loop(d, kind):
     report = preserver_decompile(phi, d, 0.5)
     assert report.ok == (kind != "congruence")
     assert seen == _reference_phi_inputs(d)
+
+
+def test_stacked_top_vector_slices_match_their_own_calls():
+    # the stacks a scale rounds: every row at 1e-4 / 2, then d of them at
+    # 1e-4, so one stack mixes both weights
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 6):
+        s = haar_unitary(d, rng) @ np.diag(np.linspace(0.6, 1.6, d)) @ haar_unitary(d, rng)
+        v = haar_unitary(d, rng)
+        v = np.concatenate([v, v[:, : d // 2 + 1]], axis=1).T[:, :, None]
+        eps = np.repeat([1e-4 / 2.0, 1e-4], [d, d // 2 + 1])[:, None, None]
+        mixed = (1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * np.eye(d)
+        h = hermitian_part(s @ mixed @ s.conj().T)
+        xs, bounds = _top_vector(h)
+        for k in range(len(h)):
+            x, bound = _top_vector(h[k])
+            assert xs[k].tobytes() == x.tobytes()
+            assert bounds[k].tobytes() == bound.tobytes()
+
+
+def test_top_vector_runs_once_per_scale(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return _top_vector(h)
+
+    monkeypatch.setattr(decompile, "_top_vector", counted)
+    truth = ConjugationMap(haar_unitary(6, np.random.default_rng(6)), "antiunitary")
+    assert preserver_decompile(truth.as_preserver(), 6, 0.5).ok
+    # 36 projections plus a stability sample of 6, per scale
+    assert calls == [(42, 6, 6)] * 3
+
+
+def test_probe_plan_is_built_once_and_read_only():
+    decompile._probe_plan.cache_clear()
+    preserver_decompile(lambda a: a, 3, 0.5, seed=4)
+    preserver_decompile(lambda a: a, 3, 0.5, seed=4)
+    info = decompile._probe_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    plan = decompile._probe_plan(3, 5)
+    assert not plan.flags.writeable
+    # each row once: the 9 family probes (the 3 basis pairs and their sums
+    # among them), then 7 Haar pairs and their sums, 3 rows a pair
+    assert len({row.tobytes() for row in plan}) == len(plan) == 9 + 3 * 7
+
+
+def test_phase_aligned_distance_is_an_upper_bound():
+    # tr(u1 u2*) = 0 falls back to c = 1; c = i reaches the minimum sqrt(2)
+    u1, u2 = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+    assert _phase_aligned_distance(u1, u2) == 2.0
+    assert op_norm(u1 @ u2.conj().T - 1j * np.eye(2)) == pytest.approx(np.sqrt(2.0))

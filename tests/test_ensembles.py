@@ -9,7 +9,8 @@ from chi2lab import (
     RankOneProjection,
     random_ensemble,
 )
-from chi2lab.ensembles import _EIG_HIGH, _EIG_LOW, haar_stack, haar_unitary, pd_stack
+from chi2lab.ensembles import (_EIG_HIGH, _EIG_LOW, _ginibre, _haar, haar_stack, haar_unitary,
+                               pd_stack)
 from chi2lab.linalg import SpectralDecomposition, op_norm
 
 
@@ -97,3 +98,15 @@ def test_pd_stack_takes_one_scale_per_draw():
         # the primed spectrum reassembles the row
         assert np.all((s * _EIG_LOW <= spec.w[k]) & (spec.w[k] <= s * _EIG_HIGH))
         SpectralDecomposition(spec.w[k], spec.v[k]).validate(mats[k], rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 16])
+@pytest.mark.parametrize("lead", [(), (1,), (100,)])
+def test_haar_matches_the_numpy_qr_reference(d, lead):
+    # reference: np.linalg.qr's reduced Q, times the phases of its R's diagonal
+    q, r = np.linalg.qr(_ginibre(lead, d, np.random.default_rng(d)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    ref = q * (diag / np.abs(diag))[..., None, :]
+    got = _haar(lead, d, np.random.default_rng(d))
+    assert got.shape == ref.shape == (*lead, d, d)
+    assert got.tobytes() == ref.tobytes()

@@ -18,6 +18,7 @@ from chi2lab import (
 )
 from chi2lab.ensembles import haar_unitary, random_hermitian
 from chi2lab.linalg import op_norm
+from chi2lab import wigner
 from chi2lab.wigner import _sample_pairs
 
 
@@ -26,6 +27,39 @@ def test_conjugation_map_validates_unitarity():
         ConjugationMap(np.diag([1.0, 2.0]), "unitary")
     with pytest.raises(ValueError):
         ConjugationMap(np.eye(2), "sideways")
+
+
+@pytest.mark.parametrize("top", [0.9e-8, 1e-8])
+def test_unitarity_is_decided_on_the_operator_norm(top):
+    # ||U*U - I||_op = top <= 1e-8 < ||U*U - I||_F = 2 top
+    u = np.diag(np.sqrt(1.0 + np.full(4, top)))
+    defect = u.conj().T @ u - np.eye(4)
+    assert op_norm(defect) <= 1e-8 < np.linalg.norm(defect)
+    assert ConjugationMap(u, "unitary").u.tobytes() == u.astype(complex).tobytes()
+
+
+def test_unitarity_defect_just_above_the_bound_raises():
+    u = np.diag(np.sqrt([1.0 + 1.01e-8, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"U is not unitary: \|\|U\*U - I\|\|_op = 1\.010e-08"):
+        ConjugationMap(u, "antiunitary")
+
+
+def test_a_haar_conjugation_map_runs_no_svd(monkeypatch):
+    def no_svd(mat):
+        pytest.fail("op_norm was called")
+
+    monkeypatch.setattr(wigner, "op_norm", no_svd)
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 6, 16):
+        conj = ConjugationMap(haar_unitary(d, rng), "unitary")
+        conj.normalize_phase()
+
+
+def test_sample_pairs_are_cached_read_only():
+    a, b = _sample_pairs(4, 12, 3)
+    again = _sample_pairs(4, 12, 3)
+    assert again[0] is a and again[1] is b
+    assert not a.flags.writeable and not b.flags.writeable
 
 
 def test_identity_map_synthesizes_to_identity():
