@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .divergence import _require_pd
 from .operators import HermitianMatrix, PdOperator, PsdOperator, _require_same_dim
 
 __all__ = [
@@ -59,8 +59,7 @@ def f_divergence(a: PsdOperator, b: PsdOperator, f: ScalarFunction) -> float:
     """
     _require_same_dim(a, b)
     spec_b = b.spectrum()
-    if not spec_b.is_positive_definite(b.tol.pd):
-        raise NotPositiveDefinite("f-divergence requires a positive definite second argument")
+    _require_pd(spec_b, b.tol)
     spec_a = a.spectrum()
     weights = (np.abs(spec_a.v.conj().T @ spec_b.v) ** 2).tolist()
     total = 0.0

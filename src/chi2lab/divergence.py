@@ -67,8 +67,9 @@ class DivergenceValue:
     @classmethod
     def finite(cls, amount: float) -> "DivergenceValue":
         amount = float(amount)
-        if amount < -EPS_DIV:
-            raise ValueError(f"divergence {amount} below the clamping floor")
+        # NaN fails the comparison, and an overflow to inf is not the tagged infinity
+        if not -EPS_DIV <= amount < np.inf:
+            raise ValueError(f"divergence {amount} is not a finite float above the clamping floor")
         return cls(max(amount, 0.0))
 
     @classmethod

@@ -27,12 +27,12 @@ which returns ``f(w)`` to ``power`` and to the divergence kernel alike.
 Stacks: ``jacobi_eigh``, ``cluster_eigenpairs``, ``spectral_decomposition``
 and ``SpectralDecomposition`` also take an ``(n, d, d)`` stack of
 matrices, with ``(n, d)`` eigenvalues, and treat each slice on its own.
-One kernel per route serves both shapes; a 2-D call is the n = 1 case.
-Each slice of a stacked solve gets its own prescale, route and
-convergence threshold and is frozen once converged, every LAPACK call
-and per-slice reduction is the one a single solve makes, and a mixed
-stack is factored by one Cholesky call, so slice k equals the 2-D solve
-of that slice bit for bit.
+One sweep loop serves both routes and both shapes; a 2-D call is the
+n = 1 case.  Each slice of a stacked solve gets its own prescale, route
+and convergence threshold and is frozen once converged, every LAPACK
+call and per-slice reduction is the one a single solve makes, and a
+mixed stack is factored by one Cholesky call, so slice k equals the 2-D
+solve of that slice bit for bit.
 """
 
 from __future__ import annotations
@@ -250,18 +250,16 @@ def jacobi_eigh(
       ``off_factor`` times its own ``||M||_HS``, so an exactly diagonal
       slice comes back as its diagonal, with ``v = I``, before any sweep.
 
-    Each sweep visits every pair ``p < q`` once, in the rounds of
-    ``_round_robin_plan``.  The rotations of a round touch disjoint rows
-    and columns, so each is computed from entries no other rotation of the
-    round changes, and the round is applied as one unitary ``J``, built
-    directly as its real ``(2d, 2d)`` form in
-    ``SpectralDecomposition._real_v``'s layout and applied by real matmuls
-    on float views.  The two-sided route sets ``a <- J* a J`` (as
-    ``y = a J``, then ``a <- y* J``) and ``v <- v J``: cyclic Jacobi with
-    another pair order.  The one-sided route builds ``J`` from the entries
-    of ``G``, recomputed each round, and sets ``Y <- Y J``.  A converged
-    slice is left as it is.  A slice still unconverged after
-    ``max_sweeps`` sweeps raises SolverFailure, which names it.
+    Both routes run one sweep loop, ``_sweeps``.  A sweep leaves each
+    converged slice as it is and visits every pair ``p < q`` of the others
+    once, in the rounds of ``_round_robin_plan``.  A round's rotations touch
+    disjoint rows and columns, so it is one unitary ``J``, built as its real
+    ``(2d, 2d)`` form in ``SpectralDecomposition._real_v``'s layout and
+    applied by real matmuls on float views.  The two-sided route sets
+    ``a <- J* a J`` (as ``y = a J``, then ``a <- y* J``) and ``v <- v J``;
+    the one-sided route sets ``Y <- Y J``, with ``J`` built from ``G``,
+    recomputed each round.  A slice still unconverged after ``max_sweeps``
+    sweeps raises SolverFailure, which names it.
 
     The one-sided route keeps every eigenvalue of a graded positive
     definite ``D A D`` to high relative accuracy, as two-sided Jacobi does
@@ -370,15 +368,6 @@ def _round_unitary(entries: np.ndarray, rot: np.ndarray, eyes: np.ndarray):
     return e, t * r
 
 
-def _real_eyes(x: np.ndarray) -> np.ndarray:
-    """A real ``(2d, 2d)`` identity per slice of the ``(..., d, d)`` array
-    ``x``, the start of each round's real form."""
-    d = x.shape[-1]
-    eyes = np.empty((*x.shape[:-2], 2 * d, 2 * d))
-    eyes[...] = np.eye(2 * d)
-    return eyes
-
-
 def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided route alone on a complex ``(d, d)`` or ``(n, d, d)``
     array, sorted and raising as ``jacobi_eigh`` does: the reference the
@@ -387,62 +376,73 @@ def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarr
     return _finish(a.shape, *_two_sided(a.reshape(-1, d, d), max_sweeps, off_factor), max_sweeps)
 
 
+def _sweeps(out, max_sweeps: int, measure, rotate):
+    """The sweep loop of both routes on the ``(n, ...)`` state arrays ``out``
+    of a stack: returns them, each slice frozen once converged, and the
+    unconverged ``(slice, figure)`` pairs.  ``measure(rows, live)`` returns
+    the live slices' figures, whether each converged, and their rows (one
+    per array of ``out``, then any ``rotate`` reads); ``rotate(rows, eyes,
+    plan)`` applies a sweep, ``eyes`` a real ``(2d, 2d)`` identity per slice."""
+    n, d = len(out[0]), out[0].shape[-1]
+    live = np.arange(n)
+    # a stack of one runs as its 2-D slice: the same bits, less numpy overhead
+    rows = [x[0] for x in out] if n == 1 else out
+    eyes = np.empty((*rows[0].shape[:-2], 2 * d, 2 * d))
+    eyes[...] = np.eye(2 * d)
+    for sweep in range(max_sweeps + 1):
+        off, done, rows = measure(rows, live)
+        converged = np.count_nonzero(done)
+        if converged == n:  # the whole stack at once, as a single solve
+            return [r.reshape(x.shape) for x, r in zip(out, rows)], []
+        if converged:
+            for x, r in zip(out, rows):
+                x[live[done]] = r[done]
+            if converged == len(live):
+                return out, []
+            keep = ~done
+            live, off, rows = live[keep], off[keep], [r[keep] for r in rows]
+            eyes = eyes[: len(live)]
+        if sweep == max_sweeps:
+            break
+        rows = rotate(rows, eyes, _stacked_plan(d, len(live)))
+    return out, list(zip(live.tolist(), off.tolist()))
+
+
 def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
     """Two-sided Jacobi on a complex ``(n, d, d)`` stack it may overwrite:
     unsorted ``(w, v)`` and the unconverged ``(slice, detail)`` pairs."""
     n, d = len(a), a.shape[-1]
+    _, off_idx = _round_robin_plan(d)
+    thresh = off_factor * np.sqrt(_hs_squares(a))
     v = np.empty_like(a)
     v[...] = np.eye(d)
-    live = np.arange(0)
-    if d > 1:
-        _, off_idx = _round_robin_plan(d)
-        thresh = off_factor * np.sqrt(_hs_squares(a))
-        # the unconverged slices: their indices, entries, eigenvectors and
-        # thresholds.  A stack of one is rotated as its 2-D slice, which
-        # spares numpy's per-call stack overhead and computes the same bits.
-        live, al, vl, tl = np.arange(n), a, v, thresh
-        if n == 1:
-            al, vl = a[0], v[0]
-        eyes = _real_eyes(al)
-        for sweep in range(max_sweeps + 1):
-            x = al.reshape(*al.shape[:-2], d * d).take(off_idx, axis=-1)
-            off = np.sqrt(_dots(x, x).real).reshape(-1)
-            done = off <= tl
-            converged = np.count_nonzero(done)
-            if converged == len(live):
-                if len(live) == n:  # the whole stack at once, as a single solve
-                    a, v = al.reshape(a.shape), vl.reshape(v.shape)
-                else:
-                    a[live], v[live] = al, vl
-                live = live[:0]
-                break
-            if converged:
-                a[live[done]], v[live[done]] = al[done], vl[done]
-                keep = ~done
-                live, al, vl, tl, off = live[keep], al[keep], vl[keep], tl[keep], off[keep]
-                eyes = eyes[: len(live)]
-            if sweep == max_sweeps:
-                break
-            for idx, rot in _stacked_plan(d, len(live)):
-                entries = al.take(idx)
-                e, tr = _round_unitary(entries, rot, eyes)
-                # a <- J* a J, taken as (a J)* J, and v <- v J; al is C-ordered
-                y = (al.view(np.float64) @ e).view(np.complex128)
-                y = np.conjugate(y.swapaxes(-1, -2), order="C")
-                al = (y.view(np.float64) @ e).view(np.complex128)
-                vl = (vl.view(np.float64) @ e).view(np.complex128)
-                # the rotated diagonal (Rutishauser's update) and the
-                # annihilated pair, set exactly
-                m = len(idx) // 4
-                al.reshape(-1)[idx] = np.concatenate(
-                    [entries[:m].real - tr, entries[m : 2 * m].real + tr, np.zeros(2 * m)]
-                )
-    stuck = [
-        (k, f"off-diagonal norm {x:.3e}, threshold {thresh[k]:.3e}")
-        for k, x in zip(live.tolist(), off.tolist() if len(live) else [])
-    ]
-    w = a.reshape(n, d * d)[:, :: d + 1].real
-    return w, v, stuck
+
+    def measure(rows, live):
+        x = rows[0].reshape(*rows[0].shape[:-2], d * d).take(off_idx, axis=-1)
+        off = np.sqrt(_dots(x, x).real).reshape(-1)
+        return off, off <= thresh[live], rows
+
+    def rotate(rows, eyes, plan):
+        al, vl = rows
+        for idx, rot in plan:
+            entries = al.take(idx)
+            e, tr = _round_unitary(entries, rot, eyes)
+            # a <- J* a J, taken as (a J)* J, and v <- v J; al is C-ordered
+            y = (al.view(np.float64) @ e).view(np.complex128)
+            y = np.conjugate(y.swapaxes(-1, -2), order="C")
+            al = (y.view(np.float64) @ e).view(np.complex128)
+            vl = (vl.view(np.float64) @ e).view(np.complex128)
+            # the rotated diagonal (Rutishauser's update) and the
+            # annihilated pair, set exactly
+            m = len(idx) // 4
+            al.reshape(-1)[idx] = np.concatenate(
+                [entries[:m].real - tr, entries[m : 2 * m].real + tr, np.zeros(2 * m)]
+            )
+        return al, vl
+
+    (a, v), stuck = _sweeps((a, v), max_sweeps, measure, rotate)
+    stuck = [(k, f"off-diagonal norm {x:.3e}, threshold {thresh[k]:.3e}") for k, x in stuck]
+    return a.reshape(n, d * d)[:, :: d + 1].real, v, stuck
 
 
 def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
@@ -453,43 +453,28 @@ def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
     _, off_idx = _round_robin_plan(d)
     # Y = L W with W the eigenbasis of L* L, so Y* Y is nearly diagonal
     y = l @ np.linalg.eigh(_gram(l))[1]
-    w = np.empty((n, d))
-    # as in _two_sided: the unconverged slices, a stack of one as 2-D
-    live, yl = np.arange(n), y
-    if n == 1:
-        yl = y[0]
-    eyes = _real_eyes(yl)
-    for sweep in range(max_sweeps + 1):
-        g = _gram(yl)
+
+    def measure(rows, live):
+        g = _gram(rows[0])
         gd = g.reshape(*g.shape[:-2], d * d)[..., :: d + 1].real
         s = np.sqrt(gd)
         rel = np.abs(g) / s[..., :, None] / s[..., None, :]
         off = rel.reshape(-1, d * d).take(off_idx, axis=-1).max(axis=-1, initial=0.0)
-        done = off <= off_factor
-        converged = np.count_nonzero(done)
-        if converged == len(live):
-            if len(live) == n:
-                y, w = yl.reshape(y.shape), gd.reshape(w.shape)
-            else:
-                y[live], w[live] = yl, gd
-            live = live[:0]
-            break
-        if converged:
-            y[live[done]], w[live[done]] = yl[done], gd[done]
-            keep = ~done
-            live, yl, g, off = live[keep], yl[keep], g[keep], off[keep]
-            eyes = eyes[: len(live)]
-        if sweep == max_sweeps:
-            break
-        for r, (idx, rot) in enumerate(_stacked_plan(d, len(live))):
+        # w is G's diagonal once converged; G itself serves the next round
+        return off, off <= off_factor, (rows[0], gd, g)
+
+    def rotate(rows, eyes, plan):
+        yl, gd, g = rows
+        for r, (idx, rot) in enumerate(plan):
             if r:
                 g = _gram(yl)
             e, _ = _round_unitary(g.take(idx), rot, eyes)
             yl = (yl.view(np.float64) @ e).view(np.complex128)
-    stuck = [
-        (k, f"largest relative Gram entry {x:.3e}, threshold {off_factor:.1e}")
-        for k, x in zip(live.tolist(), off.tolist())
-    ]
+        return yl, gd, g
+
+    (y, w), stuck = _sweeps((y, np.empty((n, d))), max_sweeps, measure, rotate)
+    detail = "largest relative Gram entry {:.3e}, threshold {:.1e}"
+    stuck = [(k, detail.format(x, off_factor)) for k, x in stuck]
     if stuck:  # jacobi_eigh raises without reading w or v
         return w, y, stuck
     return w, y / np.sqrt(w)[:, None, :], stuck

@@ -287,8 +287,10 @@ def test_repeated_queries_cost_one_factorization(monkeypatch):
 def test_divergence_value_tagging():
     assert str(DivergenceValue.infinite()) == "inf"
     assert DivergenceValue.finite(-1e-12).value == 0.0
-    with pytest.raises(ValueError):
-        DivergenceValue.finite(-1.0)
+    # a finite value is a finite float: infinity is only the tagged value
+    for amount in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            DivergenceValue.finite(amount)
     with pytest.raises(ValueError):
         DivergenceValue.infinite().value
 

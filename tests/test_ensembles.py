@@ -110,3 +110,11 @@ def test_haar_matches_the_numpy_qr_reference(d, lead):
     got = _haar(lead, d, np.random.default_rng(d))
     assert got.shape == ref.shape == (*lead, d, d)
     assert got.tobytes() == ref.tobytes()
+
+
+def test_a_ginibre_draw_of_two_lead_axes_is_the_flat_draw_reshaped():
+    # each (d, d) core is read from the stream in turn, whatever the lead
+    got = _ginibre((3, 5), 3, np.random.default_rng(0))
+    assert got.shape == (3, 5, 3, 3)
+    flat = _ginibre((15,), 3, np.random.default_rng(0))
+    assert got.reshape(15, 3, 3).tobytes() == flat.tobytes()

@@ -169,6 +169,13 @@ def test_stacked_jacobi_at_d_1():
     assert v.tolist() == [[[1.0]]] * 3
 
 
+def test_jacobi_raises_on_a_nan_entry():
+    # d = 1 runs the sweep loop of larger d, whose NaN threshold is never met
+    for m in ([[np.nan]], np.diag([np.nan, 1.0])):
+        with pytest.raises(SolverFailure, match="threshold nan"):
+            jacobi_eigh(np.array(m), max_sweeps=2)
+
+
 def test_stacked_jacobi_failure_names_the_slice():
     rng = np.random.default_rng(0)
     stack = np.array([
@@ -271,6 +278,49 @@ def test_one_sided_sweep_cap_raises_and_names_the_slice():
     with pytest.raises(SolverFailure, match=r"slice 1 \(2 of 4 unconverged\)"):
         jacobi_eigh(stack, max_sweeps=0)
     assert jacobi_eigh(stack)[0][1].tobytes() == w.tobytes()
+
+
+def test_every_sweep_cap_of_a_mixed_stack():
+    # the sweep loop freezes each slice of a stack once it converges and
+    # writes it back; at every cap below the largest count the stacked solve
+    # names the first slice that needs more sweeps and counts all of them
+    # (alone, the slices need 0, 1, 0, 5, 1, 4 and 0 sweeps, so the message
+    # reads "slice 1 (4 of 7 unconverged)" at cap 0 and "slice 3 (1 of 7
+    # unconverged)" at cap 4), and at the largest count every slice equals
+    # its own 2-D solve
+    d, rng = 6, np.random.default_rng(35)
+    slices = [
+        np.eye(d),
+        _graded_pd(d, rng, 5.0),
+        pd_stack(d, rng, None)[0],
+        random_hermitian(d, rng),
+        _graded_pd(d, rng, 3.0),
+        random_hermitian(d, rng),
+        np.zeros((d, d)),
+    ]
+    stack = np.array(slices, dtype=complex)
+
+    def solve_alone(m):
+        for cap in range(100):
+            try:
+                return cap, jacobi_eigh(m, max_sweeps=cap)
+            except SolverFailure:
+                pass
+
+    counts, alone = zip(*map(solve_alone, slices))
+    # slices that need a sweep are not diagonal: those that factor take the
+    # one-sided route, the others the two-sided one
+    factored = np.isfinite(_cholesky_or_nan(stack)).all(axis=(-2, -1))
+    assert {bool(f) for f, c in zip(factored, counts) if c} == {True, False}
+    assert len(set(counts)) >= 3
+    for cap in range(max(counts)):
+        stuck = [k for k, c in enumerate(counts) if c > cap]
+        match = rf"slice {stuck[0]} \({len(stuck)} of {len(slices)} unconverged\)"
+        with pytest.raises(SolverFailure, match=match):
+            jacobi_eigh(stack, max_sweeps=cap)
+    w, v = jacobi_eigh(stack, max_sweeps=max(counts))
+    for k, (wk, vk) in enumerate(alone):
+        assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
 
 
 def test_round_robin_plan_visits_each_pair_once_per_sweep():
