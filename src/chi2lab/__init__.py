@@ -73,7 +73,7 @@ from .comparisons import (
 # package imports it until the optimizer and its tracer rows are deleted
 from . import optimize  # noqa: F401
 from .oracle import DivergenceOracle, chi2_oracle, rank_one_query_oracle
-from .tomography import ProbeSchedule, probe_state, quadratic_form_tomography
+from .tomography import probe_state, quadratic_form_tomography
 from .peeling import spectral_peel
 from .wigner import (
     ConjugationMap,

@@ -44,7 +44,7 @@ from .operators import PdOperator, PsdOperator, eigh
 from .oracle import chi2_oracle, rank_one_query_oracle
 from .peeling import spectral_peel
 from .properties import render_text, reports_to_obj, run_property_suite
-from .tomography import ProbeSchedule, quadratic_form_tomography
+from .tomography import quadratic_form_tomography
 from .wigner import ANTIUNITARY, UNITARY, ConjugationMap
 
 USAGE_ERROR = 2
@@ -190,11 +190,8 @@ def cmd_distinguish(args) -> int:
 
 def cmd_tomography(args) -> int:
     hidden = PsdOperator(load_matrix(args.hidden), args.tol)
-    schedule = ProbeSchedule(tuple(args.schedule)) if args.schedule else ProbeSchedule()
     oracle = chi2_oracle(hidden, args.alpha, noise_sigma=args.noise, seed=args.seed)
-    recovered = quadratic_form_tomography(
-        oracle, hidden.dim, args.alpha, schedule, args.tol
-    )
+    recovered = quadratic_form_tomography(oracle, hidden.dim, args.alpha, args.tol)
     drift = op_norm(recovered.mat - hidden.mat)
     obj = {
         "recovered": matrix_to_obj(recovered.mat),
@@ -325,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="recover a hidden operator from divergence queries")
     p.add_argument("--hidden", required=True, help="hidden PSD operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--schedule", type=float, nargs="+", default=None,
-                   help="probe weights; probe p is queried at those whose "
-                        "index has p's parity, at least 3 each other than 1/d")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int)
     add_common(p, tol=True)

@@ -29,6 +29,9 @@ __all__ = [
     "distinguish_from_jensen",
 ]
 
+#: the Bregman distinguisher's points s: one more than a quadratic fit needs
+_S_GRID = (0.5, 1.0, 1.5, 2.5)
+
 
 @dataclass(frozen=True)
 class FDistinguisherReport:
@@ -115,9 +118,9 @@ def distinguish_from_f_divergence(
 
 
 def distinguish_from_bregman(
-    alpha: float, probe_t: float = 2.0, s_grid=(0.5, 1.0, 1.5, 2.5), d: int = 2
+    alpha: float, probe_t: float = 2.0, d: int = 2
 ) -> BregmanDistinguisherReport:
-    """Quadratic-fit residual of s -> divergence(tI || sI) on a grid.
+    """Quadratic-fit residual of s -> divergence(tI || sI) on ``_S_GRID``.
 
     A Bregman divergence restricted to scalar pairs is quadratic in s;
     the family's restriction d (t-s)^2 / s is not, so the least-squares
@@ -127,19 +130,16 @@ def distinguish_from_bregman(
     alpha = Alpha(alpha)
     if probe_t <= 0.0:
         raise ValueError("probe_t must be positive")
-    grid = tuple(float(s) for s in s_grid)
-    if len(grid) < 4 or len(set(grid)) != len(grid) or any(s <= 0 for s in grid):
-        raise ValueError("s grid needs at least 4 distinct positive points")
     eye = np.eye(d)
     a = PdOperator(probe_t * eye)
-    values = tuple(chi2(a, PdOperator(s * eye), alpha) for s in grid)
-    sg = np.asarray(grid)
+    values = tuple(chi2(a, PdOperator(s * eye), alpha) for s in _S_GRID)
+    sg = np.asarray(_S_GRID)
     design = np.vstack([np.ones_like(sg), sg, sg**2]).T
     rhs = np.column_stack([values, d * (probe_t - sg) ** 2])
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     fit_residual, control_residual = np.max(np.abs(design @ coeffs - rhs), axis=0)
     return BregmanDistinguisherReport(
-        float(probe_t), d, grid, values, float(fit_residual), float(control_residual)
+        float(probe_t), d, _S_GRID, values, float(fit_residual), float(control_residual)
     )
 
 

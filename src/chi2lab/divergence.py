@@ -7,7 +7,8 @@ Every term is a product of nonnegative floats, so the result is nonnegative
 bit for bit, and 0.0 when A equals B.  For singular B the value is the limit
 of the divergence against B + eps*I: finite (kernel eigenvalues weigh 0)
 exactly when supp A lies inside supp B, infinite otherwise.  Infinity is a
-tagged value, never a floating-point inf.
+tagged value, never a floating-point inf; a value past the float maximum
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import NotPositiveDefinite
-from .linalg import SpectralDecomposition, _dots
+from .linalg import _SAFE_EXP, SpectralDecomposition, _dots, _ldexp
 from .operators import (PdOperator, PsdOperator, RankOneProjection, _require_same_dim,
                         support_contained)
 
@@ -135,6 +136,26 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
     return _dots(sq.reshape(*sq.shape[:-2], -1), weights.reshape(*weights.shape[:-2], -1))
 
 
+def _finite_gram(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
+                 support_rel: float, pseudo: bool) -> float:
+    """``_gram_value`` of one ``diff``, never an inf.  Past ``||diff||_HS^2 =
+    4^_SAFE_EXP`` the squares of X may overflow; a value that does is taken
+    again on ``diff 2^-e`` and scaled back by ``2^(2e)``, both exact.  Every
+    term is nonnegative, so a value still past the float maximum is one."""
+    args = spec, alpha, support_rel, pseudo
+    if np.vdot(diff, diff).real <= 4.0**_SAFE_EXP:
+        val = float(_gram_value(diff, *args))
+    else:
+        with np.errstate(over="ignore"):
+            val = float(_gram_value(diff, *args))
+            if not val < np.inf:
+                e = int(np.frexp(np.maximum(abs(diff.real), abs(diff.imag)).max())[1])
+                val = float(np.ldexp(_gram_value(_ldexp(diff, -e), *args), 2 * e))
+    if not val < np.inf:
+        raise ValueError("divergence exceeds the float maximum")
+    return val
+
+
 def chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     """Divergence of A against positive definite B; always >= 0."""
     return _chi2(a, b, Alpha(alpha))
@@ -146,7 +167,7 @@ def _chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     _require_same_dim(a, b)
     spec = b.spectrum()
     _require_pd(spec, b.tol)
-    return float(_gram_value(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False))
+    return _finite_gram(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False)
 
 
 def quadratic_relative_entropy(a: PsdOperator, b: PsdOperator) -> float:
@@ -164,8 +185,8 @@ def chi2_extended(a: PsdOperator, b: PsdOperator, alpha: float) -> DivergenceVal
     _require_same_dim(a, b)
     if not support_contained(a, b):
         return DivergenceValue.infinite()
-    val = _gram_value(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True)
-    return DivergenceValue.finite(float(val))
+    return DivergenceValue.finite(
+        _finite_gram(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True))
 
 
 def chi2_limit_probe(

@@ -192,17 +192,19 @@ def random_projection(d: int, rng: np.random.Generator) -> RankOneProjection:
     return RankOneProjection(_complex_normal((), (d,), rng))
 
 
-def random_ensemble(kind: str, d: int, seed: int, **kwargs):
+def random_ensemble(kind: str, d: int, seed: int, rank: int | None = None):
     """Sample one object of the requested kind, deterministically in the seed.
 
     Kinds: ``unitary`` (ComplexMatrix), ``density`` (DensityOperator),
-    ``pd`` (PdOperator), ``psd_rank_r`` (PsdOperator, optional ``rank=``),
-    ``rank_one_projection`` (RankOneProjection).
+    ``pd`` (PdOperator), ``psd_rank_r`` (PsdOperator, optional ``rank``,
+    which no other kind takes), ``rank_one_projection`` (RankOneProjection).
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if kind not in ENSEMBLE_KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}; choose from {ENSEMBLE_KINDS}")
+    if rank is not None and kind != "psd_rank_r":
+        raise ValueError(f"rank applies only to psd_rank_r, not to {kind!r}")
     rng = np.random.default_rng(seed)
     if kind == "unitary":
         return ComplexMatrix(haar_unitary(d, rng))
@@ -211,5 +213,5 @@ def random_ensemble(kind: str, d: int, seed: int, **kwargs):
     if kind == "pd":
         return random_pd(d, rng)
     if kind == "psd_rank_r":
-        return random_psd(d, rng, rank=kwargs.get("rank"))
+        return random_psd(d, rng, rank=rank)
     return random_projection(d, rng)

@@ -69,7 +69,8 @@ def _prescale_exponents(m: np.ndarray) -> np.ndarray | None:
     the largest entry is already in the safe range, zero or not finite;
     None when every exponent is 0."""
     amax = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    lo, hi = (float(amax),) * 2 if amax.ndim == 0 else (amax.min(), amax.max())
+    lo, hi = ((float(amax),) * 2 if amax.ndim == 0
+              else (amax.min(initial=np.inf), amax.max(initial=0.0)))
     if 2.0**-_SAFE_EXP <= lo and hi <= 2.0**_SAFE_EXP:
         return None
     # the modulus of a finite entry may overflow; its parts do not

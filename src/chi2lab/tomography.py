@@ -14,9 +14,9 @@ overlaps sqrt(x_P) = tr(A P) pin A down.  At the endpoint orders a = 0, 1
 the x_P column vanishes, and recovery goes through the overlaps y_P of
 A^2 and a positive square root.
 
-Probe p of ``projection_family`` order is queried at the schedule weights
-whose index has p's parity, so both halves span the whole interval
-(contiguous halves came out up to several times less accurate).
+Probe p of ``projection_family`` order is queried at the weights of
+``_WEIGHTS`` whose index has p's parity, so both halves span the whole
+interval (contiguous halves came out up to several times less accurate).
 One least-squares fit of all 2 d^2 + 2 coefficients eliminates each
 probe's own by projecting its equations onto their orthogonal complement,
 solves the shared pair from the stacked projected rows and
@@ -26,18 +26,15 @@ query carries its residual check.  The identity tr A^2 = sum_i y_(e_i)
 over the d basis projections joins the fit as one more row of the shared
 pair, which keeps its condition number below about 400 up to d = 16 (the
 halves alone reach 5e3 at d = 8, a = 1/2).  At t = 1/d the probe state is
-I/d whatever P is, so that weight tells nothing of its probe.
-
-The probe states depend only on ``(d, t_values, tol)``, so the states of
-the latest design, one per query, are built once and reused (about
-0.26 MB at d = 6 and 7.0 MB at d = 16 under tracemalloc); the fit's
-columns, complements and pseudo-inverses depend only on
-``(d, alpha, t_values)`` and are kept for the latest 16 of those.
+I/d whatever P is, so that weight would tell nothing of its probe; no
+weight of ``_WEIGHTS`` is 1/d for any d.  The probe states of the latest
+``(d, tol)``, one per query, are built once and reused (about 0.26 MB at
+d = 6 and 7.0 MB at d = 16 under tracemalloc); the fit's columns,
+complements and pseudo-inverses are kept for the latest 16 ``(d, alpha)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,30 +61,11 @@ from .operators import (
 )
 from .oracle import DivergenceOracle
 
-__all__ = ["ProbeSchedule", "probe_state", "quadratic_form_tomography"]
+__all__ = ["probe_state", "quadratic_form_tomography"]
 
-@dataclass(frozen=True)
-class ProbeSchedule:
-    """Interior probe weights t; all distinct, strictly inside (0, 1).
-
-    Probe p of ``projection_family`` order is queried at the weights
-    ``t_values[p % 2::2]``, its half.  With T weights a tomography in
-    dimension d makes ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2)
-    queries: 3 d^2 for the default six.  Each half needs 3 weights other
-    than 1/d, which ``quadratic_form_tomography`` checks for its d.
-    """
-
-    t_values: tuple[float, ...] = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.t_values)
-        if not ts:
-            raise ValueError("schedule must be non-empty")
-        if any(not 0.0 < t < 1.0 for t in ts):
-            raise ValueError("probe weights must lie strictly inside (0, 1)")
-        if len(set(ts)) != len(ts):
-            raise ValueError("probe weights must be pairwise distinct")
-        object.__setattr__(self, "t_values", ts)
+#: the interior probe weights t; probe p is queried at ``_WEIGHTS[p % 2::2]``,
+#: its half, 3 weights, so a tomography makes 3 d^2 queries
+_WEIGHTS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
 
 
 def probe_state(p: RankOneProjection, t: float, d: int,
@@ -112,21 +90,17 @@ def probe_state(p: RankOneProjection, t: float, d: int,
 
 
 @lru_cache(maxsize=1)
-def _probe_states(d: int, t_values: tuple[float, ...],
-                  tol: Tolerances) -> tuple[tuple[NonsingularDensity, ...], ...]:
+def _probe_states(d: int, tol: Tolerances) -> tuple[tuple[NonsingularDensity, ...], ...]:
     """``probe_state(p, t, d, tol)`` per projection ``p`` of
     ``projection_family(d)`` (rows) and weight ``t`` of p's half of
-    ``t_values`` (columns)."""
-    return tuple(
-        tuple(probe_state(p, t, d, tol) for t in t_values[i % 2::2])
-        for i, p in enumerate(projection_family(d))
-    )
+    ``_WEIGHTS`` (columns)."""
+    return tuple(tuple(probe_state(p, t, d, tol) for t in _WEIGHTS[i % 2::2])
+                 for i, p in enumerate(projection_family(d)))
 
 
-def _columns(d: int, alpha: Alpha, ts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The response's columns at weights ``ts``: shared ``[1, tr A^2]``
+def _columns(d: int, alpha: Alpha, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The response's columns at weights ``t``: shared ``[1, tr A^2]``
     and local ``[x_P, y_P]``, or ``[y_P]`` at the endpoints."""
-    t = np.asarray(ts)
     inv_s = (d - 1) / (1.0 - t)
     f = t ** -alpha * inv_s ** (1.0 - alpha) + inv_s ** alpha * t ** (alpha - 1.0)
     shared = np.column_stack([np.ones_like(t), inv_s])
@@ -150,14 +124,13 @@ def _complement(local: np.ndarray, pivot: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _design(d: int, alpha: Alpha,
-            t_values: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per half of ``t_values``: the shared and local columns, an
+def _design(d: int, alpha: Alpha) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per half of ``_WEIGHTS``: the shared and local columns, an
     orthonormal basis of the local columns' complement and their
     pseudo-inverse.  Like the probe states they depend only on the
     design, so they are built once and kept read-only."""
     halves = []
-    for ts in (np.array(t_values[0::2]), np.array(t_values[1::2])):
+    for ts in (np.array(_WEIGHTS[0::2]), np.array(_WEIGHTS[1::2])):
         shared, local = _columns(d, alpha, ts)
         # pivot the complement on the weights furthest from 1/d, where the
         # local columns vanish
@@ -219,20 +192,14 @@ def _nearest_psd(estimate: HermitianMatrix) -> PsdOperator:
         return PsdOperator(_clamped(estimate.spectrum()).reassemble(), estimate.tol)
 
 
-def quadratic_form_tomography(
-    oracle: DivergenceOracle,
-    d: int,
-    alpha: float,
-    schedule: ProbeSchedule | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> PsdOperator:
+def quadratic_form_tomography(oracle: DivergenceOracle, d: int, alpha: float,
+                              tol: Tolerances = DEFAULT_TOL) -> PsdOperator:
     """Reconstruct the hidden positive operator behind a divergence oracle.
 
     The oracle must answer query(C) with the divergence of the hidden
-    operator against the probe state C.  Each probe is queried at its half
-    of the schedule, so a schedule of T weights takes exactly
-    ceil(d^2/2) * ceil(T/2) + floor(d^2/2) * floor(T/2) queries (3 d^2 by
-    default), all made before any check.  Then the first probe in
+    operator against the probe state C.  Each probe is queried at the 3
+    weights of its half of ``_WEIGHTS``, so a run takes exactly 3 d^2
+    queries, all made before any check.  Then the first probe in
     ``projection_family`` order that answers a negative divergence, whose
     responses misfit the model or whose fitted x_P is negative (read once
     every probe fits) raises.  A faulty probe drags the fitted constant
@@ -245,26 +212,14 @@ def quadratic_form_tomography(
     A noisy oracle may leave the estimate (of A^2 at the endpoints)
     outside the positive cone, as it does about half the time for a
     singular A; its nearest positive operator is then taken instead.
-    Raises ``ValueError`` before any query when either half of the
-    schedule holds fewer than 3 weights other than 1/d: at t = 1/d every
-    probe state is I/d.
     """
     alpha = Alpha(alpha)
-    schedule = schedule or ProbeSchedule()
-    halves = [np.array(schedule.t_values[h::2]) for h in (0, 1)]
-    informative = [int(np.sum(np.abs(ts * d - 1.0) > 1e-6)) for ts in halves]
-    if min(informative) < 3:
-        raise ValueError(f"each half of the schedule needs 3 weights other than 1/d, "
-                         f"got {informative[0]} and {informative[1]}")
-    rows = [
-        np.array([oracle.query(c) for c in row])
-        for row in _probe_states(d, schedule.t_values, tol)
-    ]
+    rows = [np.array([oracle.query(c) for c in row]) for row in _probe_states(d, tol)]
     # variable projection: project each probe's equations off its own
     # columns, fit the shared pair, then back-substitute
     parts = []
     scale, lowest = np.empty(d * d), np.empty(d * d)
-    for h, half in enumerate(_design(d, alpha, schedule.t_values)):
+    for h, half in enumerate(_design(d, alpha)):
         responses = np.array(rows[h::2])
         parts.append(half + (responses,))
         scale[h::2] = np.maximum(1.0, np.max(np.abs(responses), axis=1))

@@ -40,13 +40,6 @@ def test_bregman_fit_residual_is_macroscopic():
     assert report.control_residual <= 1e-10
 
 
-def test_bregman_grid_validation():
-    with pytest.raises(ValueError):
-        distinguish_from_bregman(0.5, s_grid=(0.5, 1.0, 1.5))
-    with pytest.raises(ValueError):
-        distinguish_from_bregman(0.5, s_grid=(0.5, 1.0, 1.5, -2.0))
-
-
 def test_jensen_asymmetry_witness():
     for d in (2, 3):
         report = distinguish_from_jensen(0.5, d)

@@ -134,6 +134,19 @@ def test_extended_on_support_value():
         assert abs(value.value - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_squares_past_the_float_maximum_do_not_overflow_the_value():
+    # |X_ij|^2 = 1e400 overflows; the value 2 * 1e400 / 1e100 does not
+    a = PsdOperator(np.diag([1e200, 1e200]))
+    assert chi2(a, PdOperator(1e100 * np.eye(2)), 0.5) == 2e300
+    assert chi2_extended(a, PsdOperator(np.diag([1e100, 1e100])), 0.5).value == 2e300
+    # 1e616 itself exceeds the float maximum
+    with pytest.raises(ValueError, match="exceeds the float maximum"):
+        chi2_extended(PsdOperator(np.diag([1e308, 0.0])), PsdOperator(np.diag([1.0, 0.0])), 0.5)
+    with pytest.raises(ValueError, match="exceeds the float maximum"):
+        chi2(PsdOperator(np.diag([1e300, 1e300])), PdOperator(1e100 * np.eye(2)), 0.5)
+
+
 def test_extended_agrees_with_chi2_on_pd():
     rng = np.random.default_rng(9)
     a = random_psd(3, rng)

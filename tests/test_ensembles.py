@@ -66,6 +66,13 @@ def test_invalid_kind_and_dim():
         random_ensemble("pd", 1, seed=0)
 
 
+def test_rank_is_only_for_the_rank_r_kind():
+    with pytest.raises(ValueError, match="rank applies only to psd_rank_r"):
+        random_ensemble("pd", 3, seed=0, rank=2)
+    with pytest.raises(TypeError):
+        random_ensemble("pd", 3, seed=0, bogus=1)
+
+
 @pytest.mark.parametrize("d", [1, 2, 6])
 def test_an_empty_haar_stack_reads_nothing_from_the_generator(d):
     rng = np.random.default_rng(33)

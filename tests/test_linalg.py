@@ -721,6 +721,13 @@ def test_cluster_means_of_eigenvalues_near_the_float_maximum():
     assert hermitian_part(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
 
 
+def test_an_empty_stack_solves_to_empty_eigenpairs():
+    w, v = jacobi_eigh(np.zeros((0, 3, 3)))
+    assert w.shape == (0, 3) and v.shape == (0, 3, 3)
+    spec = spectral_decomposition(np.zeros((0, 3, 3), dtype=complex))
+    assert spec.w.shape == (0, 3) and spec.v.shape == (0, 3, 3)
+
+
 def test_cluster_keeps_an_overflowed_eigenvalue_apart():
     # eigenvalues 3.4e308 (inf) and 0: an inf window would merge the row
     assert PsdOperator(np.full((2, 2), 1.7e308)).spectrum().w.tolist() == [np.inf, 0.0]

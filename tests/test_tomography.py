@@ -6,7 +6,6 @@ from chi2lab import (
     IllConditionedProbe,
     InconsistentOracle,
     PsdOperator,
-    ProbeSchedule,
     chi2_oracle,
     quadratic_form_tomography,
 )
@@ -90,24 +89,6 @@ def test_identification_soundness_two_oracles():
     assert op_norm(rec_a.mat - rec_b.mat) <= 1e-6
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        ProbeSchedule(())
-    with pytest.raises(ValueError):
-        ProbeSchedule((0.2, 0.2))
-    with pytest.raises(ValueError):
-        ProbeSchedule((0.0, 0.5))
-    # halves of 2 and 1 weights, or of 3 and 2: each half needs 3, and the
-    # schedule is rejected before any query
-    rng = np.random.default_rng(0)
-    hidden = random_psd(2, rng)
-    oracle = chi2_oracle(hidden, 0.25)
-    for ts in ((0.2, 0.4, 0.6), (0.1, 0.2, 0.4, 0.6, 0.8)):
-        with pytest.raises(ValueError):
-            quadratic_form_tomography(oracle, 2, 0.25, ProbeSchedule(ts))
-    assert oracle.count == 0
-
-
 def test_inconsistent_oracle_detected():
     # a negated divergence fits the probe basis but with a negative
     # quadratic-overlap coefficient, which no positive operator admits
@@ -117,12 +98,12 @@ def test_inconsistent_oracle_detected():
         quadratic_form_tomography(oracle, 2, 0.5)
 
 
-def _faulty_oracle(hidden, alpha, negated, bent, schedule):
+def _faulty_oracle(hidden, alpha, negated, bent):
     """Exact answers, except that probe ``negated`` (in family order) is
     negated, which fails the sign check, and probe ``bent`` gets a t^4
     term outside the model, which fails the fit check.  Each probe is
-    queried at the weights of its half of the schedule."""
-    halves = (schedule.t_values[0::2], schedule.t_values[1::2])
+    queried at the weights of its half of ``tomography._WEIGHTS``."""
+    halves = (tomography._WEIGHTS[0::2], tomography._WEIGHTS[1::2])
 
     def answer(c):
         probe, j = divmod(oracle.count - 1, 3)
@@ -143,10 +124,9 @@ def _faulty_oracle(hidden, alpha, negated, bent, schedule):
 def test_first_failing_probe_in_family_order_raises(negated, bent, error):
     # every query is made before the fits are checked
     hidden = PsdOperator(np.diag([2.0, 1.0]))
-    schedule = ProbeSchedule()
-    oracle = _faulty_oracle(hidden, 0.5, negated, bent, schedule)
+    oracle = _faulty_oracle(hidden, 0.5, negated, bent)
     with pytest.raises(error, match=r"^probe 1: "):
-        quadratic_form_tomography(oracle, 2, 0.5, schedule)
+        quadratic_form_tomography(oracle, 2, 0.5)
     assert oracle.count == 12
 
 
@@ -175,9 +155,9 @@ def test_probe_state_cache_keeps_only_the_latest_design():
 
 
 def test_cached_probe_states_are_todays_read_only_states():
-    ts = ProbeSchedule().t_values
-    states = tomography._probe_states(3, ts, DEFAULT_TOL)
-    assert tomography._probe_states(3, ts, DEFAULT_TOL) is states
+    ts = tomography._WEIGHTS
+    states = tomography._probe_states(3, DEFAULT_TOL)
+    assert tomography._probe_states(3, DEFAULT_TOL) is states
     for i, (p, row) in enumerate(zip(projection_family(3), states)):
         assert len(row) == 3
         for t, c in zip(ts[i % 2::2], row):
@@ -189,9 +169,8 @@ def test_cached_probe_states_are_todays_read_only_states():
 def test_fit_design_is_built_once_and_read_only():
     from chi2lab.divergence import Alpha
 
-    ts = ProbeSchedule().t_values
-    design = tomography._design(6, Alpha(0.25), ts)
-    assert tomography._design(6, Alpha(0.25), ts) is design
+    design = tomography._design(6, Alpha(0.25))
+    assert tomography._design(6, Alpha(0.25)) is design
     assert len(design) == 2
     for half in design:
         assert all(not m.flags.writeable for m in half)
@@ -221,10 +200,10 @@ def _dense_reference(oracle, d, alpha):
                  + (f(t) - 2 (d - 1)/(1 - t)) y_P,
 
     with the probe states of ``probe_state`` queried in the library's
-    order (probe p at weights ``ts[p % 2::2]``).  At the endpoints the
+    order (probe p at weights ``_WEIGHTS[p % 2::2]``).  At the endpoints the
     ``x_P`` column is exactly zero, the minimum-norm solve sets ``x_P = 0``,
     and A is the square root of the operator with overlaps ``y_P``."""
-    ts = ProbeSchedule().t_values
+    ts = tomography._WEIGHTS
     n = d * d
     design, values = [], []
     for p, proj in enumerate(projection_family(d)):
@@ -254,16 +233,15 @@ def test_joint_fit_matches_a_dense_least_squares_reference(d, alpha):
     assert op_norm(got - want) <= 1e-10 * op_norm(want)
 
 
-@pytest.mark.parametrize("d, ts, queries", [
-    (2, None, 12), (3, None, 27), (4, None, 48), (6, None, 108), (8, None, 192),
-    # seven weights: halves of 4 and 3, for 5 and 4 probes
-    (3, (0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9), 32),
-])
-def test_query_counts_are_exact(d, ts, queries):
+_COUNTS = [(2, 12), (3, 27), (4, 48), (6, 108), (8, 192)]
+
+
+# the ids read d-None-queries, None standing for the module's own weights
+@pytest.mark.parametrize("d, queries", _COUNTS, ids=[f"{d}-None-{q}" for d, q in _COUNTS])
+def test_query_counts_are_exact(d, queries):
     hidden = random_nonsingular_density(d, np.random.default_rng(d))
     oracle = chi2_oracle(hidden, 0.25)
-    schedule = ProbeSchedule(ts) if ts else None
-    rec = quadratic_form_tomography(oracle, d, 0.25, schedule)
+    rec = quadratic_form_tomography(oracle, d, 0.25)
     assert oracle.count == queries
     assert op_norm(rec.mat - hidden.mat) <= 1e-9
 
@@ -296,30 +274,22 @@ def test_a_single_faulty_probe_is_the_one_named(d, probe, alpha):
     # a faulty probe drags the shared constant and tr A^2 and misfits its
     # whole half; the refit on the halves' medians names it alone
     hidden = random_nonsingular_density(d, np.random.default_rng(d))
-    schedule = ProbeSchedule()
     for negated, bent, error in ((probe, None, InconsistentOracle),
                                  (None, probe, IllConditionedProbe)):
-        oracle = _faulty_oracle(hidden, alpha, negated, bent, schedule)
+        oracle = _faulty_oracle(hidden, alpha, negated, bent)
         with pytest.raises(error, match=rf"^probe {probe}: "):
-            quadratic_form_tomography(oracle, d, alpha, schedule)
+            quadratic_form_tomography(oracle, d, alpha)
         assert oracle.count == 3 * d * d
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_a_weight_of_one_over_d_does_not_count(alpha):
-    # at t = 1/d every probe state is I/d: (0.5, 0.3, 0.6) leaves two
-    # weights that tell the probes apart at d = 2
-    hidden = random_nonsingular_density(2, np.random.default_rng(2))
-    oracle = chi2_oracle(hidden, alpha)
-    with pytest.raises(ValueError, match="other than 1/d"):
-        quadratic_form_tomography(oracle, 2, alpha, ProbeSchedule((0.5, 0.2, 0.3, 0.4, 0.6, 0.7)))
-    assert oracle.count == 0
-    # one more weight is enough; the fit pivots away from the vanishing row
-    for d, ts in ((2, (0.5, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8)),
-                  (3, (1.0 / 3.0, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9))):
-        hidden = random_nonsingular_density(d, np.random.default_rng(d))
-        rec = quadratic_form_tomography(chi2_oracle(hidden, alpha), d, alpha, ProbeSchedule(ts))
-        assert op_norm(rec.mat - hidden.mat) <= 1e-12
+def test_no_weight_is_one_over_d():
+    # at t = 1/d every probe state is I/d, which tells nothing of its
+    # probe; each half keeps its 3 weights clear of 1/d up to d = 16
+    for d in range(2, 17):
+        for h in (0, 1):
+            half = tomography._WEIGHTS[h::2]
+            assert len(half) == 3
+            assert all(abs(t * d - 1.0) > 1e-6 for t in half)
 
 
 @pytest.mark.parametrize("d", [2, 3])
