@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, tol=True)
     p.set_defaults(fn=cmd_tomography)
 
-    p = sub.add_parser("peel", help="recover a spectrum from extremal rank-one queries")
+    p = sub.add_parser("peel", help="recover a spectrum from rank-one queries")
     p.add_argument("--hidden", required=True, help="hidden PD operator (matrix JSON)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--noise", type=float, default=0.0)

@@ -137,21 +137,27 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
 
 
 def _finite_gram(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
-                 support_rel: float, pseudo: bool) -> float:
-    """``_gram_value`` of one ``diff``, never an inf.  Past ``||diff||_HS^2 =
-    4^_SAFE_EXP`` the squares of X may overflow; a value that does is taken
-    again on ``diff 2^-e`` and scaled back by ``2^(2e)``, both exact.  Every
-    term is nonnegative, so a value still past the float maximum is one."""
+                 support_rel: float, pseudo: bool) -> np.ndarray:
+    """``_gram_value``, never an inf.  Past ``||diff||_HS^2 = 4^_SAFE_EXP``
+    the squares of X may overflow; the slices that do are taken again on
+    ``diff 2^-e`` and scaled back by ``2^(2e)``, both exact (``e = 0``, and
+    so the same bits, on the others).  Every term is nonnegative, so a
+    value still past the float maximum is one, and raises ValueError."""
     args = spec, alpha, support_rel, pseudo
     if np.vdot(diff, diff).real <= 4.0**_SAFE_EXP:
-        val = float(_gram_value(diff, *args))
+        val = _gram_value(diff, *args)
     else:
         with np.errstate(over="ignore"):
-            val = float(_gram_value(diff, *args))
-            if not val < np.inf:
-                e = int(np.frexp(np.maximum(abs(diff.real), abs(diff.imag)).max())[1])
-                val = float(np.ldexp(_gram_value(_ldexp(diff, -e), *args), 2 * e))
-    if not val < np.inf:
+            val = _gram_value(diff, *args)
+            big = ~(val < np.inf)
+            if big.any():
+                top = np.maximum(abs(diff.real), abs(diff.imag)).max(axis=(-2, -1))
+                e = np.where(big, np.frexp(top)[1], 0)
+                val = np.ldexp(_gram_value(_ldexp(diff, -e[..., None, None]), *args), 2 * e)
+    # one value compares as a scalar: a numpy reduction costs microseconds
+    # per query
+    finite = val < np.inf
+    if not (finite if val.ndim == 0 else finite.all()):
         raise ValueError("divergence exceeds the float maximum")
     return val
 
@@ -167,7 +173,7 @@ def _chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     _require_same_dim(a, b)
     spec = b.spectrum()
     _require_pd(spec, b.tol)
-    return _finite_gram(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False)
+    return float(_finite_gram(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False))
 
 
 def quadratic_relative_entropy(a: PsdOperator, b: PsdOperator) -> float:
@@ -186,7 +192,7 @@ def chi2_extended(a: PsdOperator, b: PsdOperator, alpha: float) -> DivergenceVal
     if not support_contained(a, b):
         return DivergenceValue.infinite()
     return DivergenceValue.finite(
-        _finite_gram(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True))
+        float(_finite_gram(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True)))
 
 
 def chi2_limit_probe(
@@ -213,7 +219,7 @@ def chi2_limit_probe(
     spec, e = b.spectrum(), np.array(eps)[:, None]
     shifted = SpectralDecomposition(spec.w + e, np.broadcast_to(spec.v, (len(eps), *spec.v.shape)))
     diffs = (a.mat - b.mat) - e[..., None] * np.eye(a.dim)
-    return _gram_value(diffs, shifted, alpha, 0.0, pseudo=False).tolist()
+    return _finite_gram(diffs, shifted, alpha, 0.0, pseudo=False).tolist()
 
 
 def _query_powers(spec: SpectralDecomposition, alpha: float) -> np.ndarray:

@@ -12,31 +12,41 @@ arXiv:1308.6595), so q is linear in the m² real parameters of S,
 m = d(d+1)/2, and a linear fit on query values fixes S.
 
 In the monomials v_i v_k (i <= k), S is an m x m Hermitian matrix C whose
-entry (ik, jl) touches the coordinates {i, k, j, l}: at most four.  The
-fit runs on probes supported on s = 1, 2, 3, 4 coordinates, smallest
-supports first.  A probe on an s-subset sees only the entries inside it;
-those of smaller support are already fitted and their prediction is
-subtracted, which leaves the entries whose support is exactly the subset
-(1, 7, 12 and 6 real parameters).  One fixed, seeded local design of
-twice that many unit probes serves every subset of a size, so the
-entries of all s-subsets come from one precomputed pseudo-inverse in one
-matmul.  A run costs exactly 2 m² queries (882 at d = 6) and solves no
-system larger than 24 x 12.  The probes depend only on d, so the
-``RankOneProjection``s of the latest d are built once and reused, each
-query still one ``oracle.query`` call; only that one design is kept
-(about 0.3 MB at d = 6 and 17 MB at d = 16 under tracemalloc).
+entry (ik, jl) touches the coordinates {i, k, j, l}.  Only the entries
+that touch at most three coordinates are fitted; the partial trace below
+reads no other.  The fit runs on probes supported on s = 1, 2, 3
+coordinates, smallest supports first.  A probe on an s-subset sees only
+the entries inside it; those of smaller support are already fitted and
+their prediction is subtracted, which leaves the entries whose support is
+exactly the subset (1, 7 and 12 real parameters).  One fixed, seeded
+local design of twice that many unit probes serves every subset of a
+size, so the entries of all s-subsets come from one precomputed
+pseudo-inverse in one matmul, and no system larger than 24 x 12 is
+solved.  The probes depend only on d, so the ``RankOneProjection``s of
+the latest d are built once and reused, each query still one
+``oracle.query`` call; only that one design is kept (about 0.22 MB at
+d = 6 and 6.9 MB at d = 16 under tracemalloc).
 
-The spectrum needs no further query.  The partial trace
+The partial trace
 
     tr_2 S = (tr(B) A + tr(A) B + 2 A B) / 4 = g(D),
     g(l) = (tr(B) l^-alpha + tr(A) l^(alpha-1) + 2/l) / 4,
 
-has g strictly decreasing in l for every alpha in [0, 1]: both power
-terms are non-increasing and 2/l is strictly decreasing.  So tr_2 S has
-exactly D's eigenspaces, in reverse order and with the same
-multiplicities, and its eigensolve gives D's eigenbasis.  Each
-eigenvalue is 1/q(u_i) for an eigenvector u_i, evaluated on the fitted
-form; an eigenspace's eigenvalue is the mean over its vectors.
+has entries (tr_2 S)_ij = sum_k S_(ik),(jk) of support {i, j, k}, and g
+is strictly decreasing in l for every alpha in [0, 1]: both power terms
+are non-increasing and 2/l is strictly decreasing.  So tr_2 S has exactly
+D's eigenspaces, in reverse order and with the same multiplicities, and
+its eigensolve gives D's eigenbasis.  The oracle is then queried once at
+each eigenvector u_i: q(u_i) = 1/lambda_i, and an eigenspace's eigenvalue
+is the mean of 1/q(u_i) over its vectors.  q is a product of two Rayleigh
+quotients, both stationary at an eigenvector of D, so an error in u_i
+enters the eigenvalue only at second order (Parlett, "The Symmetric
+Eigenvalue Problem", 1998).  Under a noisy oracle tr_2 S may split an
+eigenspace, and each part's readout carries its own noise, so the parts
+may come back out of order; since g is strictly decreasing, neighbouring
+eigenspaces whose readouts do not decrease are merged, their eigenvalue
+the mean over the merged vectors.  A run costs exactly
+2d + 14 C(d,2) + 24 C(d,3) + d queries, 708 at d = 6.
 """
 
 from __future__ import annotations
@@ -122,7 +132,7 @@ def _plan(d: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]
     for n, (i, k) in enumerate(_pairs(d)):
         index[i, k] = index[k, i] = n
     sizes = []
-    for s in range(1, min(d, 4) + 1):
+    for s in range(1, min(d, 3) + 1):
         subsets = np.array(list(combinations(range(d), s)))
         i, k = np.array(_pairs(s)).T
         sizes.append((subsets, index[subsets[:, i], subsets[:, k]]))
@@ -149,7 +159,8 @@ def _probes(d: int) -> tuple[tuple[RankOneProjection, ...], ...]:
 
 
 def _fit_form(oracle: DivergenceOracle, d: int) -> np.ndarray:
-    """The m x m Hermitian coefficient matrix of q in the monomials."""
+    """The m x m Hermitian coefficient matrix of q in the monomials, fitted
+    on the entries of support at most 3; those of support 4 stay zero."""
     _, sizes = _plan(d)
     m = d * (d + 1) // 2
     form = np.zeros((m, m), dtype=np.complex128)
@@ -166,6 +177,17 @@ def _fit_form(oracle: DivergenceOracle, d: int) -> np.ndarray:
     return form
 
 
+def _partial_trace(form: np.ndarray, d: int) -> np.ndarray:
+    """``tr_2 S`` from the fitted coefficient matrix: ``(tr_2 S)_ij =
+    sum_k S_(ik),(jk)``, which reads only entries of support at most 3."""
+    index, _ = _plan(d)
+    # a monomial pair of distinct coordinates stands for two orderings of
+    # the tensor index
+    weight = np.where(np.eye(d, dtype=bool), 1.0, 0.5)
+    terms = form[index[:, None, :], index[None, :, :]] * weight[:, None, :] * weight[None, :, :]
+    return terms.sum(axis=2)
+
+
 def spectral_peel(
     oracle: DivergenceOracle,
     d: int,
@@ -176,11 +198,16 @@ def spectral_peel(
 
     The oracle must answer query(R) with the shifted rank-one query
     against a hidden positive definite operator.  Uses exactly
-    ``2 m^2`` queries, ``m = d(d+1)/2``, each a ``RankOneProjection``
-    passed to ``oracle.query``; the probes of the latest d are built once
-    and reused.  Returns the eigenvectors of the fitted
-    partial trace, each eigenspace's eigenvalue repeated over its
-    vectors; the distinct eigenvalues are strictly decreasing.
+    ``2d + 14 C(d,2) + 24 C(d,3) + d`` queries (708 at d = 6), each a
+    ``RankOneProjection`` passed to ``oracle.query``: the fixed probes of
+    supports 1-3, built once for the latest d and reused, then one probe
+    at each eigenvector of the fitted partial trace, in order.  Returns
+    those eigenvectors, each eigenspace's eigenvalue (the mean of
+    ``1/q(u_i)`` over its vectors) repeated over its vectors; the
+    distinct eigenvalues are strictly decreasing.  Neighbouring
+    eigenspaces whose readouts do not decrease are one eigenvalue split
+    by noise, and are merged into one.  Raises ``ReconstructionError`` on
+    a non-finite fit and on a readout value outside (0, inf).
     """
     # neither the fit nor the readout needs the order; it is still checked
     Alpha(alpha)
@@ -189,26 +216,25 @@ def spectral_peel(
     form = _fit_form(oracle, d)
     if not np.isfinite(form).all():
         raise ReconstructionError("the fitted quartic form is not finite")
-    index, _ = _plan(d)
-    # (tr_2 S)_ij = sum_k S_(ik),(jk); a monomial pair of distinct
-    # coordinates stands for two orderings of the tensor index
-    weight = np.where(np.eye(d, dtype=bool), 1.0, 0.5)
-    terms = form[index[:, None, :], index[None, :, :]] * weight[:, None, :] * weight[None, :, :]
     # g is decreasing: D's largest eigenvalue sits at g's smallest
-    spec = spectral_decomposition(terms.sum(axis=2), tol)
+    spec = spectral_decomposition(_partial_trace(form, d), tol)
     vecs = spec.v[:, ::-1]
     sizes = spec.multiplicities[::-1]
-    mono = _monomials(vecs.T, _pairs(d))
-    values = np.einsum("cp,pq,cq->c", mono.conj(), form, mono).real
-    for value in values.tolist():
-        if not value > 0.0 or not np.isfinite(value):
+    values = [oracle.query(RankOneProjection(u)) for u in vecs.T]
+    for value in values:
+        if not 0.0 < value < np.inf:
             raise ReconstructionError(
-                f"fitted query value {value!r} does not yield an eigenvalue in (0, inf)"
+                f"readout query value {value!r} does not yield an eigenvalue in (0, inf)"
             )
-    lams = 1.0 / values
-    bounds = np.cumsum((0,) + sizes)
-    means = [float(np.mean(lams[a:b])) for a, b in zip(bounds, bounds[1:])]
-    for a, b in zip(means, means[1:]):
-        if not a > b:
-            raise ReconstructionError("peeled eigenvalues are not strictly decreasing")
-    return SpectralDecomposition(np.repeat(means, sizes), vecs)
+    lams = 1.0 / np.array(values)
+    # g is strictly decreasing, so an eigenspace that reads no smaller than
+    # the one before it is the same eigenvalue split by noise: merge the two
+    # and average over both (pool adjacent violators)
+    blocks: list[tuple[int, int]] = []
+    bounds = np.cumsum((0,) + sizes).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        while blocks and np.mean(lams[slice(*blocks[-1])]) <= np.mean(lams[a:b]):
+            a = blocks.pop()[0]
+        blocks.append((a, b))
+    means = [float(np.mean(lams[a:b])) for a, b in blocks]
+    return SpectralDecomposition(np.repeat(means, [b - a for a, b in blocks]), vecs)

@@ -146,7 +146,8 @@ def test_peel_cli(mats, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(obj["eigenvalues"], [0.7, 0.3], atol=1e-6)
-    assert obj["queries"] == 18
+    # 2d + 14 C(d,2) fit probes and d readout probes at d = 2
+    assert obj["queries"] == 20
     # the optimizer settings went with the optimizer
     assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
                  "--restarts", "3"]) == 2

@@ -147,6 +147,20 @@ def test_squares_past_the_float_maximum_do_not_overflow_the_value():
         chi2(PsdOperator(np.diag([1e300, 1e300])), PdOperator(1e100 * np.eye(2)), 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_limit_probe_slices_past_the_float_maximum_do_not_overflow():
+    # the stacked probe rescales only the slices whose squares overflow,
+    # as chi2 does: 2 * 1e400 / 1e100 against B + eps I, eps far below 1e100
+    a = PsdOperator(np.diag([1e200, 1e200]))
+    values = chi2_limit_probe(a, PsdOperator(1e100 * np.eye(2)), 0.5, [1e-2, 1e-4])
+    want = chi2(a, PdOperator(1e100 * np.eye(2)), 0.5)
+    assert all(abs(v - want) <= 1e-15 * want for v in values)
+    assert abs(want - 2e300) <= 1e-15 * 2e300
+    with pytest.raises(ValueError, match="exceeds the float maximum"):
+        chi2_limit_probe(PsdOperator(np.diag([1e300, 1e300])), PsdOperator(1e100 * np.eye(2)),
+                         0.5, [1e-2])
+
+
 def test_extended_agrees_with_chi2_on_pd():
     rng = np.random.default_rng(9)
     a = random_psd(3, rng)

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from chi2lab import (
 from chi2lab import peeling
 from chi2lab.cli import DEFAULT_ALPHAS
 from chi2lab.ensembles import haar_unitary, random_nonsingular_density
-from chi2lab.linalg import op_norm
+from chi2lab.linalg import op_norm, spectral_decomposition
 
 
 def _rel_err(spec, hidden):
@@ -24,8 +25,8 @@ def _rel_err(spec, hidden):
 
 
 def _budget(d):
-    m = d * (d + 1) // 2
-    return 2 * m * m
+    """2 probes per real parameter of supports 1-3, then d readout probes."""
+    return 2 * d + 14 * comb(d, 2) + 24 * comb(d, 3) + d
 
 
 def test_peel_diagonal_two_level():
@@ -79,13 +80,100 @@ def test_peel_matches_eigh_clustering():
         np.testing.assert_allclose(spec.eigenvalues, reference.eigenvalues, atol=1e-6)
 
 
-@pytest.mark.parametrize("d, queries", [(2, 18), (3, 72), (6, 882)])
+@pytest.mark.parametrize("d, queries", [(2, 20), (3, 75), (6, 708)])
 def test_peel_query_count_is_pinned(d, queries):
     rng = np.random.default_rng(40 + d)
     for alpha in (0.0, 0.5, 1.0):
         oracle = rank_one_query_oracle(random_nonsingular_density(d, rng), alpha)
         spectral_peel(oracle, d, alpha)
         assert oracle.count == queries <= _budget(d)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_peel_query_count_follows_the_formula(d):
+    oracle = rank_one_query_oracle(random_nonsingular_density(d, np.random.default_rng(d)), 0.25)
+    spectral_peel(oracle, d, 0.25)
+    assert oracle.count == _budget(d)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_readout_probes_are_the_eigenvectors_of_the_fitted_partial_trace(d):
+    hidden = random_nonsingular_density(d, np.random.default_rng(20 + d))
+    inner = rank_one_query_oracle(hidden, 0.25)
+    recorded = []
+
+    def record(r):
+        recorded.append(r.vector)
+        return inner.query(r)
+
+    spec = spectral_peel(DivergenceOracle(record), d, 0.25)
+    assert len(recorded) == _budget(d)
+    # the fixed design first, in order, then one probe per eigenvector
+    fixed = [r.vector for size in peeling._probes(d) for r in size]
+    assert [v.tobytes() for v in recorded[:-d]] == [v.tobytes() for v in fixed]
+    form = peeling._fit_form(rank_one_query_oracle(hidden, 0.25), d)
+    vecs = spectral_decomposition(peeling._partial_trace(form, d)).v[:, ::-1]
+    want = [RankOneProjection(u).vector for u in vecs.T]
+    assert [v.tobytes() for v in recorded[-d:]] == [v.tobytes() for v in want]
+    assert spec.v.tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("top, bottom", [(0, -6), (3, -3)])
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_graded_spectra_recover_to_ten_digits(d, top, bottom):
+    lam = np.logspace(top, bottom, d)
+    u = haar_unitary(d, np.random.default_rng(d))
+    mat = (u * lam) @ u.conj().T
+    hidden = PdOperator((mat + mat.conj().T) / 2)
+    for alpha in DEFAULT_ALPHAS:
+        spec = spectral_peel(rank_one_query_oracle(hidden, alpha), d, alpha)
+        assert np.all(np.abs(spec.w - lam) <= 1e-10 * lam)
+        assert _rel_err(spec, hidden) <= 1e-10
+
+
+def _noisy_cases():
+    rng = np.random.default_rng(70)
+    for d in (4, 6, 8):
+        for _ in range(3):
+            yield d, random_nonsingular_density(d, rng)
+    yield 2, PdOperator(np.eye(2) / 2)
+    yield 3, PdOperator(np.eye(3) / 3)
+    yield 5, PdOperator(np.diag([1 / 2, 1 / 2, 1 / 3, 1 / 3, 1 / 3]))
+
+
+def test_noisy_peel_recovers_within_five_sigma():
+    # the readout's error is about sigma * lambda^2 per eigenvalue; noise
+    # may split a degenerate eigenspace and read its parts out of order,
+    # which merges them, so degenerate spectra recover as well
+    sigma = 1e-7
+    for d, hidden in _noisy_cases():
+        for seed in range(3):
+            oracle = rank_one_query_oracle(hidden, 0.5, noise_sigma=sigma, seed=seed)
+            spec = spectral_peel(oracle, d, 0.5)
+            assert _rel_err(spec, hidden) <= 5 * sigma
+            assert np.all(np.diff(spec.eigenvalues) < 0)
+
+
+def test_out_of_order_readouts_merge_into_one_eigenvalue():
+    # I/3 at sigma 1e-7, noise seed 0: tr_2 S splits the eigenspace and the
+    # readout reads two parts out of order; their eigenvalue is the mean of
+    # 1/q over both
+    hidden = PdOperator(np.eye(3) / 3)
+    recorded = []
+    inner = rank_one_query_oracle(hidden, 0.5, noise_sigma=1e-7, seed=0)
+
+    def record(r):
+        recorded.append(inner.query(r))
+        return recorded[-1]
+
+    spec = spectral_peel(DivergenceOracle(record), 3, 0.5)
+    lams = 1.0 / np.array(recorded[-3:])
+    # tr_2 S split all three; the first two read out increasing
+    assert lams[0] < lams[1] and spec.multiplicities == (2, 1)
+    for lam, size in zip(spec.eigenvalues, spec.multiplicities):
+        block = np.flatnonzero(spec.w == lam)
+        assert len(block) == size
+        assert lam == float(np.mean(lams[block]))
 
 
 def test_peel_repeats_bit_for_bit():
@@ -187,7 +275,7 @@ def test_probe_cache_keeps_only_the_latest_design():
 def _probe_loop(d):
     """Reference: the probe vectors in the order of the nested subset loop."""
     vectors = []
-    for s in range(1, min(d, 4) + 1):
+    for s in range(1, min(d, 3) + 1):
         x = peeling._local_design(s)[0]
         for subset in combinations(range(d), s):
             for row in x:
