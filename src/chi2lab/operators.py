@@ -11,6 +11,9 @@ spectral queries against the same operator cost one factorization:
 Cholesky factorization and solve on the first ``spectrum()`` call, while
 ``PdOperator`` and ``NonsingularDensity`` solve at construction.  A
 ``PsdOperator``'s ``mat`` is the Hermitian part of its input, unclamped.
+Membership and ``support_contained`` try bounds from the diagonal and the
+Frobenius norm first and take an operator norm (an SVD) only when those
+do not decide.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ def _clamped(spec: SpectralDecomposition) -> SpectralDecomposition:
     return replace(spec, w=np.maximum(spec.w, 0.0)) if spec.lmin < 0.0 else spec
 
 
+def _factors(h: np.ndarray) -> bool:
+    """Whether the Hermitian ``h`` has a Cholesky factor."""
+    return bool(np.isfinite(_cholesky_or_nan(h)).all())
+
+
 def _cholesky_certifies_psd(m: np.ndarray, rel: float) -> bool:
     """Whether ``m + rel * max(1, ||m||_op) * I`` has a Cholesky factor.
 
@@ -125,17 +133,22 @@ def _cholesky_certifies_psd(m: np.ndarray, rel: float) -> bool:
     ``-rel * max(1, ||m||_op)``, up to the factorization's backward error
     of order ``d * u * ||m||`` (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., 2002, ch. 10); failure shows nothing.  LAPACK
-    only decides here and produces no output bits.  A matrix whose
-    largest entry lies above the safe range is factored scaled by an exact
-    power of two, where its norm, above 1 before scaling, sets the shift.
+    only decides here and produces no output bits.  The first factor is of
+    ``m + rel * max(1, max |m_ii|) * I``: as ``|m_ii| <= ||m||_op``, that
+    shift is at most the full one, so success there is success at the full
+    shift, and only when it fails is ``||m||_op`` taken (an SVD) for a second
+    factor at the full shift.  A matrix whose largest entry lies above the
+    safe range is factored scaled by an exact power of two, where its norm,
+    above 1 before scaling, sets the shift.
     """
+    eye = np.eye(len(m))
     e = _prescale_exponents(m)
     if e is not None and e > 0:
         m = _ldexp(m, -e)
-        shift = rel * op_norm(m)
-    else:
-        shift = rel * max(1.0, op_norm(m))
-    return bool(np.isfinite(_cholesky_or_nan(m + shift * np.eye(len(m)))).all())
+        return _factors(m + rel * op_norm(m) * eye)
+    if _factors(m + rel * np.abs(m.diagonal()).max(initial=1.0) * eye):
+        return True
+    return _factors(m + rel * max(1.0, op_norm(m)) * eye)
 
 
 class PsdOperator(HermitianMatrix):
@@ -316,14 +329,25 @@ def _require_same_dim(a, b) -> None:
 def support_contained(a: PsdOperator, b: PsdOperator) -> bool:
     """Whether supp A lies inside supp B.
 
-    True iff the compression of A onto the kernel of B vanishes within
-    ``tol.support * max(1, ||A||_op)``.
+    True iff the compression ``X`` of A onto the kernel of B has
+    ``||X||_op <= tol.support * max(1, ||A||_op)``.  Frobenius norms settle
+    most pairs without an SVD: ``||X||_F <= tol.support * max(1, max |a_ii|)``
+    is inside that bound and ``||X||_F / sqrt(d) > tol.support * max(1,
+    ||A||_F)`` is outside it, since ``||X||_F / sqrt(d) <= ||X||_op <=
+    ||X||_F`` and ``max |a_ii| <= ||A||_op <= ||A||_F``.  Only a leak
+    between the two takes the operator norms.
     """
     _require_same_dim(a, b)
     comp = np.eye(a.dim) - support_projection(b)
-    leak = op_norm(comp @ a.mat @ comp)
+    x = comp @ a.mat @ comp
+    tau, leak = a.tol.support, hs_norm(x)
+    if leak <= tau * np.abs(a.mat.diagonal()).max(initial=1.0):
+        return True
+    if leak / np.sqrt(a.dim) > tau * max(1.0, hs_norm(a.mat)):
+        return False
+    leak = op_norm(x)
     # the threshold's second norm is taken only when the leak clears tol.support
-    return leak <= a.tol.support or leak <= a.tol.support * op_norm(a.mat)
+    return leak <= tau or leak <= tau * op_norm(a.mat)
 
 
 def norms(m: ComplexMatrix | np.ndarray) -> tuple[float, float]:

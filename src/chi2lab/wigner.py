@@ -52,8 +52,8 @@ class ConjugationMap:
         defect = u.conj().T @ u - np.eye(u.shape[0])
         # ||.||_op <= ||.||_F: a Frobenius defect within the bound accepts U
         # without the SVD; any other is decided on the operator norm
-        if not np.linalg.norm(defect) <= 1e-8 and op_norm(defect) > 1e-8:
-            raise ValueError(f"U is not unitary: ||U*U - I||_op = {op_norm(defect):.3e}")
+        if not np.linalg.norm(defect) <= 1e-8 and (drift := op_norm(defect)) > 1e-8:
+            raise ValueError(f"U is not unitary: ||U*U - I||_op = {drift:.3e}")
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "u", u)

@@ -17,8 +17,15 @@ from chi2lab import (
 from chi2lab import chi2, chi2_extended, linalg, operators
 from chi2lab.config import DEFAULT_TOL
 from chi2lab.ensembles import haar_unitary, random_hermitian, random_pd, random_psd
-from chi2lab.linalg import hermitian_part, op_norm, spectral_decomposition
-from chi2lab.operators import _cholesky_certifies_psd, _unit_rows, hermitian_from_overlaps
+from chi2lab.divergence import _finite_gram
+from chi2lab.linalg import hermitian_part, hs_norm, op_norm, spectral_decomposition
+from chi2lab.operators import (
+    _cholesky_certifies_psd,
+    _unit_rows,
+    hermitian_from_overlaps,
+    support_contained,
+    support_projection,
+)
 
 
 def test_complex_matrix_validation():
@@ -314,16 +321,21 @@ def test_certificate_decides_zero_and_one_dimensional_inputs():
         _assert_decided_as_by_eigenvalues([[x]], accept)
 
 
-def _counting_solves(monkeypatch):
+def _counted(monkeypatch, module, name):
+    """A list that grows by one on each call of ``module.name``."""
     calls = []
-    original = linalg.jacobi_eigh
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _counting_solves(monkeypatch):
+    return _counted(monkeypatch, linalg, "jacobi_eigh")
 
 
 def test_psd_solves_on_the_first_spectrum_read(monkeypatch):
@@ -385,3 +397,114 @@ def test_chi2_solves_only_the_second_argument(monkeypatch):
     calls.clear()
     assert chi2_extended(PsdOperator(s_mat / 2), PsdOperator(s_mat), 0.5).is_finite
     assert len(calls) == 1
+
+
+def _half_rank(d, rng):
+    """A PSD operator of rank d/2 (at least 1) on the first columns of a Haar
+    unitary, and those columns."""
+    r = max(1, d // 2)
+    u = haar_unitary(d, rng)
+    return PsdOperator((u[:, :r] * rng.uniform(0.25, 1.25, r)) @ u[:, :r].conj().T), u[:, :r]
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_psd_input_is_certified_and_its_support_decided_without_an_svd(monkeypatch, d):
+    rng = np.random.default_rng(80 + d)
+    svds = _counted(monkeypatch, operators, "op_norm")
+    factors = _counted(monkeypatch, operators, "_cholesky_or_nan")
+    b, cols = _half_rank(d, rng)
+    r = cols.shape[1]
+    assert len(factors) == 1
+    for rank in range(1, d + 1):
+        leaking = PsdOperator(random_psd(d, rng, rank=rank).mat)
+        x = random_psd(r, rng, rank=min(rank, r)).mat
+        contained = PsdOperator(cols @ x @ cols.conj().T)
+        assert len(factors) == 1 + 2 * rank
+        assert chi2_extended(leaking, b, 0.5).is_infinite
+        assert chi2_extended(contained, b, 0.5).is_finite
+    assert len(svds) == 0
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_certificate_between_the_two_shifts_takes_one_svd(monkeypatch, d):
+    # max |m_ii| < lmax makes the first shift s1 smaller than the full one s;
+    # an lmin between -s and -s1 fails the first factor and passes the second
+    rng = np.random.default_rng(90 + d)
+    svds = _counted(monkeypatch, operators, "op_norm")
+    factors = _counted(monkeypatch, operators, "_cholesky_or_nan")
+    lmax = 3.0
+    s = DEFAULT_TOL.psd * lmax
+    for lmin_over_s, accept in ((-0.9, True), (-1.5, False)):
+        w = np.concatenate([[lmax], rng.uniform(0.0, lmax, d - 2), [0.0]])
+        u = haar_unitary(d, rng)
+        m = (u * w) @ u.conj().T
+        s1 = DEFAULT_TOL.psd * max(1.0, np.abs(np.diag(m)).max())
+        assert s1 < 0.9 * s
+        m = hermitian_part(m + lmin_over_s * s * np.outer(u[:, -1], u[:, -1].conj()))
+        svds.clear()
+        factors.clear()
+        assert _cholesky_certifies_psd(m, DEFAULT_TOL.psd) == accept
+        assert len(svds) == 1 and len(factors) == 2
+        _assert_decided_as_by_eigenvalues(m, accept)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_a_leak_between_the_frobenius_bounds_is_decided_by_the_svd(monkeypatch, d):
+    # A = lam v v* with v = sqrt(1 - t) s + sqrt(t) k, s in supp B and k in its
+    # kernel: the leak has ||X||_op = ||X||_F = lam t, placed just inside and
+    # just outside tol.support * max(1, ||A||_op)
+    rng = np.random.default_rng(100 + d)
+    svds = _counted(monkeypatch, operators, "op_norm")
+    tau = DEFAULT_TOL.support
+    b, cols = _half_rank(d, rng)
+    comp = np.eye(d) - support_projection(b)
+    s = _unit_rows(cols @ (rng.standard_normal(cols.shape[1]) + 1j * rng.standard_normal(cols.shape[1])))
+    k = _unit_rows(comp @ (rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+    for lam in (3.0, 1e3):
+        for side, contained in ((-1e-3, True), (1e-3, False)):
+            t = tau * (1.0 + side)
+            a = PsdOperator(lam * np.outer(v := np.sqrt(1.0 - t) * s + np.sqrt(t) * k, v.conj()))
+            x = comp @ a.mat @ comp
+            # neither Frobenius bound decides
+            assert hs_norm(x) > tau * max(1.0, np.abs(np.diag(a.mat)).max())
+            assert hs_norm(x) / np.sqrt(d) <= tau * max(1.0, hs_norm(a.mat))
+            leak = np.linalg.norm(x, 2)
+            assert (leak <= tau or leak <= tau * np.linalg.norm(a.mat, 2)) == contained
+            svds.clear()
+            assert support_contained(a, b) == contained
+            assert len(svds) == 2
+            assert chi2_extended(a, b, 0.5).is_finite == contained
+
+
+def _value_or_error(fn):
+    """``fn()``'s finite value, None for the tagged infinity, or the message of
+    the ValueError it raises."""
+    try:
+        value = fn()
+    except ValueError as err:
+        return str(err)
+    return value if isinstance(value, float) else None if value.is_infinite else value.value
+
+
+@pytest.mark.filterwarnings("error")
+def test_support_at_extreme_scales_is_decided_as_by_the_operator_norms():
+    # squaring entries of 1e300 overflows: the Frobenius bounds must prescale
+    rng = np.random.default_rng(110)
+    tau = DEFAULT_TOL.support
+    for d in (2, 4, 8):
+        b, cols = _half_rank(d, rng)
+        comp = np.eye(d) - support_projection(b)
+        inside = cols @ random_psd(cols.shape[1], rng).mat @ cols.conj().T
+        for a0, contained in ((inside, True), (random_psd(d, rng, rank=d // 2).mat, False)):
+            unit = a0 / op_norm(a0)
+            for scale in (1e-170, 1e150, 1e300, 1.7e308):
+                a = PsdOperator(scale * (unit if scale == 1.7e308 else a0))
+                leak = op_norm(comp @ a.mat @ comp)
+                rule = leak <= tau or leak <= tau * op_norm(a.mat)
+                # at 1e-170 the absolute floor admits any leak
+                assert rule == (contained or scale == 1e-170)
+                assert support_contained(a, b) == rule
+                # the value is the kernel's on the support, as before the bounds
+                want = _value_or_error(lambda: float(_finite_gram(
+                    a.mat - b.mat, b.spectrum(), 0.5, b.tol.support, pseudo=True))) if rule else None
+                assert _value_or_error(lambda: chi2_extended(a, b, 0.5)) == want

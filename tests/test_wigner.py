@@ -44,6 +44,19 @@ def test_unitarity_defect_just_above_the_bound_raises():
         ConjugationMap(u, "antiunitary")
 
 
+def test_a_rejected_unitary_takes_one_svd(monkeypatch):
+    calls = []
+
+    def counted(mat):
+        calls.append(1)
+        return op_norm(mat)
+
+    monkeypatch.setattr(wigner, "op_norm", counted)
+    with pytest.raises(ValueError, match="U is not unitary"):
+        ConjugationMap(np.diag([1.0, 2.0]), "unitary")
+    assert len(calls) == 1
+
+
 def test_a_haar_conjugation_map_runs_no_svd(monkeypatch):
     def no_svd(mat):
         pytest.fail("op_norm was called")
