@@ -70,7 +70,7 @@ def _parse_tolerances(pairs) -> Tolerances:
     for item in pairs:
         try:
             name, raw = item.split("=", 1)
-            overrides[name] = int(raw) if name == "jacobi_sweeps" else float(raw)
+            overrides[name] = float(raw)
         except ValueError:
             raise ValueError(f"bad tolerance override {item!r}; use NAME=VALUE")
         if name not in names:

@@ -152,7 +152,8 @@ def _probe_plan(d: int, seed: int) -> np.ndarray:
     first-seen order: the orthogonality pairs ``[a; b]`` of
     ``_sample_pairs(d, _CHECK_SAMPLES, seed)``, their unit sums ``a + b``
     (the transition check's other rows), then ``_family_rows(d)``; each
-    row once, with the bytes the checks and the synthesis send."""
+    row once, with the bytes the checks and the synthesis send.  From
+    d = 5 on the pairs are basis pairs alone, and the plan is the family."""
     a, b = _sample_pairs(d, _CHECK_SAMPLES, seed)
     rows = np.concatenate([_unit_rows(np.concatenate([a, b, a + b])), _family_rows(d)])
     keys = dict.fromkeys(row.tobytes() for row in rows)
@@ -187,7 +188,9 @@ def preserver_decompile(
     ``phi`` is a callable PdOperator -> PdOperator, assumed (not
     verified globally) to be a bijective preserver; violations surface
     as stage-labeled failures in the report.  ``seed`` seeds the random
-    samples of stages 1, 4 and 7; both stage-4 checks draw the same pairs.
+    samples of stages 1 and 7.  Both stage-4 checks take every basis pair
+    ``(e_i, e_j)`` first, then seeded Haar pairs up to _CHECK_SAMPLES (10),
+    so only d <= 4 draws any: d = 6 checks its 15 basis pairs alone.
     Each scale images its whole probe plan (``_probe_plan``: the stage-4
     pairs, their sums, then the stage-5 probe family, each row once) in
     one request before stage 4, so the rounding runs once per scale and

@@ -137,27 +137,22 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
 
 
 def _finite_gram(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
-                 support_rel: float, pseudo: bool) -> np.ndarray:
-    """``_gram_value``, never an inf.  Past ``||diff||_HS^2 = 4^_SAFE_EXP``
-    the squares of X may overflow; the slices that do are taken again on
-    ``diff 2^-e`` and scaled back by ``2^(2e)``, both exact (``e = 0``, and
-    so the same bits, on the others).  Every term is nonnegative, so a
+                 support_rel: float, pseudo: bool) -> float:
+    """``_gram_value`` of one ``(d, d)`` ``diff`` against one spectrum, never
+    an inf.  Past ``||diff||_HS^2 = 4^_SAFE_EXP`` the squares of X may
+    overflow; if they do, the value is taken again on ``diff 2^-e`` and
+    scaled back by ``2^(2e)``, both exact.  Every term is nonnegative, so a
     value still past the float maximum is one, and raises ValueError."""
     args = spec, alpha, support_rel, pseudo
     if np.vdot(diff, diff).real <= 4.0**_SAFE_EXP:
-        val = _gram_value(diff, *args)
+        val = float(_gram_value(diff, *args))
     else:
         with np.errstate(over="ignore"):
-            val = _gram_value(diff, *args)
-            big = ~(val < np.inf)
-            if big.any():
-                top = np.maximum(abs(diff.real), abs(diff.imag)).max(axis=(-2, -1))
-                e = np.where(big, np.frexp(top)[1], 0)
-                val = np.ldexp(_gram_value(_ldexp(diff, -e[..., None, None]), *args), 2 * e)
-    # one value compares as a scalar: a numpy reduction costs microseconds
-    # per query
-    finite = val < np.inf
-    if not (finite if val.ndim == 0 else finite.all()):
+            val = float(_gram_value(diff, *args))
+            if not val < np.inf:
+                e = int(np.frexp(np.maximum(abs(diff.real), abs(diff.imag)).max())[1])
+                val = float(np.ldexp(_gram_value(_ldexp(diff, -e), *args), 2 * e))
+    if not val < np.inf:
         raise ValueError("divergence exceeds the float maximum")
     return val
 
@@ -173,7 +168,7 @@ def _chi2(a: PsdOperator, b: PsdOperator, alpha: float) -> float:
     _require_same_dim(a, b)
     spec = b.spectrum()
     _require_pd(spec, b.tol)
-    return float(_finite_gram(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False))
+    return _finite_gram(a.mat - b.mat, spec, alpha, b.tol.support, pseudo=False)
 
 
 def quadratic_relative_entropy(a: PsdOperator, b: PsdOperator) -> float:
@@ -192,7 +187,7 @@ def chi2_extended(a: PsdOperator, b: PsdOperator, alpha: float) -> DivergenceVal
     if not support_contained(a, b):
         return DivergenceValue.infinite()
     return DivergenceValue.finite(
-        float(_finite_gram(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True)))
+        _finite_gram(a.mat - b.mat, b.spectrum(), alpha, b.tol.support, pseudo=True))
 
 
 def chi2_limit_probe(
@@ -205,6 +200,8 @@ def chi2_limit_probe(
 
     When supp A lies inside supp B the tail approaches the extended
     divergence; otherwise the values grow without bound as eps shrinks.
+    Each epsilon is one evaluation against ``b.spectrum().shift(eps)``,
+    guarded as ``chi2`` is: a value past the float maximum raises.
     """
     alpha = Alpha(alpha)
     _require_same_dim(a, b)
@@ -215,11 +212,8 @@ def chi2_limit_probe(
         raise ValueError("epsilon schedule must be strictly decreasing")
     if eps[-1] < 1e-8:
         raise ValueError("epsilon schedule must stay at or above 1e-8")
-    # one stacked evaluation, slice k against B + eps[k] I
-    spec, e = b.spectrum(), np.array(eps)[:, None]
-    shifted = SpectralDecomposition(spec.w + e, np.broadcast_to(spec.v, (len(eps), *spec.v.shape)))
-    diffs = (a.mat - b.mat) - e[..., None] * np.eye(a.dim)
-    return _finite_gram(diffs, shifted, alpha, 0.0, pseudo=False).tolist()
+    spec, diff, eye = b.spectrum(), a.mat - b.mat, np.eye(a.dim)
+    return [_finite_gram(diff - e * eye, spec.shift(e), alpha, 0.0, pseudo=False) for e in eps]
 
 
 def _query_powers(spec: SpectralDecomposition, alpha: float) -> np.ndarray:

@@ -57,6 +57,10 @@ __all__ = [
 
 _TINY = np.finfo(np.float64).tiny
 
+#: Jacobi's stopping threshold and default sweep cap (see ``jacobi_eigh``)
+_OFF = 1e-14
+_MAX_SWEEPS = 100
+
 #: a largest entry within 2^-SAFE_EXP .. 2^SAFE_EXP squares and sums
 #: without under- or overflow at d <= 16; outside it, norms and
 #: eigensolves first rescale by an exact power of two
@@ -215,10 +219,7 @@ def _stacked_plan(d: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def jacobi_eigh(
-    mat: np.ndarray,
-    *,
-    max_sweeps: int = DEFAULT_TOL.jacobi_sweeps,
-    off_factor: float = DEFAULT_TOL.jacobi_off,
+    mat: np.ndarray, *, max_sweeps: int = _MAX_SWEEPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix, or each slice of an ``(n, d, d)``
     stack, by round-robin Jacobi rotations.
@@ -243,12 +244,12 @@ def jacobi_eigh(
       ``Y Y* = H``, once the columns are orthogonal the eigenvalues are
       their squared norms and the eigenvectors the columns over their
       norms.  The slice has converged when the Gram matrix ``G = Y* Y``
-      has ``max |G_pq| / sqrt(G_pp G_qq) <= off_factor``, checked once
+      has ``max |G_pq| / sqrt(G_pp G_qq) <= _OFF`` (1e-14), checked once
       per sweep.
     - Every other slice (indefinite, singular but PSD, exactly diagonal,
       or d = 1): two-sided Jacobi on the slice itself (``_two_sided``).  It
       has converged when its off-diagonal Hilbert-Schmidt norm drops below
-      ``off_factor`` times its own ``||M||_HS``, so an exactly diagonal
+      ``_OFF`` times its own ``||M||_HS``, so an exactly diagonal
       slice comes back as its diagonal, with ``v = I``, before any sweep.
 
     Both routes run one sweep loop, ``_sweeps``.  A sweep leaves each
@@ -260,7 +261,7 @@ def jacobi_eigh(
     ``a <- J* a J`` (as ``y = a J``, then ``a <- y* J``) and ``v <- v J``;
     the one-sided route sets ``Y <- Y J``, with ``J`` built from ``G``,
     recomputed each round.  A slice still unconverged after ``max_sweeps``
-    sweeps raises SolverFailure, which names it.
+    (``_MAX_SWEEPS``) sweeps raises SolverFailure, which names it.
 
     The one-sided route keeps every eigenvalue of a graded positive
     definite ``D A D`` to high relative accuracy, as two-sided Jacobi does
@@ -294,13 +295,13 @@ def jacobi_eigh(
     stuck = []
     for kernel, x, take in ((_one_sided, chol, factored), (_two_sided, a, ~factored)):
         if take.all():
-            w, v, stuck = kernel(x, max_sweeps, off_factor)
+            w, v, stuck = kernel(x, max_sweeps)
             break
         if take.any():
             rows = np.flatnonzero(take)
             if w is None:
                 w, v = np.empty((n, d)), np.empty_like(a)
-            w[rows], v[rows], bad = kernel(x[rows], max_sweeps, off_factor)
+            w[rows], v[rows], bad = kernel(x[rows], max_sweeps)
             stuck += [(rows[k], detail) for k, detail in bad]
     w, v = _finish(shape, w, v, stuck, max_sweeps)
     if e is None:
@@ -369,12 +370,12 @@ def _round_unitary(entries: np.ndarray, rot: np.ndarray, eyes: np.ndarray):
     return e, t * r
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int, off_factor: float) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided route alone on a complex ``(d, d)`` or ``(n, d, d)``
     array, sorted and raising as ``jacobi_eigh`` does: the reference the
     other routes are tested against."""
     d = a.shape[-1]
-    return _finish(a.shape, *_two_sided(a.reshape(-1, d, d), max_sweeps, off_factor), max_sweeps)
+    return _finish(a.shape, *_two_sided(a.reshape(-1, d, d), max_sweeps), max_sweeps)
 
 
 def _sweeps(out, max_sweeps: int, measure, rotate):
@@ -409,12 +410,12 @@ def _sweeps(out, max_sweeps: int, measure, rotate):
     return out, list(zip(live.tolist(), off.tolist()))
 
 
-def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
+def _two_sided(a: np.ndarray, max_sweeps: int):
     """Two-sided Jacobi on a complex ``(n, d, d)`` stack it may overwrite:
     unsorted ``(w, v)`` and the unconverged ``(slice, detail)`` pairs."""
     n, d = len(a), a.shape[-1]
     _, off_idx = _round_robin_plan(d)
-    thresh = off_factor * np.sqrt(_hs_squares(a))
+    thresh = _OFF * np.sqrt(_hs_squares(a))
     v = np.empty_like(a)
     v[...] = np.eye(d)
 
@@ -446,7 +447,7 @@ def _two_sided(a: np.ndarray, max_sweeps: int, off_factor: float):
     return a.reshape(n, d * d)[:, :: d + 1].real, v, stuck
 
 
-def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
+def _one_sided(l: np.ndarray, max_sweeps: int):
     """One-sided Jacobi on an ``(n, d, d)`` stack of Cholesky factors ``L``:
     unsorted ``(w, v)`` of each ``L L*`` and the unconverged ``(slice,
     detail)`` pairs."""
@@ -462,7 +463,7 @@ def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
         rel = np.abs(g) / s[..., :, None] / s[..., None, :]
         off = rel.reshape(-1, d * d).take(off_idx, axis=-1).max(axis=-1, initial=0.0)
         # w is G's diagonal once converged; G itself serves the next round
-        return off, off <= off_factor, (rows[0], gd, g)
+        return off, off <= _OFF, (rows[0], gd, g)
 
     def rotate(rows, eyes, plan):
         yl, gd, g = rows
@@ -475,7 +476,7 @@ def _one_sided(l: np.ndarray, max_sweeps: int, off_factor: float):
 
     (y, w), stuck = _sweeps((y, np.empty((n, d))), max_sweeps, measure, rotate)
     detail = "largest relative Gram entry {:.3e}, threshold {:.1e}"
-    stuck = [(k, detail.format(x, off_factor)) for k, x in stuck]
+    stuck = [(k, detail.format(x, _OFF)) for k, x in stuck]
     if stuck:  # jacobi_eigh raises without reading w or v
         return w, y, stuck
     return w, y / np.sqrt(w)[:, None, :], stuck
@@ -729,7 +730,4 @@ def spectral_decomposition(
     Eigenvalues closer than ``tol.cluster * max(1, lmax)`` chain-merge
     into one eigenspace (see ``cluster_eigenpairs``).
     """
-    w, v = jacobi_eigh(
-        mat, max_sweeps=tol.jacobi_sweeps, off_factor=tol.jacobi_off
-    )
-    return cluster_eigenpairs(w, v, tol)
+    return cluster_eigenpairs(*jacobi_eigh(mat), tol)

@@ -4,7 +4,8 @@ The one persistence format in the package:
 
     {"dim": d, "entries": [[re, im], ...]}
 
-with exactly d*d [re, im] pairs in row-major order, all finite.
+with exactly d*d [re, im] pairs in row-major order, all finite, d >= 1;
+saving refuses any other matrix, so what it writes loads to the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ __all__ = ["matrix_to_obj", "matrix_from_obj", "save_matrix", "load_matrix"]
 
 def matrix_to_obj(mat: np.ndarray) -> dict:
     m = np.asarray(mat, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise MatrixFormatError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise MatrixFormatError("matrix entries must be finite")
     d = m.shape[0]
     entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return {"dim": d, "entries": entries}

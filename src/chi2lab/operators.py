@@ -137,18 +137,20 @@ def _cholesky_certifies_psd(m: np.ndarray, rel: float) -> bool:
     ``m + rel * max(1, max |m_ii|) * I``: as ``|m_ii| <= ||m||_op``, that
     shift is at most the full one, so success there is success at the full
     shift, and only when it fails is ``||m||_op`` taken (an SVD) for a second
-    factor at the full shift.  A matrix whose largest entry lies above the
-    safe range is factored scaled by an exact power of two, where its norm,
-    above 1 before scaling, sets the shift.
+    factor at the full shift, if that one differs.  A matrix whose largest
+    entry lies above the safe range is factored scaled by an exact power of
+    two, where its norm, above 1 before scaling, sets the shift.
     """
     eye = np.eye(len(m))
     e = _prescale_exponents(m)
     if e is not None and e > 0:
         m = _ldexp(m, -e)
         return _factors(m + rel * op_norm(m) * eye)
-    if _factors(m + rel * np.abs(m.diagonal()).max(initial=1.0) * eye):
+    first = float(np.abs(m.diagonal()).max(initial=1.0))
+    if _factors(m + rel * first * eye):
         return True
-    return _factors(m + rel * max(1.0, op_norm(m)) * eye)
+    full = max(1.0, op_norm(m))
+    return full != first and _factors(m + rel * full * eye)
 
 
 class PsdOperator(HermitianMatrix):

@@ -289,6 +289,7 @@ def test_tolerance_flag_only_where_read(mats, capsys):
 
 
 @pytest.mark.parametrize("override", [
+    # jacobi_sweeps is not a tolerance: rejected as an unknown name
     "jacobi_sweeps=-1", "jacobi_sweeps=2.7", "cluster=nan", "psd=inf", "pd=-1e-3",
 ])
 def test_out_of_range_tolerance_exits_2(mats, capsys, override):
@@ -299,8 +300,11 @@ def test_out_of_range_tolerance_exits_2(mats, capsys, override):
     assert override.split("=")[0] in captured.err
 
 
-def test_integer_sweep_cap_override(mats, capsys):
+@pytest.mark.parametrize("override", ["jacobi_sweeps=3", "jacobi_off=1e-12"])
+def test_eigensolver_settings_are_not_tolerances(mats, capsys, override):
+    # the Jacobi stopping rule and sweep cap are the eigensolver's own
     assert main(["peel", "--hidden", mats["d73"], "--alpha", "0.5",
-                 "--tol", "jacobi_sweeps=3", "--json"]) == 0
-    eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
-    np.testing.assert_allclose(eigenvalues, [0.7, 0.3], atol=1e-6)
+                 "--tol", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown tolerance" in captured.err

@@ -5,7 +5,11 @@ import pytest
 
 from chi2lab import DEFAULT_TOL, Tolerances
 
-FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances) if f.name != "jacobi_sweeps"]
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances)]
+
+
+def test_tolerances_are_the_six_membership_thresholds():
+    assert FLOAT_FIELDS == ["psd", "pd", "support", "cluster", "hermitian", "trace_one"]
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -15,12 +19,6 @@ def test_float_tolerance_must_be_finite_and_nonnegative(name, value):
         dataclasses.replace(DEFAULT_TOL, **{name: value})
 
 
-@pytest.mark.parametrize("value", [-1, 2.7, 3.0, "3"])
-def test_sweep_cap_must_be_a_nonnegative_integer(value):
-    with pytest.raises(ValueError, match="jacobi_sweeps"):
-        Tolerances(jacobi_sweeps=value)
-
-
 def test_zero_is_a_valid_tolerance():
-    zero = Tolerances(**{name: 0.0 for name in FLOAT_FIELDS}, jacobi_sweeps=0)
-    assert zero.jacobi_sweeps == 0 and zero.psd == 0.0
+    zero = Tolerances(**{name: 0.0 for name in FLOAT_FIELDS})
+    assert all(getattr(zero, name) == 0.0 for name in FLOAT_FIELDS)

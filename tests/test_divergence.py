@@ -149,8 +149,8 @@ def test_squares_past_the_float_maximum_do_not_overflow_the_value():
 
 @pytest.mark.filterwarnings("error")
 def test_limit_probe_slices_past_the_float_maximum_do_not_overflow():
-    # the stacked probe rescales only the slices whose squares overflow,
-    # as chi2 does: 2 * 1e400 / 1e100 against B + eps I, eps far below 1e100
+    # each epsilon is rescaled when its squares overflow, as chi2 does:
+    # 2 * 1e400 / 1e100 against B + eps I, eps far below 1e100
     a = PsdOperator(np.diag([1e200, 1e200]))
     values = chi2_limit_probe(a, PsdOperator(1e100 * np.eye(2)), 0.5, [1e-2, 1e-4])
     want = chi2(a, PdOperator(1e100 * np.eye(2)), 0.5)
@@ -454,7 +454,7 @@ def test_limit_probe_tail_approaches_the_extended_value_on_a_random_support():
         target = chi2_extended(a, b, alpha).value
         schedule = (1e-2, 1e-4, 1e-6, 1e-8)
         values = chi2_limit_probe(a, b, alpha, schedule)
-        # the stacked probe equals one 2-D evaluation per epsilon
+        # one kernel evaluation per epsilon, against the shifted spectrum
         assert values == [
             float(_gram_value(a.mat - b.mat - e * np.eye(5), spec.shift(e), alpha, 0.0, False))
             for e in schedule

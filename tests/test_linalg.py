@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from chi2lab import (
 )
 from chi2lab.ensembles import haar_unitary, pd_stack, psd_stack, random_hermitian, random_psd
 from chi2lab.linalg import (
+    _MAX_SWEEPS,
+    _OFF,
     SpectralDecomposition,
     _cholesky_or_nan,
     _jacobi,
@@ -230,7 +233,7 @@ def test_one_sided_route_agrees_with_two_sided_jacobi(kind):
     for d in (2, 3, 4, 6, 8, 16):
         stack = np.array([_test_matrix(kind, d, rng) for _ in range(4)], dtype=complex)
         assert np.isfinite(_cholesky_or_nan(stack)).all()
-        ref, _ = _jacobi(stack.copy(), 100, 1e-14)
+        ref, _ = _jacobi(stack.copy(), 100)
         w, _ = jacobi_eigh(stack)
         assert np.max(np.abs(w - ref) / ref) <= 1e-13
 
@@ -631,7 +634,7 @@ def test_normal_scales_skip_the_prescale_bitwise():
     m = 3.0 * random_hermitian(6, np.random.default_rng(19))
     assert hs_norm(m) == float(np.linalg.norm(m))
     w, v = jacobi_eigh(m)
-    w0, v0 = _jacobi(m.astype(complex), 100, 1e-14)
+    w0, v0 = _jacobi(m.astype(complex), 100)
     assert w.tobytes() == w0.tobytes()
     assert v.tobytes() == v0.tobytes()
     # an exact power-of-two scale outside the safe range changes only w's exponent
@@ -851,3 +854,11 @@ def test_cluster_merge_equals_the_per_row_chain_merge(rows, seed):
     assert stacked.w.tobytes() == want.tobytes()
     for k in range(len(w)):
         assert cluster_eigenpairs(w[k], v).w.tobytes() == want[k].tobytes()
+
+
+def test_the_sweep_cap_is_the_solvers_one_setting():
+    # the stopping threshold is the constant _OFF, read by both routes
+    params = inspect.signature(jacobi_eigh).parameters
+    assert list(params) == ["mat", "max_sweeps"]
+    assert params["max_sweeps"].default == _MAX_SWEEPS == 100
+    assert _OFF == 1e-14

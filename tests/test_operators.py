@@ -448,6 +448,21 @@ def test_certificate_between_the_two_shifts_takes_one_svd(monkeypatch, d):
         _assert_decided_as_by_eigenvalues(m, accept)
 
 
+def test_certificate_with_equal_shifts_factors_once(monkeypatch):
+    # max(1, max |m_ii|) == max(1, ||m||_op): the full shift is the first
+    # one, so the second factor would be of the same matrix (shifts that
+    # differ take both factors, as the test above checks)
+    svds = _counted(monkeypatch, operators, "op_norm")
+    factors = _counted(monkeypatch, operators, "_cholesky_or_nan")
+    for m in (np.diag([3.0, -1.0]), np.diag([0.5, -0.5]), -np.eye(4)):
+        h = hermitian_part(m.astype(complex))
+        svds.clear()
+        factors.clear()
+        assert _cholesky_certifies_psd(h, DEFAULT_TOL.psd) is False
+        assert len(svds) == 1 and len(factors) == 1
+        _assert_decided_as_by_eigenvalues(m, False)
+
+
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_a_leak_between_the_frobenius_bounds_is_decided_by_the_svd(monkeypatch, d):
     # A = lam v v* with v = sqrt(1 - t) s + sqrt(t) k, s in supp B and k in its
