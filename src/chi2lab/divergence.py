@@ -133,6 +133,8 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
     sq = xh * xh
     sq = sq[..., 0::2] + sq[..., 1::2]  # |X_ij|^2 at [j, i]
     weights = right[..., :, None] * left[..., None, :]
+    if sq.ndim == 2:  # one matrix: np.vdot flattens both
+        return np.vdot(sq, weights)
     return _dots(sq.reshape(*sq.shape[:-2], -1), weights.reshape(*weights.shape[:-2], -1))
 
 

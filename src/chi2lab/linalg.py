@@ -16,8 +16,9 @@ diagonal matrix as it is, with no rotation.  At the target scale
 (d <= 16) the solver is deterministic and keeps high relative accuracy
 on graded positive definite matrices (Demmel and Veselic, SIAM J. Matrix
 Anal. Appl. 13, 1992), which downstream divergence code relies on when
-second arguments are nearly singular.  Norms are not eigensolves:
-``op_norm`` takes the largest singular value.
+second arguments are nearly singular.  A solve sorts its eigenpairs
+once and allocates rotation workspace only when a sweep runs.  Norms are
+not eigensolves: ``op_norm`` takes the largest singular value.
 
 A spectrum is the solver's eigenpair arrays ``(w, V)``, near-ties merged
 by ``cluster_eigenpairs``, and every spectral function is ``(V * f(w)) @ V*``.
@@ -136,10 +137,14 @@ def hs_norm(mat: np.ndarray) -> float:
     """
     m = np.asarray(mat, dtype=np.complex128)
     e = _prescale_exponents(m)
+    # np.linalg.norm's sum without its wrapper: a dot over the real parts
+    # plus one over the imaginary parts, in memory order
+    x = (m if e is None else _ldexp(m, -e)).ravel(order="K")
+    norm = np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     if e is None:
-        return float(np.linalg.norm(m))
+        return float(norm)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(_ldexp(m, -e)), e))
+        return float(np.ldexp(norm, e))
 
 
 def op_norm(mat: np.ndarray) -> float:
@@ -254,14 +259,17 @@ def jacobi_eigh(
 
     Both routes run one sweep loop, ``_sweeps``.  A sweep leaves each
     converged slice as it is and visits every pair ``p < q`` of the others
-    once, in the rounds of ``_round_robin_plan``.  A round's rotations touch
+    once, in the rounds of ``_round_robin_plan``; a solve that needs no
+    sweep allocates no rotation workspace.  A round's rotations touch
     disjoint rows and columns, so it is one unitary ``J``, built as its real
     ``(2d, 2d)`` form in ``SpectralDecomposition._real_v``'s layout and
     applied by real matmuls on float views.  The two-sided route sets
     ``a <- J* a J`` (as ``y = a J``, then ``a <- y* J``) and ``v <- v J``;
     the one-sided route sets ``Y <- Y J``, with ``J`` built from ``G``,
     recomputed each round.  A slice still unconverged after ``max_sweeps``
-    (``_MAX_SWEEPS``) sweeps raises SolverFailure, which names it.
+    (``_MAX_SWEEPS``) sweeps raises SolverFailure, which names it.  The
+    eigenpairs are sorted once, here: ``cluster_eigenpairs`` copies rows
+    that come in sorted rather than sorting them again.
 
     The one-sided route keeps every eigenvalue of a graded positive
     definite ``D A D`` to high relative accuracy, as two-sided Jacobi does
@@ -384,13 +392,12 @@ def _sweeps(out, max_sweeps: int, measure, rotate):
     unconverged ``(slice, figure)`` pairs.  ``measure(rows, live)`` returns
     the live slices' figures, whether each converged, and their rows (one
     per array of ``out``, then any ``rotate`` reads); ``rotate(rows, eyes,
-    plan)`` applies a sweep, ``eyes`` a real ``(2d, 2d)`` identity per slice."""
+    plan)`` applies a sweep, ``eyes`` a real ``(2d, 2d)`` identity per live
+    slice, allocated only for a sweep that runs."""
     n, d = len(out[0]), out[0].shape[-1]
     live = np.arange(n)
     # a stack of one runs as its 2-D slice: the same bits, less numpy overhead
     rows = [x[0] for x in out] if n == 1 else out
-    eyes = np.empty((*rows[0].shape[:-2], 2 * d, 2 * d))
-    eyes[...] = np.eye(2 * d)
     for sweep in range(max_sweeps + 1):
         off, done, rows = measure(rows, live)
         converged = np.count_nonzero(done)
@@ -403,9 +410,10 @@ def _sweeps(out, max_sweeps: int, measure, rotate):
                 return out, []
             keep = ~done
             live, off, rows = live[keep], off[keep], [r[keep] for r in rows]
-            eyes = eyes[: len(live)]
         if sweep == max_sweeps:
             break
+        eyes = np.empty((*rows[0].shape[:-2], 2 * d, 2 * d))
+        eyes[...] = np.eye(2 * d)
         rows = rotate(rows, eyes, _stacked_plan(d, len(live)))
     return out, list(zip(live.tolist(), off.tolist()))
 
@@ -453,8 +461,10 @@ def _one_sided(l: np.ndarray, max_sweeps: int):
     detail)`` pairs."""
     n, d = len(l), l.shape[-1]
     _, off_idx = _round_robin_plan(d)
-    # Y = L W with W the eigenbasis of L* L, so Y* Y is nearly diagonal
-    y = l @ np.linalg.eigh(_gram(l))[1]
+    # Y = L W with W the eigenbasis of L* L, so Y* Y is nearly diagonal;
+    # np.linalg.eigh's gufunc (private, as cholesky_lo) gives its bits
+    # without its wrapper, and NaN, which never converges, on a failure
+    y = l @ _umath_linalg.eigh_lo(_gram(l), signature="D->dD")[1]
 
     def measure(rows, live):
         g = _gram(rows[0])
@@ -600,12 +610,13 @@ class SpectralDecomposition:
 
     def _powers(self, *ps, pseudo: bool, support_rel: float) -> np.ndarray:
         """``power``'s eigenvalues ``f(w)`` per exponent of ``ps``, on a new first
-        axis.  Exponents are spread over ``w``'s shape first: a float and an
-        ``(n, 1)`` column take one loop, so stacks match float calls bit for bit."""
+        axis.  The exponents (all floats, or all ``(n, 1)`` columns) fill
+        ``w``'s shape by one transposed assignment, so ``**`` reads them
+        contiguous (a stride-0 exponent may round differently) and stacks
+        match float calls bit for bit."""
         cutoff, full = self._cutoff(support_rel)
         p = np.empty((len(ps), *self.w.shape))
-        for k, q in enumerate(ps):
-            p[k] = q
+        p.T[...] = np.array(ps).T
         if full:
             return self.w**p
         if not pseudo and p.min() < 0.0:
@@ -686,9 +697,15 @@ def cluster_eigenpairs(
     then the largest finite eigenvalue (0 if there is none).  Every
     spectrum built from eigenpairs, computed or known by construction,
     goes through here.  On an ``(n, d)`` / ``(n, d, d)`` stack each row
-    merges on its own.
+    merges on its own.  Both arrays come back new; sorted input (as
+    ``jacobi_eigh``'s) is copied, not sorted again.
     """
-    vals, v = _sorted(np.asarray(w, dtype=np.float64), np.asarray(v))
+    vals, v = np.asarray(w, dtype=np.float64), np.asarray(v)
+    if (vals[..., :-1] >= vals[..., 1:]).all():
+        # the stable sort would be the identity: v in its indexing's layout
+        v = np.array(v, order="F" if vals.ndim == 1 else "C")
+    else:
+        vals, v = _sorted(vals, v)
     # a sorted row holds its largest magnitude at an end
     top = max(vals[0], -vals[-1]) if vals.ndim == 1 else np.abs(vals).max(initial=0.0)
     huge = top > 2.0**_SAFE_EXP
@@ -712,9 +729,13 @@ def cluster_eigenpairs(
     breaks = np.empty(vals.shape, dtype=bool)
     breaks[..., 0] = True
     np.greater(gaps, delta, out=breaks[..., 1:])
-    # runs numbered across rows; bincount sums each from 0.0 up, so a lone -0.0 becomes 0.0
-    ids = breaks.cumsum() - 1
-    means = (np.bincount(ids, vals.ravel()) / np.bincount(ids))[ids].reshape(vals.shape)
+    # runs numbered across rows; bincount sums each from 0.0 up, so a lone
+    # -0.0 becomes 0.0, as it does by + 0.0 when no run merges
+    if breaks.all():
+        means = vals + 0.0
+    else:
+        ids = breaks.cumsum() - 1
+        means = (np.bincount(ids, vals.ravel()) / np.bincount(ids))[ids].reshape(vals.shape)
     if huge:
         with np.errstate(over="ignore"):
             means = np.ldexp(means, e)

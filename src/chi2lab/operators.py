@@ -77,9 +77,14 @@ class ComplexMatrix:
         m = np.asarray(self.mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        # a complex entry is finite when both its parts are
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "mat", _freeze(m))
+        object.__setattr__(self, "mat", self._admit(m))
+
+    def _admit(self, m: np.ndarray) -> np.ndarray:
+        """The read-only array held for the checked ``m`` (maybe the caller's)."""
+        return _freeze(m)
 
     @property
     def dim(self) -> int:
@@ -92,17 +97,17 @@ class ComplexMatrix:
 class HermitianMatrix(ComplexMatrix):
     """Selfadjoint matrix; construction symmetrizes via (M + M*) / 2."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        m = self.mat
+    def _admit(self, m: np.ndarray) -> np.ndarray:
+        """The Hermitian part of ``m``, new, so frozen without a copy.  The
+        asymmetry bound's scale ``max(1, ||sym||_HS)`` is at least 1, so an
+        asymmetry within ``tol.hermitian`` passes without the norm."""
         sym = hermitian_part(m)
-        asym = float(np.max(np.abs(m - sym))) if m.size else 0.0
-        scale = max(1.0, hs_norm(sym))
-        if asym > self.tol.hermitian * scale:
-            raise NotHermitian(
-                f"asymmetry {asym:.3e} exceeds {self.tol.hermitian:.1e} * scale"
-            )
-        object.__setattr__(self, "mat", _freeze(sym))
+        asym = float(np.abs(m - sym).max())
+        tol = self.tol.hermitian
+        if asym > tol and asym > tol * max(1.0, hs_norm(sym)):
+            raise NotHermitian(f"asymmetry {asym:.3e} exceeds {tol:.1e} * scale")
+        sym.flags.writeable = False
+        return sym
 
     def spectrum(self) -> SpectralDecomposition:
         """Clustered eigendecomposition, computed on the first call and cached."""

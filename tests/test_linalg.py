@@ -1,9 +1,10 @@
 import inspect
+import types
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chi2lab import (
     NotHermitian,
@@ -21,6 +22,7 @@ from chi2lab import (
     support_projection,
 )
 from chi2lab.ensembles import haar_unitary, pd_stack, psd_stack, random_hermitian, random_psd
+from chi2lab import linalg
 from chi2lab.linalg import (
     _MAX_SWEEPS,
     _OFF,
@@ -30,6 +32,7 @@ from chi2lab.linalg import (
     cluster_eigenpairs,
     complete_to_unitary,
     _round_robin_plan,
+    _sorted,
     _stacked_plan,
     hermitian_part,
     hs_norm,
@@ -854,6 +857,105 @@ def test_cluster_merge_equals_the_per_row_chain_merge(rows, seed):
     assert stacked.w.tobytes() == want.tobytes()
     for k in range(len(w)):
         assert cluster_eigenpairs(w[k], v).w.tobytes() == want[k].tobytes()
+
+
+def _sorted_then_merged(w, v, cluster=1e-8):
+    """The reference for ``cluster_eigenpairs`` on rows in the safe range,
+    with no step skipped: a stable sort, then every run's mean by
+    ``bincount``."""
+    vals, v = _sorted(w, v)
+    delta = cluster * np.maximum(1.0, np.abs(vals[..., :1]))
+    breaks = np.empty(vals.shape, dtype=bool)
+    breaks[..., 0] = True
+    np.greater(vals[..., :-1] - vals[..., 1:], delta, out=breaks[..., 1:])
+    ids = breaks.cumsum() - 1
+    return (np.bincount(ids, vals.ravel()) / np.bincount(ids))[ids].reshape(vals.shape), v
+
+
+def _assert_same_spectrum(spec, w, v):
+    assert spec.w.tobytes() == w.tobytes() and spec.v.tobytes() == v.tobytes()
+    assert spec.v.flags.c_contiguous == v.flags.c_contiguous
+    assert spec.v.flags.f_contiguous == v.flags.f_contiguous
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROWS, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+# rows [1, -0.0, -1] (a lone -0.0) and [-0.0, -0.0, -0.0] (a merged run)
+@example([(1.0, [(1.0, -0.0), (1.0, 1.0)]), (-0.0, [(0.0, 1.0), (0.0, 1.0)])], 0)
+def test_cluster_returns_new_arrays_for_sorted_and_shuffled_rows(rows, seed):
+    # rows that come in sorted (as jacobi_eigh's do) are copied, not sorted
+    # again, and rows without a merge take no bincount: the bytes and the
+    # layout are those of the sort-and-merge either way, every -0.0 comes
+    # back 0.0, and the caller's arrays are neither frozen nor shared
+    rng = np.random.default_rng(seed)
+    d = 1 + len(rows[0][1])
+    w = np.array([(_row(start, steps) + [0.0] * d)[:d] for start, steps in rows])
+    w = w[:, rng.permutation(d)]
+    v = np.array([haar_unitary(d, rng) for _ in rows])
+    for shuffled in ((w, v), (w[0], v[0])):
+        want = _sorted_then_merged(*shuffled)
+        for args in (shuffled, _sorted(*shuffled)):
+            before = [x.tobytes() for x in args]
+            spec = cluster_eigenpairs(*args)
+            _assert_same_spectrum(spec, *want)
+            assert not np.signbit(spec.w[spec.w == 0.0]).any()
+            for x, b in zip(args, before):
+                assert x.flags.writeable and x.tobytes() == b
+                assert not np.shares_memory(x, spec.w) and not np.shares_memory(x, spec.v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROWS, st.booleans(), st.integers(0, 2**32 - 1))
+def test_spectral_decomposition_sorts_once_and_returns_new_arrays(row, diagonal, seed):
+    # near-tied, zero and -0.0 eigenvalues, on a rotated or an exactly
+    # diagonal matrix: the one sort, in jacobi_eigh, gives the bytes and
+    # the layout of sorting its output again, and the input is untouched
+    rng = np.random.default_rng(seed)
+    w = np.array(_row(*row))
+    u = np.eye(len(w)) if diagonal else haar_unitary(len(w), rng)
+    m = (u * w[rng.permutation(len(w))]) @ u.conj().T
+    m = np.diag(np.diag(m).real) if diagonal else hermitian_part(m)
+    before = m.tobytes()
+    spec = spectral_decomposition(m)
+    _assert_same_spectrum(spec, *_sorted_then_merged(*jacobi_eigh(m)))
+    assert not np.signbit(spec.w[spec.w == 0.0]).any()
+    assert m.flags.writeable and m.tobytes() == before
+    assert not np.shares_memory(m, spec.w) and not np.shares_memory(m, spec.v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+def test_hs_norm_sums_as_numpy_norm_does(d):
+    # hs_norm sums the squares as np.linalg.norm does, in memory order,
+    # whatever the layout, for entries in the safe range
+    rng = np.random.default_rng(70 + d)
+    for scale in (1e-80, 1e-3, 1.0, 1e3, 1e80):
+        m = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        for x in (m, m.T, m[::2, ::-1], m.real):
+            want = np.linalg.norm(np.asarray(x, dtype=complex))
+            assert np.float64(hs_norm(x)).tobytes() == want.tobytes()
+
+
+def test_one_sided_preconditioner_is_numpys_eigh_bit_for_bit(monkeypatch):
+    # the one-sided route calls LAPACK eigh through its gufunc; through
+    # np.linalg.eigh instead, every eigenpair keeps its bytes
+    rng = np.random.default_rng(72)
+    inputs = [_test_matrix(kind, d, rng) for d in (2, 3, 4, 6, 8, 16) for kind in ("pd", "graded")]
+    inputs.append(np.array([_test_matrix("pd", 8, rng) for _ in range(5)]))
+    direct = [jacobi_eigh(m) for m in inputs]
+    gufuncs = linalg._umath_linalg
+    calls = []
+
+    def eigh_lo(g, signature):
+        assert signature == "D->dD"
+        calls.append(g.shape)
+        return np.linalg.eigh(g)
+
+    shim = types.SimpleNamespace(cholesky_lo=gufuncs.cholesky_lo, eigh_lo=eigh_lo)
+    monkeypatch.setattr(linalg, "_umath_linalg", shim)
+    for m, (w, v) in zip(inputs, direct):
+        w2, v2 = jacobi_eigh(m)
+        assert w2.tobytes() == w.tobytes() and v2.tobytes() == v.tobytes()
+    assert len(calls) == len(inputs)
 
 
 def test_the_sweep_cap_is_the_solvers_one_setting():

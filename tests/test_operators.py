@@ -7,6 +7,7 @@ from chi2lab import (
     HermitianMatrix,
     NonsingularDensity,
     NotDensity,
+    NotHermitian,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     PdOperator,
@@ -41,6 +42,46 @@ def test_hermitian_symmetrizes_tiny_asymmetry():
     m = np.array([[1.0, 1e-14], [0.0, 2.0]])
     h = HermitianMatrix(m)
     np.testing.assert_allclose(h.mat, h.mat.conj().T)
+
+
+def _layouts(m):
+    """``m`` C-ordered, F-ordered, as a strided view and as nested lists."""
+    wide = np.zeros((2 * len(m), 2 * len(m)), dtype=complex)
+    wide[::2, ::2] = m
+    return [m, np.asfortranarray(m), wide[::2, ::2], m.tolist()]
+
+
+@pytest.mark.parametrize("cls", [ComplexMatrix, HermitianMatrix, PsdOperator, PdOperator])
+def test_construction_holds_a_new_frozen_array(cls):
+    # one array is held: a copy of a ComplexMatrix's input, and the new
+    # Hermitian part otherwise; the caller's array stays writeable and
+    # unshared, whatever its layout
+    rng = np.random.default_rng(3)
+    m = random_pd(4, rng).mat.copy()
+    m[0, 1] += 1e-14  # within tol.hermitian: symmetrized
+    want = m if cls is ComplexMatrix else hermitian_part(m)
+    for x in _layouts(m):
+        op = cls(x)
+        assert not op.mat.flags.writeable
+        assert op.mat.tobytes() == np.ascontiguousarray(want).tobytes()
+        if isinstance(x, np.ndarray):
+            assert x.flags.writeable and not np.shares_memory(x, op.mat)
+
+
+def test_asymmetry_is_judged_against_the_scale():
+    # tol.hermitian * max(1, ||sym||_HS): an asymmetry above tol.hermitian
+    # passes on a matrix of large norm, and one above the scaled bound fails
+    big = 1e6 * np.eye(3, dtype=complex)
+    for asym, ok in ((1e-13, True), (1e-9, True), (1e-5, False)):
+        m = big.copy()
+        m[0, 1] = 2.0 * asym  # |m - sym| = asym at (0, 1) and (1, 0)
+        if ok:
+            HermitianMatrix(m)
+        else:
+            with pytest.raises(NotHermitian, match="asymmetry 1.000e-05"):
+                HermitianMatrix(m)
+    with pytest.raises(NotHermitian):
+        HermitianMatrix(np.array([[1.0, 4e-12], [0.0, 1.0]]))
 
 
 def test_psd_clamps_negligible_negative():
