@@ -32,7 +32,6 @@ the report localizes which preserver property broke.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -98,9 +97,6 @@ class DecompileReport:
         obj["stage_queries"] = dict(self.stage_queries)
         obj["failures"] = list(self.failures)
         return obj
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_obj(), indent=indent)
 
 
 class _CountingMap:

@@ -264,8 +264,9 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     """Shifted rank-one query tr(R D^-alpha) * tr(R D^(alpha-1)).
 
     For unit-trace D this equals chi2(R, D, alpha) + 1.  It is the query
-    of the rank-one oracle, a quartic form in R's vector whose fit
-    ``spectral_peel`` reads D's spectrum from.  This public function
+    of the rank-one oracle, a product of two Hermitian forms in R's
+    vector; ``spectral_peel`` fits both forms and reads D's spectrum off
+    them.  This public function
     checks the order, the dimensions and positive definiteness of D on
     every call; ``rank_one_query_oracle`` checks the order and D once,
     when it is built.  The two powers of D are built once per (D, alpha)

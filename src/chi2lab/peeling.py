@@ -1,58 +1,58 @@
-"""Spectral peeling: a spectrum read off the quartic form of rank-one queries.
+"""Spectral peeling: a spectrum read off one fit of rank-one queries.
 
 For a unit vector v the shifted rank-one query against a hidden positive
 definite D is
 
     q(v) = <v, A v> <v, B v>,      A = D^-alpha,  B = D^(alpha-1),
 
-which equals (v⊗v)* S (v⊗v) for the Hermitian form S = Π (A⊗B) Π on the
-symmetric subspace Sym²(C^d); Π = (1 + F)/2 with F the swap.  The
-products v⊗v span Sym² (Harrow, "The church of the symmetric subspace",
-arXiv:1308.6595), so q is linear in the m² real parameters of S,
-m = d(d+1)/2, and a linear fit on query values fixes S.
+a product of two Hermitian forms.  <v, X v> = Phi(v) . x is linear in the
+d² real parameters x of X (its diagonal, then the real and imaginary
+parts of its upper triangle), with features Phi(v) = (|v_i|², 2 Re and
+-2 Im of conj(v_i) v_k, i < k).  So q has 2d² real parameters, less one
+scale: (cA, B/c) gives the same q.  The peel queries 2d² + d seeded
+Haar-random unit probes, fixed per d and built once for the latest d,
+and fits (Phi a) * (Phi b) = q by least squares (Golub and Pereyra, SIAM
+J. Numer. Anal. 10, 1973; Björck, "Numerical Methods for Least Squares
+Problems", 1996):
 
-In the monomials v_i v_k (i <= k), S is an m x m Hermitian matrix C whose
-entry (ik, jl) touches the coordinates {i, k, j, l}.  Only the entries
-that touch at most three coordinates are fitted; the partial trace below
-reads no other.  The fit runs on probes supported on s = 1, 2, 3
-coordinates, smallest supports first.  A probe on an s-subset sees only
-the entries inside it; those of smaller support are already fitted and
-their prediction is subtracted, which leaves the entries whose support is
-exactly the subset (1, 7 and 12 real parameters).  One fixed, seeded
-local design of twice that many unit probes serves every subset of a
-size, so the entries of all s-subsets come from one precomputed
-pseudo-inverse in one matmul, and no system larger than 24 x 12 is
-solved.  The probes depend only on d, so the ``RankOneProjection``s of
-the latest d are built once and reused, each query still one
-``oracle.query`` call; only that one design is kept (about 0.22 MB at
-d = 6 and 6.9 MB at d = 16 under tracemalloc).
+- Start.  By Cauchy-Schwarz sqrt(q(v)) >= <v, S v>, S = D^-1/2, with
+  equality at D's eigenvectors and, at alpha = 1/2, everywhere.  A linear
+  fit of sqrt(q) gives S, and the fit starts at A0 = |S|^(2 alpha),
+  B0 = |S|^(2 - 2 alpha); a start with A0 = B0 would never leave the
+  swap-symmetric set.
+- Steps.  Undamped Gauss-Newton, J = [diag(Phi b) Phi, diag(Phi a) Phi].
+  The scale direction (a, -b) is in J's null space, so a gauge row
+  (a, -b) with right-hand side 0 is appended; the step comes from the
+  triangular factor of the QR of [J | -r].  A step is kept if it lowers
+  the sum of squared residuals, and the fit goes on while steps more than
+  halve it: the convergence is quadratic, so a step that does not is at
+  the floor of rounding or noise, and an exact fit (a zero sum) ends it.
+  At alpha = 1/2 the start is exact and J singular (A = B), and the first
+  step ends the fit.
 
-The partial trace
+A/tr(A) + B/tr(B) = h(D) with h(l) = l^-alpha / tr(A) + l^(alpha-1) /
+tr(B) strictly decreasing for every alpha in [0, 1], so its eigensolve
+gives D's eigenspaces in reverse order.  The oracle is then queried once
+at each eigenvector u_i: q(u_i) = 1/lambda_i, and an eigenspace's
+eigenvalue is the mean of 1/q(u_i) over its vectors.  q is a product of
+two Rayleigh quotients, both stationary at an eigenvector of D, so an
+error in u_i enters only at second order (Parlett, "The Symmetric
+Eigenvalue Problem", 1998); the fitted forms' own eigenvalues
+1/(a_i b_i) are first order in the fit's error, and lose digits at the
+endpoint orders (4e-10 relative on a graded spectrum, against the
+readout's 4e-11).  Under noise the fit may split an eigenspace and read
+its parts out of order; since h is strictly decreasing, neighbouring
+eigenspaces whose readouts do not decrease are merged.
 
-    tr_2 S = (tr(B) A + tr(A) B + 2 A B) / 4 = g(D),
-    g(l) = (tr(B) l^-alpha + tr(A) l^(alpha-1) + 2/l) / 4,
-
-has entries (tr_2 S)_ij = sum_k S_(ik),(jk) of support {i, j, k}, and g
-is strictly decreasing in l for every alpha in [0, 1]: both power terms
-are non-increasing and 2/l is strictly decreasing.  So tr_2 S has exactly
-D's eigenspaces, in reverse order and with the same multiplicities, and
-its eigensolve gives D's eigenbasis.  The oracle is then queried once at
-each eigenvector u_i: q(u_i) = 1/lambda_i, and an eigenspace's eigenvalue
-is the mean of 1/q(u_i) over its vectors.  q is a product of two Rayleigh
-quotients, both stationary at an eigenvector of D, so an error in u_i
-enters the eigenvalue only at second order (Parlett, "The Symmetric
-Eigenvalue Problem", 1998).  Under a noisy oracle tr_2 S may split an
-eigenspace, and each part's readout carries its own noise, so the parts
-may come back out of order; since g is strictly decreasing, neighbouring
-eigenspaces whose readouts do not decrease are merged, their eigenvalue
-the mean over the merged vectors.  A run costs exactly
-2d + 14 C(d,2) + 24 C(d,3) + d queries, 708 at d = 6.
+A query value outside (0, inf) raises ``ReconstructionError`` (a fit
+query before the start's square root), and so does a fitted probe off by
+more than ``1e-6 * max|q| + 10 * oracle.noise_sigma``, a misfit.  A run
+costs exactly 2d² + 2d queries, 84 at d = 6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -65,127 +65,74 @@ from .oracle import DivergenceOracle
 
 __all__ = ["spectral_peel"]
 
-#: seed of the local probe designs; part of the method, not a setting
+#: seed of the probe designs; part of the method, not a setting
 _DESIGN_SEED = 20170
-#: probes per exact-support parameter in each local design
-_OVERSAMPLE = 2
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs i <= k of the monomials v_i v_k, in row-major order."""
-    return [(i, k) for i in range(n) for k in range(i, n)]
-
-
-def _monomials(x: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """The monomials x_i x_k of each row of ``x``, one column per pair."""
-    i, k = np.array(pairs).T
-    return x[..., i] * x[..., k]
-
-
-@lru_cache(maxsize=None)
-def _local_design(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed probe design of one s-subset and its readout.
-
-    Returns ``(x, mono, entries, readout)``: unit probe vectors ``x`` on
-    the subset's local coordinates, their monomials, the local monomial
-    pairs ``(p, q)``, ``p <= q``, of the entries whose support is the
-    whole subset, and the matrix that maps the residual query values to
-    those entries (the pseudo-inverse of the design, combined into
-    complex entries).
-    """
-    pairs = _pairs(s)
-    whole = set(range(s))
-    entries, parts = [], []
-    for p in range(len(pairs)):
-        for q in range(p, len(pairs)):
-            if set(pairs[p]) | set(pairs[q]) == whole:
-                entries.append((p, q))
-                parts.append((len(entries) - 1, 1.0))
-                if p != q:
-                    parts.append((len(entries) - 1, 1j))
-    rng = np.random.default_rng([_DESIGN_SEED, s])
-    x = rng.standard_normal((_OVERSAMPLE * len(parts), s)) \
-        + 1j * rng.standard_normal((_OVERSAMPLE * len(parts), s))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    mono = _monomials(x, pairs)
-    # a real parameter c (diagonal) or the real or imaginary part of an
-    # off-diagonal entry adds c |m_p|^2, or 2 Re(c conj(m_p) m_q)
-    features = np.empty((len(x), len(parts)))
-    embed = np.zeros((len(parts), len(entries)), dtype=np.complex128)
-    for col, (e, unit) in enumerate(parts):
-        p, q = entries[e]
-        z = mono[:, p].conj() * mono[:, q]
-        features[:, col] = z.real if p == q else 2.0 * (unit * z).real
-        embed[col, e] = unit
-    readout = np.linalg.pinv(features).T @ embed
-    out = (x, mono, np.array(entries).reshape(-1, 2), readout)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _plan(d: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Monomial index of each coordinate pair, and per subset size the
-    subsets and the global indices of their local monomials."""
-    index = np.zeros((d, d), dtype=np.intp)
-    for n, (i, k) in enumerate(_pairs(d)):
-        index[i, k] = index[k, i] = n
-    sizes = []
-    for s in range(1, min(d, 3) + 1):
-        subsets = np.array(list(combinations(range(d), s)))
-        i, k = np.array(_pairs(s)).T
-        sizes.append((subsets, index[subsets[:, i], subsets[:, k]]))
-    for arr in (index, *(a for size in sizes for a in size)):
-        arr.flags.writeable = False
-    return index, tuple(sizes)
 
 
 @lru_cache(maxsize=1)
-def _probes(d: int) -> tuple[tuple[RankOneProjection, ...], ...]:
-    """Per subset size of ``_plan(d)``, the rank-one probes of every subset,
-    subset by subset: probe j of subset t carries x[j] of the local design
-    on the subset's coordinates."""
-    _, sizes = _plan(d)
-    out = []
-    for subsets, _ in sizes:
-        x = _local_design(subsets.shape[1])[0]
-        n = len(subsets)
-        probes = np.zeros((n, len(x), d), dtype=np.complex128)
-        t, j = np.arange(n)[:, None, None], np.arange(len(x))[:, None]
-        probes[t, j, subsets[:, None, :]] = x
-        out.append(tuple(RankOneProjection(v) for v in probes.reshape(-1, d)))
-    return tuple(out)
+def _design(d: int) -> tuple[tuple[RankOneProjection, ...], np.ndarray, np.ndarray]:
+    """The 2d² + d fixed probes, their features ``phi`` (``phi[j] @
+    _parameters(X) == <v_j, X v_j>``) and its pseudo-inverse, read-only."""
+    rng = np.random.default_rng([_DESIGN_SEED, d])
+    n = 2 * d * d + d
+    probes = tuple(map(RankOneProjection, rng.standard_normal((n, d))
+                       + 1j * rng.standard_normal((n, d))))
+    v = np.array([p.vector for p in probes])
+    i, k = np.triu_indices(d, 1)
+    z = v[:, i].conj() * v[:, k]
+    phi = np.hstack([(v.conj() * v).real, 2.0 * z.real, -2.0 * z.imag])
+    pinv = np.linalg.pinv(phi)
+    phi.flags.writeable = pinv.flags.writeable = False
+    return probes, phi, pinv
 
 
-def _fit_form(oracle: DivergenceOracle, d: int) -> np.ndarray:
-    """The m x m Hermitian coefficient matrix of q in the monomials, fitted
-    on the entries of support at most 3; those of support 4 stay zero."""
-    _, sizes = _plan(d)
-    m = d * (d + 1) // 2
-    form = np.zeros((m, m), dtype=np.complex128)
-    for (subsets, gidx), probes in zip(sizes, _probes(d)):
-        _, mono, entries, readout = _local_design(subsets.shape[1])
-        values = np.array([oracle.query(r) for r in probes]).reshape(len(subsets), -1)
-        # entries of smaller support, fitted already; the subset's own are zero
-        local = form[gidx[:, :, None], gidx[:, None, :]]
-        predicted = np.einsum("jp,tpq,jq->tj", mono.conj(), local, mono).real
-        coef = (values - predicted) @ readout
-        rows, cols = gidx[:, entries[:, 0]], gidx[:, entries[:, 1]]
-        form[cols, rows] = coef.conj()
-        form[rows, cols] = coef
-    return form
+def _parameters(mat: np.ndarray) -> np.ndarray:
+    """The d² real parameters of a Hermitian matrix: its diagonal, then the
+    real and the imaginary parts of its upper triangle."""
+    i, k = np.triu_indices(len(mat), 1)
+    return np.concatenate([mat.diagonal().real, mat[i, k].real, mat[i, k].imag])
 
 
-def _partial_trace(form: np.ndarray, d: int) -> np.ndarray:
-    """``tr_2 S`` from the fitted coefficient matrix: ``(tr_2 S)_ij =
-    sum_k S_(ik),(jk)``, which reads only entries of support at most 3."""
-    index, _ = _plan(d)
-    # a monomial pair of distinct coordinates stands for two orderings of
-    # the tensor index
-    weight = np.where(np.eye(d, dtype=bool), 1.0, 0.5)
-    terms = form[index[:, None, :], index[None, :, :]] * weight[:, None, :] * weight[None, :, :]
-    return terms.sum(axis=2)
+def _hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrix with parameters ``x`` (``_parameters``' inverse)."""
+    i, k = np.triu_indices(d, 1)
+    mat = np.diag(x[:d].astype(np.complex128))
+    mat[i, k] = x[d:d + len(i)] + 1j * x[d + len(i):]
+    mat[k, i] = mat[i, k].conj()
+    return mat
+
+
+def _positive(values: list[float], what: str) -> np.ndarray:
+    values = np.array(values)
+    if not np.all((values > 0.0) & (values < np.inf)):
+        raise ReconstructionError(f"a {what} query value lies outside (0, inf)")
+    return values
+
+
+def _fit(q: np.ndarray, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian A and B with ``(phi @ a) * (phi @ b) ~ q`` for their
+    parameters a and b, and the residual per probe."""
+    _, phi, pinv = _design(d)
+    m = d * d
+    w, u = np.linalg.eigh(_hermitian(pinv @ np.sqrt(q), d))
+    x = np.concatenate([_parameters((u * np.abs(w) ** p) @ u.conj().T)
+                        for p in (2.0 * alpha, 2.0 - 2.0 * alpha)])
+    r = (phi @ x[:m]) * (phi @ x[m:]) - q
+    cost = r @ r
+    while True:
+        jac = np.hstack([(phi @ x[m:])[:, None] * phi, (phi @ x[:m])[:, None] * phi])
+        gauge = np.concatenate([x[:m], -x[m:]])
+        # R of [J | -r] over the gauge row [a, -b | 0]
+        tri = np.linalg.qr(np.block([[jac, -r[:, None]], [gauge, 0.0]]), mode="r")
+        x_new = x + np.linalg.solve(tri[:-1, :-1], tri[:-1, -1])
+        r_new = (phi @ x_new[:m]) * (phi @ x_new[m:]) - q
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            x, r = x_new, r_new
+        # strict, so that a zero cost (an exact fit) ends the fit
+        if not cost_new < cost / 2:
+            return _hermitian(x[:m], d), _hermitian(x[m:], d), r
+        cost = cost_new
 
 
 def spectral_peel(
@@ -198,36 +145,32 @@ def spectral_peel(
 
     The oracle must answer query(R) with the shifted rank-one query
     against a hidden positive definite operator.  Uses exactly
-    ``2d + 14 C(d,2) + 24 C(d,3) + d`` queries (708 at d = 6), each a
-    ``RankOneProjection`` passed to ``oracle.query``: the fixed probes of
-    supports 1-3, built once for the latest d and reused, then one probe
-    at each eigenvector of the fitted partial trace, in order.  Returns
-    those eigenvectors, each eigenspace's eigenvalue (the mean of
-    ``1/q(u_i)`` over its vectors) repeated over its vectors; the
-    distinct eigenvalues are strictly decreasing.  Neighbouring
-    eigenspaces whose readouts do not decrease are one eigenvalue split
-    by noise, and are merged into one.  Raises ``ReconstructionError`` on
-    a non-finite fit and on a readout value outside (0, inf).
+    ``2d² + 2d`` queries (84 at d = 6), each a ``RankOneProjection``
+    passed to ``oracle.query``: the 2d² + d fixed probes of the fit, then
+    one at each eigenvector of ``A/tr(A) + B/tr(B)`` for the fitted forms,
+    in order.  Returns those eigenvectors and each eigenspace's eigenvalue
+    (the mean of ``1/q(u_i)`` over its vectors, after merging neighbours
+    whose readouts do not decrease), strictly decreasing.  Raises
+    ``ReconstructionError`` on a query value outside (0, inf) and on a
+    fitted probe off by more than ``1e-6 * max|q| + 10 * oracle.noise_sigma``
+    (noise that the query function adds itself must be declared there).
     """
-    # neither the fit nor the readout needs the order; it is still checked
-    Alpha(alpha)
+    alpha = float(Alpha(alpha))
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    form = _fit_form(oracle, d)
-    if not np.isfinite(form).all():
-        raise ReconstructionError("the fitted quartic form is not finite")
-    # g is decreasing: D's largest eigenvalue sits at g's smallest
-    spec = spectral_decomposition(_partial_trace(form, d), tol)
+    q = _positive([oracle.query(r) for r in _design(d)[0]], "fit")
+    form_a, form_b, r = _fit(q, d, alpha)
+    worst = float(np.max(np.abs(r)))
+    if not worst <= 1e-6 * q.max() + 10.0 * oracle.noise_sigma:
+        raise ReconstructionError(f"the queries are not a product of two Hermitian forms: "
+                                  f"a fitted probe is off by {worst:.2e}")
+    # h is decreasing: D's largest eigenvalue sits at h's smallest
+    mix = form_a / np.trace(form_a).real + form_b / np.trace(form_b).real
+    spec = spectral_decomposition(mix, tol)
     vecs = spec.v[:, ::-1]
     sizes = spec.multiplicities[::-1]
-    values = [oracle.query(RankOneProjection(u)) for u in vecs.T]
-    for value in values:
-        if not 0.0 < value < np.inf:
-            raise ReconstructionError(
-                f"readout query value {value!r} does not yield an eigenvalue in (0, inf)"
-            )
-    lams = 1.0 / np.array(values)
-    # g is strictly decreasing, so an eigenspace that reads no smaller than
+    lams = 1.0 / _positive([oracle.query(RankOneProjection(u)) for u in vecs.T], "readout")
+    # h is strictly decreasing, so an eigenspace that reads no smaller than
     # the one before it is the same eigenvalue split by noise: merge the two
     # and average over both (pool adjacent violators)
     blocks: list[tuple[int, int]] = []

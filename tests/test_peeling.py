@@ -1,6 +1,3 @@
-from itertools import combinations
-from math import comb
-
 import numpy as np
 import pytest
 
@@ -25,8 +22,8 @@ def _rel_err(spec, hidden):
 
 
 def _budget(d):
-    """2 probes per real parameter of supports 1-3, then d readout probes."""
-    return 2 * d + 14 * comb(d, 2) + 24 * comb(d, 3) + d
+    """2d² + d fixed fit probes, then d readout probes."""
+    return 2 * d * d + 2 * d
 
 
 def test_peel_diagonal_two_level():
@@ -80,13 +77,13 @@ def test_peel_matches_eigh_clustering():
         np.testing.assert_allclose(spec.eigenvalues, reference.eigenvalues, atol=1e-6)
 
 
-@pytest.mark.parametrize("d, queries", [(2, 20), (3, 75), (6, 708)])
+@pytest.mark.parametrize("d, queries", [(2, 12), (3, 24), (6, 84)])
 def test_peel_query_count_is_pinned(d, queries):
     rng = np.random.default_rng(40 + d)
     for alpha in (0.0, 0.5, 1.0):
         oracle = rank_one_query_oracle(random_nonsingular_density(d, rng), alpha)
         spectral_peel(oracle, d, alpha)
-        assert oracle.count == queries <= _budget(d)
+        assert oracle.count == queries == _budget(d)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -108,11 +105,16 @@ def test_readout_probes_are_the_eigenvectors_of_the_fitted_partial_trace(d):
 
     spec = spectral_peel(DivergenceOracle(record), d, 0.25)
     assert len(recorded) == _budget(d)
-    # the fixed design first, in order, then one probe per eigenvector
-    fixed = [r.vector for size in peeling._probes(d) for r in size]
+    # the fixed design first, in order, then one probe per eigenvector of
+    # A/tr(A) + B/tr(B), the sum of the two partial traces of the fitted
+    # A⊗B/tr(A⊗B), smallest eigenvalue first
+    fixed = [r.vector for r in peeling._design(d)[0]]
     assert [v.tobytes() for v in recorded[:-d]] == [v.tobytes() for v in fixed]
-    form = peeling._fit_form(rank_one_query_oracle(hidden, 0.25), d)
-    vecs = spectral_decomposition(peeling._partial_trace(form, d)).v[:, ::-1]
+    exact = rank_one_query_oracle(hidden, 0.25)
+    q = np.array([exact.query(r) for r in peeling._design(d)[0]])
+    form_a, form_b, _ = peeling._fit(q, d, 0.25)
+    mix = form_a / np.trace(form_a).real + form_b / np.trace(form_b).real
+    vecs = spectral_decomposition(mix).v[:, ::-1]
     want = [RankOneProjection(u).vector for u in vecs.T]
     assert [v.tobytes() for v in recorded[-d:]] == [v.tobytes() for v in want]
     assert spec.v.tobytes() == vecs.tobytes()
@@ -155,7 +157,7 @@ def test_noisy_peel_recovers_within_five_sigma():
 
 
 def test_out_of_order_readouts_merge_into_one_eigenvalue():
-    # I/3 at sigma 1e-7, noise seed 0: tr_2 S splits the eigenspace and the
+    # I/3 at sigma 1e-7, noise seed 0: the fit splits the eigenspace and the
     # readout reads two parts out of order; their eigenvalue is the mean of
     # 1/q over both
     hidden = PdOperator(np.eye(3) / 3)
@@ -168,12 +170,39 @@ def test_out_of_order_readouts_merge_into_one_eigenvalue():
 
     spec = spectral_peel(DivergenceOracle(record), 3, 0.5)
     lams = 1.0 / np.array(recorded[-3:])
-    # tr_2 S split all three; the first two read out increasing
     assert lams[0] < lams[1] and spec.multiplicities == (2, 1)
     for lam, size in zip(spec.eigenvalues, spec.multiplicities):
         block = np.flatnonzero(spec.w == lam)
         assert len(block) == size
         assert lam == float(np.mean(lams[block]))
+
+
+@pytest.mark.parametrize("read, merged", [
+    ((0.25, 0.3, 0.2), (2, 1)),
+    ((0.5, 0.2, 0.3), (1, 2)),
+    ((0.25, 0.3, 0.35), (3,)),
+], ids=["first-pair", "last-pair", "chain"])
+def test_readouts_out_of_order_merge_deterministically(read, merged):
+    # an exact fit of diag(0.5, 0.3, 0.2), whose d readout answers are
+    # replaced by 1/read: each run of readouts that does not decrease pools
+    # into one eigenvalue, the mean over its vectors, chaining backwards
+    d = 3
+    inner = rank_one_query_oracle(PdOperator(np.diag([0.5, 0.3, 0.2])), 0.5)
+    fit = 2 * d * d + d
+
+    def perturbed(r):
+        value = inner.query(r)
+        k = inner.count - fit - 1
+        return value if k < 0 else 1.0 / read[k]
+
+    spec = spectral_peel(DivergenceOracle(perturbed), d, 0.5)
+    assert inner.count == _budget(d)
+    assert spec.multiplicities == merged
+    q = 1.0 / np.array(read)
+    bounds = np.cumsum((0,) + merged)
+    for lam, a, b in zip(spec.eigenvalues, bounds, bounds[1:]):
+        assert lam == float(np.mean(1.0 / q[a:b]))
+    assert np.all(np.diff(spec.eigenvalues) < 0)
 
 
 def test_peel_repeats_bit_for_bit():
@@ -193,7 +222,7 @@ def test_peel_d16_within_budget():
     hidden = random_nonsingular_density(d, np.random.default_rng(16))
     oracle = rank_one_query_oracle(hidden, 0.75)
     spec = spectral_peel(oracle, d, 0.75)
-    assert oracle.count <= _budget(d)
+    assert oracle.count == _budget(d) == 544
     assert _rel_err(spec, hidden) <= 1e-10
 
 
@@ -217,6 +246,90 @@ def test_peel_rejects_nonfinite_values():
     oracle = DivergenceOracle(lambda r: float("nan"))
     with pytest.raises(ReconstructionError):
         spectral_peel(oracle, 3, 0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, float("inf"), float("nan")])
+def test_one_bad_fit_query_raises_before_the_start(bad):
+    # the start takes sqrt(q); a value outside (0, inf) must raise first,
+    # with no readout query made
+    d = 3
+    inner = rank_one_query_oracle(random_nonsingular_density(d, np.random.default_rng(2)), 0.5)
+
+    def query(r):
+        value = inner.query(r)
+        return bad if inner.count == 7 else value
+
+    oracle = DivergenceOracle(query)
+    with np.errstate(invalid="raise"), pytest.raises(ReconstructionError, match="fit query"):
+        spectral_peel(oracle, d, 0.5)
+    assert oracle.count == 2 * d * d + d
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_peel_rejects_queries_that_are_not_a_product_of_two_forms(d):
+    # <v, A v>^2 + <v, B v>^2 is positive and smooth, but not a product of
+    # two Hermitian forms: no spectrum may come back
+    rng = np.random.default_rng(30 + d)
+    a, b = (random_nonsingular_density(d, rng).mat for _ in range(2))
+
+    def query(r):
+        v = r.vector
+        return np.vdot(v, a @ v).real ** 2 + np.vdot(v, b @ v).real ** 2
+
+    oracle = DivergenceOracle(query)
+    with pytest.raises(ReconstructionError, match="not a product of two Hermitian forms"):
+        spectral_peel(oracle, d, 0.5)
+    assert oracle.count == 2 * d * d + d
+
+
+def test_large_declared_noise_passes_the_fit_check():
+    # the residual bound grows with the oracle's declared noise_sigma, so a
+    # genuine oracle at sigma 1e-3 fits, and recovers within a few sigma
+    sigma = 1e-3
+    rng = np.random.default_rng(13)
+    for d in (2, 4):
+        for alpha in DEFAULT_ALPHAS:
+            hidden = random_nonsingular_density(d, rng)
+            oracle = rank_one_query_oracle(hidden, alpha, noise_sigma=sigma, seed=d)
+            spec = spectral_peel(oracle, d, alpha)
+            assert _rel_err(spec, hidden) <= 50 * sigma
+
+
+@pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
+def test_noise_is_read_only_where_it_is_declared(alpha):
+    # the same seeded answers at sigma 1e-5, once added by the wrapped
+    # function (declared sigma 0) and once through noise_sigma: the misfit
+    # bound reads only the declared sigma, so the first raises and the
+    # second recovers
+    d, sigma = 3, 1e-5
+    hidden = random_nonsingular_density(d, np.random.default_rng(43))
+
+    def oracle(declared):
+        exact = rank_one_query_oracle(hidden, alpha)
+        if declared:
+            return DivergenceOracle(exact.query, noise_sigma=sigma, seed=9)
+        rng = np.random.default_rng(9)
+        return DivergenceOracle(lambda r: exact.query(r) + sigma * rng.standard_normal())
+
+    probes = peeling._design(d)[0]
+    assert [oracle(False).query(p) for p in probes] == [oracle(True).query(p) for p in probes]
+    with pytest.raises(ReconstructionError, match="not a product"):
+        spectral_peel(oracle(False), d, alpha)
+    assert _rel_err(spectral_peel(oracle(True), d, alpha), hidden) <= 50 * sigma
+
+
+@pytest.mark.parametrize("value", [1.0, 0.37, 2.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_peel_one_dimension(value, alpha):
+    # d = 1: q = a b |v|^4 is often exact to the last bit, so the fit's cost
+    # can be exactly 0, which must end it
+    hidden = PdOperator(np.array([[value]]))
+    oracle = rank_one_query_oracle(hidden, alpha)
+    spec = spectral_peel(oracle, 1, alpha)
+    assert oracle.count == _budget(1) == 4
+    assert spec.multiplicities == (1,)
+    assert abs(spec.eigenvalues[0] - value) <= 1e-14 * value
+    np.testing.assert_allclose(spec.projections[0], [[1.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("alpha", DEFAULT_ALPHAS)
@@ -258,7 +371,7 @@ def _run(hidden, d, sigma):
 def test_cold_and_warm_probes_give_the_same_bytes(d):
     hidden = random_nonsingular_density(d, np.random.default_rng(60 + d))
     for sigma in (0.0, 1e-9):
-        peeling._probes.cache_clear()
+        peeling._design.cache_clear()
         cold = _run(hidden, d, sigma)
         warm = _run(hidden, d, sigma)
         assert cold == warm
@@ -269,26 +382,24 @@ def test_probe_cache_keeps_only_the_latest_design():
     rng = np.random.default_rng(8)
     for d in (2, 3):
         spectral_peel(rank_one_query_oracle(random_nonsingular_density(d, rng), 0.5), d, 0.5)
-    assert peeling._probes.cache_info().currsize == 1
-
-
-def _probe_loop(d):
-    """Reference: the probe vectors in the order of the nested subset loop."""
-    vectors = []
-    for s in range(1, min(d, 3) + 1):
-        x = peeling._local_design(s)[0]
-        for subset in combinations(range(d), s):
-            for row in x:
-                v = np.zeros(d, dtype=np.complex128)
-                v[list(subset)] = row
-                vectors.append(RankOneProjection(v).vector)
-    return vectors
+    assert peeling._design.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_cached_probes_are_the_subset_loop_read_only(d):
-    probes = peeling._probes(d)
-    assert peeling._probes(d) is probes
-    flat = [r.vector for size in probes for r in size]
-    assert [v.tobytes() for v in flat] == [v.tobytes() for v in _probe_loop(d)]
-    assert all(not v.flags.writeable for v in flat)
+def test_design_is_built_once_read_only_and_reads_the_forms(d):
+    design = peeling._design(d)
+    assert peeling._design(d) is design
+    probes, phi, pinv = design
+    assert len(probes) == phi.shape[0] == 2 * d * d + d
+    assert phi.shape[1] == d * d
+    assert all(not r.vector.flags.writeable for r in probes)
+    assert not phi.flags.writeable and not pinv.flags.writeable
+    # a feature row reads <v, X v> off X's d² real parameters
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = x + x.conj().T
+    params = peeling._parameters(x)
+    assert peeling._hermitian(params, d).tobytes() == x.tobytes()
+    want = [np.vdot(r.vector, x @ r.vector).real for r in probes]
+    np.testing.assert_allclose(phi @ params, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(pinv @ phi, np.eye(d * d), rtol=0, atol=1e-12)

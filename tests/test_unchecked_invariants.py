@@ -47,7 +47,7 @@ CONE = ConeOptConfig(restarts=2, max_iters=200, seed=2)
 
 def _clear_probe_caches():
     tomography._probe_states.cache_clear()
-    peeling._probes.cache_clear()
+    peeling._design.cache_clear()
     operators.projection_family.cache_clear()
 
 
