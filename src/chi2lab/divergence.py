@@ -117,15 +117,18 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
                 support_rel: float, pseudo: bool) -> np.ndarray:
     """``||B^((alpha-1)/2) diff B^(-alpha/2)||_HS^2`` per matrix: ``diff`` is
     ``(d, d)`` against one spectrum, or any stack that broadcasts against
-    a stacked one; ``alpha`` is a float or an ``(n, 1)`` column.
+    a stacked one.  ``alpha`` is a float, or K orders on a leading axis
+    (``(K, 1)`` for one spectrum, ``(K, 1, 1)`` for a stack), which adds a
+    leading K axis to the values.
 
     That is ``sum_ij w_i^(alpha-1) w_j^(-alpha) |X_ij|^2``, ``X = V* diff V``:
-    one congruence as two real matmuls on float views through ``_real_v``
-    (small real GEMMs cost a fraction of complex ones per slice), then one
-    BLAS dot of ``|X|^2`` against the outer product of ``power``'s weights.
-    Each term is a product of nonnegative floats, so every value is >= 0 bit
-    for bit, and 0.0 for a zero ``diff``; each slice of a stack equals its
-    own 2-D call bit for bit."""
+    one congruence, shared by every order, as two real matmuls on float
+    views through ``_real_v`` (small real GEMMs cost a fraction of complex
+    ones per slice), then one BLAS dot of ``|X|^2`` against the outer
+    product of ``power``'s weights per order.  Each term is a product of
+    nonnegative floats, so every value is >= 0 bit for bit, and 0.0 for a
+    zero ``diff``; each (order, slice) value equals its own float, 2-D call
+    bit for bit."""
     left, right = spec._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
     e = spec._real_v
     y = np.ascontiguousarray(diff, dtype=np.complex128).view(np.float64) @ e
@@ -133,7 +136,7 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
     sq = xh * xh
     sq = sq[..., 0::2] + sq[..., 1::2]  # |X_ij|^2 at [j, i]
     weights = right[..., :, None] * left[..., None, :]
-    if sq.ndim == 2:  # one matrix: np.vdot flattens both
+    if sq.ndim == weights.ndim == 2:  # one matrix at one order: np.vdot flattens both
         return np.vdot(sq, weights)
     return _dots(sq.reshape(*sq.shape[:-2], -1), weights.reshape(*weights.shape[:-2], -1))
 
@@ -220,7 +223,8 @@ def chi2_limit_probe(
 
 def _query_powers(spec: SpectralDecomposition, alpha: float) -> np.ndarray:
     """``[D^-alpha; D^(alpha-1)]``, the two powers stacked along the rows:
-    ``(2n, n)``, or one such stack per slice of a stacked spectrum."""
+    ``(2n, n)``, or one such stack per slice of a stacked spectrum, and per
+    order of an order axis as ``power`` takes it."""
     return np.concatenate([
         spec.power(-alpha, support_rel=0.0),
         spec.power(alpha - 1.0, support_rel=0.0),

@@ -603,20 +603,24 @@ class SpectralDecomposition:
 
         Eigenvalues at or below ``support_rel * lmax`` count as kernel and
         map to zero.  Negative powers of a singular operator require
-        ``pseudo=True``, otherwise SingularOperator is raised.  For a stack,
-        ``p`` may also be an ``(n, 1)`` column, one exponent per slice.
+        ``pseudo=True``, otherwise SingularOperator is raised.  ``p`` may
+        also be an array of K exponents on a leading axis, ``(K, 1)`` for
+        one spectrum or ``(K, 1, 1)`` for a stack, giving K powers of each
+        slice, each equal to its float call bit for bit when d >= 2.
         """
         return _spectral_fn(self.v, self._powers(p, pseudo=pseudo, support_rel=support_rel)[0])
 
     def _powers(self, *ps, pseudo: bool, support_rel: float) -> np.ndarray:
         """``power``'s eigenvalues ``f(w)`` per exponent of ``ps``, on a new first
-        axis.  The exponents (all floats, or all ``(n, 1)`` columns) fill
-        ``w``'s shape by one transposed assignment, so ``**`` reads them
-        contiguous (a stride-0 exponent may round differently) and stacks
-        match float calls bit for bit."""
+        axis.  The exponents (all floats, or all arrays of K orders on a
+        leading axis) fill a ``(len(ps), [K,] *w.shape)`` array by one
+        transposed assignment, so ``**`` reads them contiguous (a stride-0
+        exponent may round differently) and every (order, slice) matches
+        its float call bit for bit (d >= 2)."""
         cutoff, full = self._cutoff(support_rel)
-        p = np.empty((len(ps), *self.w.shape))
-        p.T[...] = np.array(ps).T
+        ps = np.array(ps)
+        p = np.empty((len(ps), *ps.shape[1:-self.w.ndim], *self.w.shape))
+        p.T[...] = ps.T
         if full:
             return self.w**p
         if not pseudo and p.min() < 0.0:
@@ -624,10 +628,12 @@ class SpectralDecomposition:
                 "negative power of a singular operator; pass pseudo=True "
                 "for the support-restricted pseudo-power"
             )
+        # kernel eigenvalues are raised as 1, then zeroed, so ``**`` reads w
+        # and p whole: a lone selected pair of differently shaped operands
+        # would read the exponent at stride 0 and take numpy's scalar square,
+        # sqrt or reciprocal, as a 1x1 spectrum's float call still does
         above = self.w > cutoff
-        f = np.zeros(p.shape)
-        f[:, above] = self.w[above] ** p[:, above]
-        return f
+        return np.where(above, np.where(above, self.w, 1.0) ** p, 0.0)
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
         """Orthogonal projection onto the span of the above-cutoff eigenspaces

@@ -1,19 +1,22 @@
 """Randomized verification of the divergence identities and inequalities.
 
-Each (property, dim) group draws its trials for every alpha as one stack
-from its own seeded generator and checks them with the library's stacked
-kernels: one Jacobi solve or one chi2 evaluation covers every trial of
-the group.  A property takes alpha as an ``(n, 1)`` column, one order per
-trial, and returns per-trial ``ok`` flags and residuals, and a witness
-for any one trial.  The group is then read back one (alpha, dim) block
-at a time.  A report records the block's failure count, its worst
-residual, and (on failure) a replayable witness: the inputs of the
-failing trial with the largest residual, serialized in matrix JSON.  The
-shipped baseline is zero failures on default seeds.
+Each (property, dim) group draws its trials once, as one stack from its
+own seeded generator, and checks every requested alpha on those same
+inputs with the library's stacked kernels: one Jacobi solve or one
+congruence of the chi2 kernel covers every trial of the group, and the
+orders ride on a leading axis.  A property takes the K orders as a
+``(K, 1, 1)`` array and the trial count n, and returns ``(K, n)`` ``ok``
+flags and residuals, and a witness for any one (order, trial).  Row k of
+the group is the (alphas[k], dim) report, which therefore does not
+depend on the other orders requested.  A report records its failure
+count, its worst residual, and (on failure) a replayable witness: the
+inputs of the failing trial with the largest residual, serialized in
+matrix JSON.  The shipped baseline is zero failures on default seeds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -90,7 +93,7 @@ def _prop_nonnegativity_identity(rng, alpha, d, n):
     separated = _op_norms(a - b) > 1e-6 * (1.0 + bs.lmax)
     residual = np.where(separated, np.maximum(residual, 1e-10 - v), residual)
     ok = residual <= 0.0
-    return ok, np.maximum(residual, 0.0), lambda k: _witness(a=a[k], b=b[k], value=v[k])
+    return ok, np.maximum(residual, 0.0), lambda k, t: _witness(a=a[t], b=b[t], value=v[k, t])
 
 
 def _prop_unitary_invariance(rng, alpha, d, n):
@@ -103,7 +106,7 @@ def _prop_unitary_invariance(rng, alpha, d, n):
     rotated = _chi2s(ra.reassemble(), rb.reassemble(), rb, alpha)
     residual = np.abs(rotated - base)
     ok = residual <= 1e-9
-    return ok, residual, lambda k: _witness(a=a[k], b=b[k], u=u[k])
+    return ok, residual, lambda k, t: _witness(a=a[t], b=b[t], u=u[t])
 
 
 def _prop_homogeneity(rng, alpha, d, n):
@@ -115,7 +118,7 @@ def _prop_homogeneity(rng, alpha, d, n):
         scaled = _chi2s(lam * a, lam * b, bs.scale(lam), alpha)
         residual = np.maximum(residual, np.abs(scaled - lam * base) / lam)
     ok = residual <= 1e-9
-    return ok, residual, lambda k: _witness(a=a[k], b=b[k])
+    return ok, residual, lambda k, t: _witness(a=a[t], b=b[t])
 
 
 def _prop_product_rule(rng, alpha, d, n):
@@ -124,9 +127,10 @@ def _prop_product_rule(rng, alpha, d, n):
     y = hermitian_stack(d, rng, n)
     lhs = _traces(r @ x @ r @ y)
     rhs = _traces(r @ x) * _traces(r @ y)
-    residual = np.abs(lhs - rhs)
+    # the same check for every order
+    residual = np.broadcast_to(np.abs(lhs - rhs), (len(alpha), n))
     ok = residual <= 1e-10
-    return ok, residual, lambda k: _witness(r=r[k], x=x[k], y=y[k])
+    return ok, residual, lambda k, t: _witness(r=r[t], x=x[t], y=y[t])
 
 
 def _prop_rank_one_query(rng, alpha, d, n):
@@ -137,7 +141,7 @@ def _prop_rank_one_query(rng, alpha, d, n):
     direct = _chi2s(r, dens, ds, alpha) + 1.0
     residual = np.abs(shifted - direct)
     ok = residual <= 1e-10
-    return ok, residual, lambda k: _witness(r=r[k], d=dens[k])
+    return ok, residual, lambda k, t: _witness(r=r[t], d=dens[t])
 
 
 def _prop_strict_convexity(rng, alpha, d, n):
@@ -150,7 +154,7 @@ def _prop_strict_convexity(rng, alpha, d, n):
     gap = (_chi2s(a1, b, bs, alpha) + _chi2s(a2, b, bs, alpha)) / 2.0 - _chi2s(mid, b, bs, alpha)
     residual = np.where(close, 0.0, np.maximum(0.0, 1e-12 - gap))
     ok = close | (gap > 1e-12)
-    return ok, residual, lambda k: _witness(a1=a1[k], a2=a2[k], b=b[k], gap=gap[k])
+    return ok, residual, lambda k, t: _witness(a1=a1[t], a2=a2[t], b=b[t], gap=gap[k, t])
 
 
 def _prop_operator_norm_bound(rng, alpha, d, n):
@@ -160,7 +164,7 @@ def _prop_operator_norm_bound(rng, alpha, d, n):
     bound = _op_norms(a2 - a) ** 2 / as_.lmax
     residual = np.maximum(0.0, bound - value)
     ok = residual <= 1e-9
-    return ok, residual, lambda k: _witness(a=a[k], a_prime=a2[k])
+    return ok, residual, lambda k, t: _witness(a=a[t], a_prime=a2[t])
 
 
 def _prop_first_variable_continuity(rng, alpha, d, n):
@@ -180,7 +184,7 @@ def _prop_first_variable_continuity(rng, alpha, d, n):
     tail_shrinks = diffs[-1] <= np.maximum(0.2 * diffs[-2], floor)
     residual = diffs[-1]
     ok = tail_shrinks & (residual <= 1e-4 * (1.0 + base))
-    return ok, residual, lambda k: _witness(a=a[k], b=b[k], diffs=diffs[:, k])
+    return ok, residual, lambda k, t: _witness(a=a[t], b=b[t], diffs=diffs[:, k, t])
 
 
 def _ordered_pd_pair(rng, d, n):
@@ -200,16 +204,16 @@ def _prop_trace_monotonicity(rng, alpha, d, n):
     t_large = _gram_value(x, cs, alpha, DEFAULT_TOL.support, pseudo=False)
     residual = np.maximum(0.0, t_large - t_small)
     ok = residual <= 1e-9
-    return ok, residual, lambda k: _witness(b=b[k], c=c[k], x=x[k])
+    return ok, residual, lambda k, t: _witness(b=b[t], c=c[t], x=x[t])
 
 
 def _prop_loewner_heinz(rng, alpha, d, n):
     b, bs, c, cs = _ordered_pd_pair(rng, d, n)
     diff = bs.power(-alpha) - cs.power(-alpha)
-    w, _ = jacobi_eigh(hermitian_part(diff))
-    residual = np.maximum(0.0, -w[:, -1])
+    w, _ = jacobi_eigh(hermitian_part(diff).reshape(-1, d, d))
+    residual = np.maximum(0.0, -w[:, -1]).reshape(len(alpha), n)
     ok = residual <= 1e-9
-    return ok, residual, lambda k: _witness(b=b[k], c=c[k])
+    return ok, residual, lambda k, t: _witness(b=b[t], c=c[t])
 
 
 _PROPERTIES = (
@@ -228,34 +232,38 @@ _PROPERTIES = (
 PROPERTY_NAMES = tuple(name for name, _ in _PROPERTIES)
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def run_property_suite(alphas, dims, trials: int, seed: int) -> list[PropertyReport]:
     """Run every property for each (alpha, dim) pair; deterministic in the seed.
 
     Reports come in (property, alpha, dim) order.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     alphas = [Alpha(a) for a in alphas]
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "dimension") for d in dims]
     if any(d < 2 for d in dims):
         raise ValueError("dimensions must be at least 2")
     if not alphas:
         return []
-    # rows k * trials .. (k + 1) * trials of each group belong to alphas[k]
-    column = np.repeat(np.array(alphas), trials)[:, None]
+    orders = np.array(alphas)[:, None, None]
     reports = []
     for p_idx, (name, prop) in enumerate(_PROPERTIES):
-        groups = [prop(np.random.default_rng([seed, p_idx, d]), column, d, len(column))
-                  for d in dims]
+        groups = [prop(np.random.default_rng([seed, p_idx, d]), orders, d, trials) for d in dims]
         for k, alpha in enumerate(alphas):
-            rows = slice(k * trials, (k + 1) * trials)
             for d, (ok, residual, witness) in zip(dims, groups):
-                failed, residual = ~ok[rows], residual[rows]
+                failed, residual = ~ok[k], residual[k]
                 bad = None
                 if failed.any():
                     # the failing trial with the largest residual
-                    worst = int(np.argmax(np.where(failed, residual, -np.inf)))
-                    bad = witness(rows.start + worst)
+                    bad = witness(k, int(np.argmax(np.where(failed, residual, -np.inf))))
                 reports.append(PropertyReport(
                     name, float(alpha), d, trials, int(failed.sum()),
                     float(residual.max()), bad,
@@ -277,7 +285,7 @@ def render_text(reports) -> str:
     ]
     for r in reports:
         lines.append(
-            f"{r.name:<28} {r.alpha:>5.2f} {r.dim:>3d} {r.trials:>6d} "
+            f"{r.name:<28} {r.alpha!r:>5} {r.dim:>3d} {r.trials:>6d} "
             f"{r.failures:>8d} {r.worst_residual:>15.3e}"
         )
     total = sum(r.failures for r in reports)

@@ -337,22 +337,26 @@ _KERNEL_ALPHAS = (0.0, 1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7, 1.0)
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 16])
 def test_stacked_gram_value_slices_equal_their_2d_calls(d):
-    # a 2-D call takes one np.vdot, a stack one BLAS dot per slice
+    # a 2-D call at one order takes one np.vdot, an order axis one BLAS dot
+    # per (order, slice) from one congruence per slice
     rng = np.random.default_rng(40 + d)
-    col = np.concatenate([_KERNEL_ALPHAS, rng.uniform(0.0, 1.0, 33)])[:, None]
-    n = len(col)
+    orders = np.concatenate([_KERNEL_ALPHAS, [0.5], rng.uniform(0.0, 1.0, 5)])
+    n = 10
     b, bs = pd_stack(d, rng, n)
     a, _ = psd_stack(d, rng, n)
     sing, ss = psd_stack(d, rng, n, rank=d - 1)
     for diff, spec, pseudo in ((a - b, bs, False), (a - sing, ss, True)):
-        by_column = _gram_value(diff, spec, col, 1e-10, pseudo)
-        by_float = {alpha: _gram_value(diff, spec, alpha, 1e-10, pseudo) for alpha in _KERNEL_ALPHAS}
+        by_axis = _gram_value(diff, spec, orders[:, None, None], 1e-10, pseudo)
+        assert by_axis.shape == (len(orders), n)
+        by_float = [_gram_value(diff, spec, alpha, 1e-10, pseudo) for alpha in orders.tolist()]
         for k in range(n):
             one = SpectralDecomposition(spec.w[k], spec.v[k])
-            alpha = float(col[k, 0])
-            assert by_column[k].tobytes() == _gram_value(diff[k], one, alpha, 1e-10, pseudo).tobytes()
-            for alpha, stacked in by_float.items():
-                assert stacked[k].tobytes() == _gram_value(diff[k], one, alpha, 1e-10, pseudo).tobytes()
+            one_by_axis = _gram_value(diff[k], one, orders[:, None], 1e-10, pseudo)
+            for j, alpha in enumerate(orders.tolist()):
+                want = _gram_value(diff[k], one, alpha, 1e-10, pseudo).tobytes()
+                assert by_axis[j, k].tobytes() == want
+                assert one_by_axis[j].tobytes() == want
+                assert by_float[j][k].tobytes() == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 16])
@@ -415,7 +419,7 @@ def test_value_is_nonnegative_next_to_the_diagonal():
     for d in (2, 3, 4, 8):
         b, bs = pd_stack(d, rng, 250)
         a = b + 1e-12 * hermitian_stack(d, rng, 250)
-        for alpha in (0.0, 0.5, 1.0, np.array(_KERNEL_ALPHAS * 36)[:250, None]):
+        for alpha in (0.0, 0.5, 1.0, np.array(_KERNEL_ALPHAS)[:, None, None]):
             values = _gram_value(a - b, bs, alpha, 1e-10, False)
             assert np.all(values >= 0.0) and np.all(values < 1e-20)
     b = random_pd(3, rng)

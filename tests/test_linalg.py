@@ -766,26 +766,25 @@ def test_hermitian_rejects_asymmetric():
         HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
 
-def _slice_powers(spec, p, **kwargs):
-    return np.array([
-        SpectralDecomposition(spec.w[k], spec.v[k]).power(float(p[k, 0]), **kwargs)
-        for k in range(len(p))
-    ])
-
-
-def test_power_exponent_column_matches_per_slice_calls():
-    # a float exponent and a column both go through one elementwise loop,
-    # so each slice equals its own float call bit for bit
+def test_power_exponent_axis_matches_float_calls():
+    # a float exponent and an exponent axis both go through one elementwise
+    # loop, so each (exponent, slice) equals its own float, 2-D call bit for bit
     rng = np.random.default_rng(21)
-    p = np.array([-1.0, -0.5, -0.25, 0.0, -0.0, 0.5, 0.25, 1.0, -0.75, 2.0])[:, None]
-    for d in (2, 4, 6):
+    p = np.array([-1.0, -0.5, -0.25, 0.0, -0.0, 0.5, 0.25, 1.0, -0.75, 2.0, 0.5])
+    n = 4
+    for d in (2, 3, 4, 6, 8):
         for _, spec, kwargs in (
-            (*pd_stack(d, rng, len(p)), {}),
-            (*psd_stack(d, rng, len(p), rank=d - 1), {"pseudo": True}),
+            (*pd_stack(d, rng, n), {}),
+            (*psd_stack(d, rng, n, rank=d - 1), {"pseudo": True}),
         ):
-            got = spec.power(p, **kwargs)
-            want = _slice_powers(spec, p, **kwargs)
-            assert got.tobytes() == want.tobytes()
+            got = spec.power(p[:, None, None], **kwargs)
+            assert got.shape == (len(p), n, d, d)
+            for k in range(n):
+                one = SpectralDecomposition(spec.w[k], spec.v[k])
+                one_by_axis = one.power(p[:, None], **kwargs)
+                for j, e in enumerate(p.tolist()):
+                    want = one.power(e, **kwargs).tobytes()
+                    assert got[j, k].tobytes() == want and one_by_axis[j].tobytes() == want
 
 
 def test_real_form_of_v_multiplies_complex_rows_like_v():
@@ -802,14 +801,14 @@ def test_real_form_of_v_multiplies_complex_rows_like_v():
         np.testing.assert_allclose(got, z @ spec.v, rtol=0, atol=1e-14)
 
 
-def test_power_exponent_column_on_a_singular_stack_needs_pseudo():
+def test_power_exponent_axis_on_a_singular_stack_needs_pseudo():
     _, spec = psd_stack(3, np.random.default_rng(22), 4, rank=2)
-    p = np.array([0.5, -0.5, 0.25, 1.0])[:, None]
+    p = np.array([0.5, -0.5, 0.25, 1.0, 0.0])[:, None, None]
     with pytest.raises(SingularOperator):
         spec.power(p)
-    # nonnegative columns need no pseudo-power
+    # nonnegative exponents need no pseudo-power
     np.testing.assert_array_equal(spec.power(np.abs(p)), spec.power(np.abs(p), pseudo=True))
-    assert spec.power(p, pseudo=True).shape == (4, 3, 3)
+    assert spec.power(p, pseudo=True).shape == (5, 4, 3, 3)
 
 
 def _chain_merge(vals: list[float], cluster: float) -> list[float]:

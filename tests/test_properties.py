@@ -51,13 +51,14 @@ def test_render_text_shape():
 
 def test_failing_property_serializes_a_replayable_witness(monkeypatch):
     def chi2_at_most_median(rng, alpha, d, n):
-        # fails on each trial whose divergence lies above its alpha block's
-        # median; the stack holds the three alpha blocks in turn
+        # fails on each trial whose divergence lies above its own order's
+        # median; every order's row is read off the same n inputs
         a, _ = psd_stack(d, rng, n)
         b, bs = pd_stack(d, rng, n)
         v = properties._chi2s(a, b, bs, alpha)
-        median = np.median(v.reshape(3, -1), axis=1).repeat(n // 3)
-        return v <= median, v, lambda k: properties._witness(a=a[k], b=b[k])
+        assert v.shape == (3, n)
+        return v <= np.median(v, axis=1, keepdims=True), v, \
+            lambda k, t: properties._witness(a=a[t], b=b[t])
 
     monkeypatch.setattr(properties, "_PROPERTIES", (("injected", chi2_at_most_median),))
     reports = run_property_suite([0.0, 0.5, 1.0], [2, 3], 9, seed=4)
@@ -68,31 +69,33 @@ def test_failing_property_serializes_a_replayable_witness(monkeypatch):
         a = PsdOperator(matrix_from_obj(row["witness"]["a"]))
         b = PdOperator(matrix_from_obj(row["witness"]["b"]))
         # the failing trials hold the largest residuals, so the witness
-        # replays the reported worst one
+        # replays the reported worst one at the report's own order
         replay = chi2(a, b, row["alpha"])
         assert abs(replay - row["worst_residual"]) <= 1e-12 * row["worst_residual"]
 
 
 def test_witness_is_the_worst_failing_trial(monkeypatch):
-    # a passing trial may hold the block's worst residual; the witness is
-    # still the failing trial with the largest residual
-    def fails_on_two_and_five(rng, alpha, d, n):
-        residual = np.arange(n, dtype=float)
-        return ~np.isin(residual, (2.0, 5.0)), residual, lambda k: {"k": k}
+    # a passing trial may hold the report's worst residual; the witness is
+    # still the failing trial with the largest residual, in its own order's row
+    def fails_per_order(rng, alpha, d, n):
+        residual = np.tile(np.arange(n, dtype=float), (len(alpha), 1))
+        fails = np.array([np.isin(np.arange(n), (2, 5)), np.isin(np.arange(n), (1, 3))])
+        return ~fails, residual, lambda k, t: {"k": k, "t": t}
 
-    monkeypatch.setattr(properties, "_PROPERTIES", (("injected", fails_on_two_and_five),))
-    (report,) = run_property_suite([0.5], [2], 8, seed=0)
-    assert report.failures == 2
-    assert report.worst_residual == 7.0
-    assert report.witness == {"k": 5}
+    monkeypatch.setattr(properties, "_PROPERTIES", (("injected", fails_per_order),))
+    first, second = run_property_suite([0.5, 0.25], [2], 8, seed=0)
+    assert first.failures == second.failures == 2
+    assert first.worst_residual == second.worst_residual == 7.0
+    assert first.witness == {"k": 0, "t": 5}
+    assert second.witness == {"k": 1, "t": 3}
 
 
 def test_each_report_reads_its_own_alpha_rows(monkeypatch):
     # the residual of every trial is its own alpha plus its dim, so a report
-    # read from another (alpha, dim) block's rows has the wrong worst residual
+    # read from another (alpha, dim) row has the wrong worst residual
     def residual_is_alpha(rng, alpha, d, n):
-        assert alpha.shape == (n, 1)
-        return np.ones(n, dtype=bool), alpha[:, 0] + d, lambda k: {}
+        assert alpha.shape == (3, 1, 1) and n == 4
+        return np.ones((3, n), dtype=bool), alpha[:, :, 0] + d + np.zeros(n), lambda k, t: {}
 
     monkeypatch.setattr(properties, "_PROPERTIES", (
         ("first", residual_is_alpha), ("second", residual_is_alpha),
@@ -105,3 +108,53 @@ def test_each_report_reads_its_own_alpha_rows(monkeypatch):
     for r in reports:
         assert r.trials == 4 and r.failures == 0
         assert r.worst_residual == r.alpha + r.dim
+
+
+def test_a_report_does_not_depend_on_the_other_orders():
+    # every order is checked on the same draws, one row of an order axis
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    together = run_property_suite(alphas, (2, 3), 6, seed=11)
+    for a in alphas:
+        alone = run_property_suite([a], (2, 3), 6, seed=11)
+        block = [r for r in together if r.alpha == a]
+        assert json.dumps(reports_to_obj(alone)) == json.dumps(reports_to_obj(block))
+
+
+def test_each_group_samples_its_trials_once(monkeypatch):
+    rows = []
+
+    def counted(sampler):
+        def sample(d, rng, n, **kwargs):
+            rows.append((sampler.__name__, n))
+            return sampler(d, rng, n, **kwargs)
+        return sample
+
+    for name in ("haar_stack", "hermitian_stack", "nonsingular_density_stack",
+                 "pd_stack", "psd_stack", "unit_vector_stack"):
+        monkeypatch.setattr(properties, name, counted(getattr(properties, name)))
+    reports = run_property_suite([0.0, 0.25, 0.5, 0.75, 1.0], (2, 3), 7, seed=2)
+    assert all(r.trials == 7 for r in reports)
+    five = rows[:]
+    assert {name for name, _ in five} == {
+        "haar_stack", "hermitian_stack", "nonsingular_density_stack",
+        "pd_stack", "psd_stack", "unit_vector_stack",
+    }
+    assert [n for _, n in five] == [7] * len(five)
+    # five orders draw exactly what one order draws
+    rows.clear()
+    run_property_suite([0.5], (2, 3), 7, seed=2)
+    assert rows == five
+
+
+def test_non_integer_trials_and_dims_are_rejected():
+    with pytest.raises(ValueError, match="2.5"):
+        run_property_suite([0.5], [2], 2.5, seed=0)
+    with pytest.raises(ValueError, match="2.7"):
+        run_property_suite([0.5], [2.7], 2, seed=0)
+    assert run_property_suite([0.5], [np.int64(2)], np.int64(2), seed=0)[0].trials == 2
+
+
+def test_render_text_prints_distinct_orders_distinctly():
+    reports = run_property_suite([0.001, 0.004, 0.999], [2], 2, seed=0)
+    alphas = [line.split()[1] for line in render_text(reports).splitlines()[1:-1]]
+    assert alphas == ["0.001", "0.004", "0.999"] * len(PROPERTY_NAMES)
