@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import NotPositiveDefinite
-from .linalg import _SAFE_EXP, SpectralDecomposition, _dots, _ldexp
+from .linalg import _CACHED_ORDERS, _SAFE_EXP, SpectralDecomposition, _dots, _ldexp
 from .operators import (PdOperator, PsdOperator, RankOneProjection, _require_same_dim,
                         support_contained)
 
@@ -128,15 +128,26 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
     product of ``power``'s weights per order.  Each term is a product of
     nonnegative floats, so every value is >= 0 bit for bit, and 0.0 for a
     zero ``diff``; each (order, slice) value equals its own float, 2-D call
-    bit for bit."""
-    left, right = spec._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
+    bit for bit.
+
+    The lean path, one ``(d, d)`` ``diff`` at one float order against one
+    spectrum (``chi2``, ``chi2_extended`` and every ``chi2_oracle`` query),
+    reads the weights from the spectrum's cache
+    (``SpectralDecomposition._gram_weights``, the latest 16 orders), so a
+    repeated order costs the congruence and one ``np.vdot``; stacks and
+    order axes build their weights on every call."""
+    lean = isinstance(alpha, float) and diff.ndim == 2 and spec.w.ndim == 1
+    if lean:
+        weights = spec._gram_weights(alpha, support_rel, pseudo)
+    else:
+        left, right = spec._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
+        weights = right[..., :, None] * left[..., None, :]
     e = spec._real_v
     y = np.ascontiguousarray(diff, dtype=np.complex128).view(np.float64) @ e
     xh = np.conjugate(y.view(np.complex128).swapaxes(-1, -2), order="C").view(np.float64) @ e
-    sq = xh * xh
+    sq = np.multiply(xh, xh, out=xh)
     sq = sq[..., 0::2] + sq[..., 1::2]  # |X_ij|^2 at [j, i]
-    weights = right[..., :, None] * left[..., None, :]
-    if sq.ndim == weights.ndim == 2:  # one matrix at one order: np.vdot flattens both
+    if lean:
         return np.vdot(sq, weights)
     return _dots(sq.reshape(*sq.shape[:-2], -1), weights.reshape(*weights.shape[:-2], -1))
 
@@ -235,13 +246,15 @@ def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np
     """Read-only ``_query_powers`` of D.
 
     Built from the spectrum once per (operator, alpha) and cached on the
-    immutable operator beside its spectrum.
+    immutable operator beside its spectrum, for the latest 16 orders.
     """
     stacks = d.__dict__.setdefault("_query_stacks", {})
     stack = stacks.get(alpha)
     if stack is None:
         stack = _query_powers(spec, alpha)
         stack.flags.writeable = False
+        if len(stacks) >= _CACHED_ORDERS:
+            del stacks[next(iter(stacks))]
         stacks[alpha] = stack
     return stack
 

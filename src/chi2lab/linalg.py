@@ -67,6 +67,11 @@ _MAX_SWEEPS = 100
 #: eigensolves first rescale by an exact power of two
 _SAFE_EXP = 300
 
+#: per-order arrays kept on one spectrum (``SpectralDecomposition.
+#: _gram_weights``) or one operator (``divergence._query_stack``), the
+#: oldest evicted first; as many as ``tomography._design`` keeps orders
+_CACHED_ORDERS = 16
+
 
 def _prescale_exponents(m: np.ndarray) -> np.ndarray | None:
     """Per matrix of a ``(..., d, d)`` array, the exponent ``e`` with the
@@ -523,6 +528,12 @@ class SpectralDecomposition:
     spectrum per slice; ``lmax`` and ``lmin`` are then ``(n,)`` arrays, and
     ``reassemble``, ``power``, ``support``, ``shift``, ``scale``,
     ``is_positive_definite`` and ``validate`` act slice by slice.
+
+    Being immutable, a spectrum caches what is derived from it alone in
+    its ``__dict__``: ``_real_v``, and on one spectrum the divergence
+    kernel's weights per float order, at most 16 of them, the oldest
+    evicted first (``_gram_weights``).  ``shift`` and ``scale`` build new
+    spectra, whose caches start empty.
     """
 
     w: np.ndarray
@@ -573,6 +584,27 @@ class SpectralDecomposition:
         e = e.reshape(*self.v.shape[:-2], 2 * d, 2 * d)
         e.flags.writeable = False
         return e
+
+    def _gram_weights(self, alpha: float, support_rel: float, pseudo: bool) -> np.ndarray:
+        """Read-only ``(d, d)`` weights of one spectrum at one float order:
+        ``w_j^(-alpha) w_i^(alpha-1)`` at ``[j, i]`` under ``_powers``'
+        support rule, bit for bit the outer product of the two rows of
+        ``_powers(alpha - 1, -alpha)``.  Kept per ``(alpha, support_rel,
+        pseudo)`` for the latest 16 keys; a miss raises
+        ``_powers``' SingularOperator where it would."""
+        cache = self.__dict__.get("_gram_cache")
+        if cache is None:
+            cache = self.__dict__["_gram_cache"] = {}
+        key = (alpha, support_rel, pseudo)
+        weights = cache.get(key)
+        if weights is None:
+            f = self._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
+            weights = f[1, :, None] * f[0]
+            weights.setflags(write=False)
+            if len(cache) >= _CACHED_ORDERS:
+                del cache[next(iter(cache))]
+            cache[key] = weights
+        return weights
 
     def reassemble(self) -> np.ndarray:
         """The Hermitian part of ``V diag(w) V*``."""

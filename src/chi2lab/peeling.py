@@ -70,32 +70,34 @@ _DESIGN_SEED = 20170
 
 
 @lru_cache(maxsize=1)
-def _design(d: int) -> tuple[tuple[RankOneProjection, ...], np.ndarray, np.ndarray]:
+def _design(d: int) -> tuple[tuple[RankOneProjection, ...], np.ndarray, np.ndarray,
+                             tuple[np.ndarray, np.ndarray]]:
     """The 2d² + d fixed probes, their features ``phi`` (``phi[j] @
-    _parameters(X) == <v_j, X v_j>``) and its pseudo-inverse, read-only."""
+    _parameters(X) == <v_j, X v_j>``), its pseudo-inverse and the
+    ``triu_indices(d, 1)`` that order the parameters, read-only."""
     rng = np.random.default_rng([_DESIGN_SEED, d])
     n = 2 * d * d + d
     probes = tuple(map(RankOneProjection, rng.standard_normal((n, d))
                        + 1j * rng.standard_normal((n, d))))
     v = np.array([p.vector for p in probes])
-    i, k = np.triu_indices(d, 1)
+    i, k = upper = np.triu_indices(d, 1)
     z = v[:, i].conj() * v[:, k]
     phi = np.hstack([(v.conj() * v).real, 2.0 * z.real, -2.0 * z.imag])
     pinv = np.linalg.pinv(phi)
-    phi.flags.writeable = pinv.flags.writeable = False
-    return probes, phi, pinv
+    phi.flags.writeable = pinv.flags.writeable = i.flags.writeable = k.flags.writeable = False
+    return probes, phi, pinv, upper
 
 
 def _parameters(mat: np.ndarray) -> np.ndarray:
     """The d² real parameters of a Hermitian matrix: its diagonal, then the
     real and the imaginary parts of its upper triangle."""
-    i, k = np.triu_indices(len(mat), 1)
+    i, k = _design(len(mat))[3]
     return np.concatenate([mat.diagonal().real, mat[i, k].real, mat[i, k].imag])
 
 
 def _hermitian(x: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian matrix with parameters ``x`` (``_parameters``' inverse)."""
-    i, k = np.triu_indices(d, 1)
+    i, k = _design(d)[3]
     mat = np.diag(x[:d].astype(np.complex128))
     mat[i, k] = x[d:d + len(i)] + 1j * x[d + len(i):]
     mat[k, i] = mat[i, k].conj()
@@ -111,24 +113,34 @@ def _positive(values: list[float], what: str) -> np.ndarray:
 
 def _fit(q: np.ndarray, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian A and B with ``(phi @ a) * (phi @ b) ~ q`` for their
-    parameters a and b, and the residual per probe."""
-    _, phi, pinv = _design(d)
-    m = d * d
+    parameters a and b, and the residual per probe.  The augmented
+    matrix ``[J | -r; gauge | 0]`` is allocated once and refilled in place
+    per step, and each step's forms ``phi @ a``, ``phi @ b`` are the ones
+    its residual was taken from."""
+    _, phi, pinv, _ = _design(d)
+    n, m = phi.shape
     w, u = np.linalg.eigh(_hermitian(pinv @ np.sqrt(q), d))
     x = np.concatenate([_parameters((u * np.abs(w) ** p) @ u.conj().T)
                         for p in (2.0 * alpha, 2.0 - 2.0 * alpha)])
-    r = (phi @ x[:m]) * (phi @ x[m:]) - q
+    fa, fb = phi @ x[:m], phi @ x[m:]
+    r = fa * fb - q
     cost = r @ r
+    # [J | -r] over the gauge row [a, -b | 0], J = [diag(phi b) phi, diag(phi a) phi]
+    aug = np.empty((n + 1, 2 * m + 1))
+    aug[n, -1] = 0.0
     while True:
-        jac = np.hstack([(phi @ x[m:])[:, None] * phi, (phi @ x[:m])[:, None] * phi])
-        gauge = np.concatenate([x[:m], -x[m:]])
-        # R of [J | -r] over the gauge row [a, -b | 0]
-        tri = np.linalg.qr(np.block([[jac, -r[:, None]], [gauge, 0.0]]), mode="r")
+        np.multiply(fb[:, None], phi, out=aug[:n, :m])
+        np.multiply(fa[:, None], phi, out=aug[:n, m:-1])
+        np.negative(r, out=aug[:n, -1])
+        aug[n, :m] = x[:m]
+        np.negative(x[m:], out=aug[n, m:-1])
+        tri = np.linalg.qr(aug, mode="r")
         x_new = x + np.linalg.solve(tri[:-1, :-1], tri[:-1, -1])
-        r_new = (phi @ x_new[:m]) * (phi @ x_new[m:]) - q
+        fa_new, fb_new = phi @ x_new[:m], phi @ x_new[m:]
+        r_new = fa_new * fb_new - q
         cost_new = r_new @ r_new
         if cost_new < cost:
-            x, r = x_new, r_new
+            x, r, fa, fb = x_new, r_new, fa_new, fb_new
         # strict, so that a zero cost (an exact fit) ends the fit
         if not cost_new < cost / 2:
             return _hermitian(x[:m], d), _hermitian(x[m:], d), r

@@ -28,8 +28,13 @@ pair, which keeps its condition number below about 400 up to d = 16 (the
 halves alone reach 5e3 at d = 8, a = 1/2).  At t = 1/d the probe state is
 I/d whatever P is, so that weight would tell nothing of its probe; no
 weight of ``_WEIGHTS`` is 1/d for any d.  The probe states of the latest
-``(d, tol)``, one per query, are built once and reused (about 0.26 MB at
-d = 6 and 7.0 MB at d = 16 under tracemalloc); the fit's columns,
+``(d, tol)``, one per query, are built once and reused, and each state's
+spectrum keeps the divergence kernel's weights for the latest 16 orders
+queried against it (``SpectralDecomposition._gram_weights``), so a
+repeated order's query costs one congruence and one dot.  What stays
+resident per d, under tracemalloc: the states take 0.27 MB at d = 6 and
+7.2 MB at d = 16; their weights add 0.30 MB and 8.9 MB after five
+orders, and at most 0.91 MB and 28 MB at 16.  The fit's columns,
 complements and pseudo-inverses are kept for the latest 16 ``(d, alpha)``.
 """
 

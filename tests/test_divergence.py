@@ -9,6 +9,7 @@ from chi2lab import (
     PdOperator,
     PsdOperator,
     RankOneProjection,
+    SingularOperator,
     chi2,
     chi2_extended,
     chi2_limit_probe,
@@ -267,6 +268,17 @@ def test_shifted_query_stack_is_cached_and_read_only():
         stack[0, 0] = 1.0
 
 
+def test_an_operator_keeps_the_query_stacks_of_its_latest_16_orders():
+    dens = random_nonsingular_density(3, np.random.default_rng(3))
+    spec = dens.spectrum()
+    orders = np.linspace(0.0, 1.0, 40).tolist()
+    first = [_query_stack(dens, spec, alpha) for alpha in orders]
+    assert list(vars(dens)["_query_stacks"]) == orders[-16:]
+    again = _query_stack(dens, spec, orders[0])
+    assert again is not first[0] and again.tobytes() == first[0].tobytes()
+    assert list(vars(dens)["_query_stacks"]) == orders[-15:] + orders[:1]
+
+
 def test_shifted_checks_run_on_every_query():
     singular = _unchecked(PdOperator, np.diag([1.0, 0.0]))
     r = RankOneProjection([1.0, 1.0])
@@ -511,3 +523,84 @@ def test_eigenbasis_kernel_is_as_accurate_as_the_sandwich_on_graded_b():
             new = abs(chi2(a, b, alpha) - ref) / ref
             old = abs(float(_sandwich(a.mat - b.mat, spec, alpha, b.tol.support, False)) - ref) / ref
             assert new <= 2.0 * old + 1e-15
+
+
+# The lean path: one (d, d) diff at one float order against one spectrum
+# reads its weights from the spectrum's cache; an order axis builds them
+# through _powers on every call.
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 16])
+def test_lean_gram_value_equals_its_order_axis_call(d):
+    rng = np.random.default_rng(100 + d)
+    orders = np.concatenate([_KERNEL_ALPHAS, rng.uniform(0.0, 1.0, 5)])
+    a = random_psd(d, rng).mat
+    for b, pseudo in ((random_pd(d, rng), False),
+                      (random_psd(d, rng, rank=max(1, d // 2)), True)):
+        spec, diff = b.spectrum(), a - b.mat
+        by_axis = _gram_value(diff, spec, orders[:, None], 1e-10, pseudo)
+        for j, alpha in enumerate(orders.tolist()):
+            miss = _gram_value(diff, spec, alpha, 1e-10, pseudo)
+            hit = _gram_value(diff, spec, alpha, 1e-10, pseudo)
+            assert miss.tobytes() == hit.tobytes() == by_axis[j].tobytes()
+
+
+def test_cached_weights_are_the_outer_product_of_the_powers_and_read_only():
+    rng = np.random.default_rng(107)
+    for spec, pseudo in ((random_pd(5, rng).spectrum(), False),
+                         (random_psd(5, rng, rank=3).spectrum(), True)):
+        for alpha in _KERNEL_ALPHAS:
+            left, right = spec._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=1e-10)
+            miss = spec._gram_weights(alpha, 1e-10, pseudo)
+            hit = spec._gram_weights(alpha, 1e-10, pseudo)
+            assert hit is miss
+            assert miss.tobytes() == (right[:, None] * left[None, :]).tobytes()
+            assert not miss.flags.writeable
+            with pytest.raises(ValueError):
+                miss[0, 0] = 0.0
+
+
+def test_cached_weights_are_keyed_by_order_support_and_pseudo():
+    rng = np.random.default_rng(108)
+    a = random_psd(4, rng).mat
+    w, v = np.array([1.0, 0.5, 1e-3, 1e-6]), haar_unitary(4, rng)
+    diff = a - (v * w) @ v.conj().T
+    spec = SpectralDecomposition(w, v)
+    # at cutoff 1e-2 the two smallest eigenvalues are kernel; at 1e-10 none
+    low = _gram_value(diff, spec, 0.25, 1e-2, True)
+    full = _gram_value(diff, spec, 0.25, 1e-10, True)
+    assert full != low
+    # the pseudo-power cached first leaves the plain power singular
+    with pytest.raises(SingularOperator):
+        _gram_value(diff, spec, 0.25, 1e-2, False)
+    for support_rel, pseudo, want in ((1e-10, False, full), (1e-10, True, full),
+                                      (1e-2, True, low)):
+        fresh = _gram_value(diff, SpectralDecomposition(w, v), 0.25, support_rel, pseudo)
+        assert fresh.tobytes() == want.tobytes()
+        assert _gram_value(diff, spec, 0.25, support_rel, pseudo).tobytes() == want.tobytes()
+
+
+def test_a_spectrum_keeps_the_weights_of_its_latest_16_orders():
+    rng = np.random.default_rng(109)
+    spec = random_pd(3, rng).spectrum()
+    orders = np.linspace(0.0, 1.0, 40).tolist()
+    first = [spec._gram_weights(alpha, 1e-10, False) for alpha in orders]
+    cache = vars(spec)["_gram_cache"]
+    assert [key[0] for key in cache] == orders[-16:]
+    # an evicted order is built again, to the same bytes, and evicts the oldest
+    again = spec._gram_weights(orders[0], 1e-10, False)
+    assert again is not first[0] and again.tobytes() == first[0].tobytes()
+    assert [key[0] for key in cache] == orders[-15:] + orders[:1]
+
+
+def test_shift_and_scale_start_with_empty_caches():
+    rng = np.random.default_rng(110)
+    b = random_pd(3, rng)
+    spec, diff = b.spectrum(), random_psd(3, rng).mat - b.mat
+    _gram_value(diff, spec, 0.5, 1e-10, False)
+    assert {"_gram_cache", "_real_v"} <= set(vars(spec))
+    for other in (spec.shift(0.25), spec.scale(2.0)):
+        assert not {"_gram_cache", "_real_v"} & set(vars(other))
+        fresh = SpectralDecomposition(other.w, other.v)
+        assert (_gram_value(diff, other, 0.5, 1e-10, False).tobytes()
+                == _gram_value(diff, fresh, 0.5, 1e-10, False).tobytes())

@@ -107,3 +107,14 @@ def test_oracle_values_equal_the_public_functions_bit_for_bit(d):
             assert tomo.query(c) == chi2(hidden, c, alpha)
         for r in rank_ones:
             assert peel.query(r) == chi2_shifted(r, hidden, alpha)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-9])
+def test_a_bad_seed_raises_with_or_without_noise(noise_sigma):
+    # an exact oracle never draws, but its seed is still checked
+    hidden = random_nonsingular_density(3, np.random.default_rng(12))
+    with pytest.raises(ValueError):
+        chi2_oracle(hidden, 0.5, noise_sigma=noise_sigma, seed=-1)
+    for seed in ("x", 1.5):
+        with pytest.raises(TypeError):
+            rank_one_query_oracle(hidden, 0.5, noise_sigma=noise_sigma, seed=seed)

@@ -361,6 +361,62 @@ def test_query_landscape_has_no_spurious_minimum(alpha):
                 assert slope < 0.0
 
 
+#: the peel's default orders and each endpoint's near neighbour
+_SWEEP = (0.0, 1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7, 1.0)
+
+
+def _fit_by_blocks(q, d, alpha):
+    """``peeling._fit`` written plainly, as the reference: ``triu_indices``
+    per conversion, and J, the gauge row and ``[J | -r; gauge | 0]`` built
+    anew on every step by hstack, concatenate and ``np.block``."""
+    _, phi, pinv, _ = peeling._design(d)
+    m = d * d
+
+    def parameters(mat):
+        i, k = np.triu_indices(d, 1)
+        return np.concatenate([mat.diagonal().real, mat[i, k].real, mat[i, k].imag])
+
+    def hermitian(x):
+        i, k = np.triu_indices(d, 1)
+        mat = np.diag(x[:d].astype(np.complex128))
+        mat[i, k] = x[d:d + len(i)] + 1j * x[d + len(i):]
+        mat[k, i] = mat[i, k].conj()
+        return mat
+
+    w, u = np.linalg.eigh(hermitian(pinv @ np.sqrt(q)))
+    x = np.concatenate([parameters((u * np.abs(w) ** p) @ u.conj().T)
+                        for p in (2.0 * alpha, 2.0 - 2.0 * alpha)])
+    r = (phi @ x[:m]) * (phi @ x[m:]) - q
+    cost = r @ r
+    while True:
+        jac = np.hstack([(phi @ x[m:])[:, None] * phi, (phi @ x[:m])[:, None] * phi])
+        gauge = np.concatenate([x[:m], -x[m:]])
+        tri = np.linalg.qr(np.block([[jac, -r[:, None]], [gauge, 0.0]]), mode="r")
+        x_new = x + np.linalg.solve(tri[:-1, :-1], tri[:-1, -1])
+        r_new = (phi @ x_new[:m]) * (phi @ x_new[m:]) - q
+        cost_new = r_new @ r_new
+        if cost_new < cost:
+            x, r = x_new, r_new
+        if not cost_new < cost / 2:
+            return hermitian(x[:m]), hermitian(x[m:]), r
+        cost = cost_new
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_fit_equals_the_fit_built_step_by_step(d):
+    rng = np.random.default_rng(120 + d)
+    u = haar_unitary(d, rng)
+    graded = (u * np.logspace(0, -4, d)) @ u.conj().T
+    hiddens = [random_nonsingular_density(d, rng), random_nonsingular_density(d, rng),
+               PdOperator((graded + graded.conj().T) / 2)]
+    for hidden in hiddens:
+        for alpha in _SWEEP:
+            oracle = rank_one_query_oracle(hidden, alpha)
+            q = np.array([oracle.query(r) for r in peeling._design(d)[0]])
+            got, want = peeling._fit(q, d, alpha), _fit_by_blocks(q, d, alpha)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+
 def _run(hidden, d, sigma):
     oracle = rank_one_query_oracle(hidden, 0.25, noise_sigma=sigma, seed=3)
     spec = spectral_peel(oracle, d, 0.25)
@@ -389,11 +445,13 @@ def test_probe_cache_keeps_only_the_latest_design():
 def test_design_is_built_once_read_only_and_reads_the_forms(d):
     design = peeling._design(d)
     assert peeling._design(d) is design
-    probes, phi, pinv = design
+    probes, phi, pinv, (i, k) = design
     assert len(probes) == phi.shape[0] == 2 * d * d + d
     assert phi.shape[1] == d * d
     assert all(not r.vector.flags.writeable for r in probes)
     assert not phi.flags.writeable and not pinv.flags.writeable
+    assert not i.flags.writeable and not k.flags.writeable
+    assert [i.tolist(), k.tolist()] == [idx.tolist() for idx in np.triu_indices(d, 1)]
     # a feature row reads <v, X v> off X's d² real parameters
     rng = np.random.default_rng(d)
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -130,21 +130,32 @@ def test_first_failing_probe_in_family_order_raises(negated, bent, error):
     assert oracle.count == 12
 
 
-def _run(hidden, d, sigma):
-    oracle = chi2_oracle(hidden, 0.25, noise_sigma=sigma, seed=3)
-    return quadratic_form_tomography(oracle, d, 0.25).mat.tobytes(), oracle.count
+def _run(hidden, d, sigma, alpha=0.25):
+    oracle = chi2_oracle(hidden, alpha, noise_sigma=sigma, seed=3)
+    return quadratic_form_tomography(oracle, d, alpha).mat.tobytes(), oracle.count
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_cold_and_warm_probe_states_give_the_same_bytes(d):
+    # each probe spectrum keeps the weights of its latest 16 orders; 20
+    # orders each run cold (new probe states), on a miss and on a hit, and
+    # the first four again once the sweep has evicted them
     hidden = random_psd(d, np.random.default_rng(60 + d))
+    orders = np.linspace(0.0, 1.0, 20).tolist()
     for sigma in (0.0, 1e-9):
-        tomography._probe_states.cache_clear()
-        operators.projection_family.cache_clear()
-        cold = _run(hidden, d, sigma)
-        warm = _run(hidden, d, sigma)
-        assert cold == warm
-        assert cold[1] == 3 * d * d
+        cold = []
+        for alpha in orders:
+            tomography._probe_states.cache_clear()
+            operators.projection_family.cache_clear()
+            cold.append(_run(hidden, d, sigma, alpha))
+            assert cold[-1][1] == 3 * d * d
+        for alpha, want in zip(orders, cold):
+            assert _run(hidden, d, sigma, alpha) == want
+            assert _run(hidden, d, sigma, alpha) == want
+        for state in (c for row in tomography._probe_states(d, DEFAULT_TOL) for c in row):
+            assert [key[0] for key in vars(state.spectrum())["_gram_cache"]] == orders[-16:]
+        for alpha, want in zip(orders[:4], cold):
+            assert _run(hidden, d, sigma, alpha) == want
 
 
 def test_probe_state_cache_keeps_only_the_latest_design():
