@@ -10,48 +10,51 @@ argument is run numerically:
      restricted map on slightly mixed states and rounding to the top
      eigenprojection, read by power iteration and certified by the
      Davis-Kahan residual bound; each projection is imaged once per
-     scale, at the mixing weight _EPSILON / 2.  Each scale makes one
-     request, its whole probe plan: the orthogonality pairs [a; b] of
-     stage 4, their unit sums a + b, then the d^2 probe family of stage
-     5, each row once, in first-seen order.  Each row calls phi once, in
-     that order, then the first d rows (orthogonality rows, which lead)
-     call it again at _EPSILON, a stability sample whose top vectors
-     must agree across the two weights, and the rounding runs once on
-     the stack of outputs;
-  4. orthogonality and transition-probability checks, one stack each,
-     read from the scale's images with no map call;
-  5. synthesis of the implementing (anti)unitary per scale, one stack,
-     read the same way;
-  6. cross-scale consistency of the synthesized operators up to phase;
+     scale, at the mixing weight _EPSILON / 2.  One request serves all
+     three scales: per scale its whole probe plan, the orthogonality
+     pairs [a; b] of stage 4, their unit sums a + b, then the d^2 probe
+     family of stage 5, each row once, in first-seen order.  Each row
+     calls phi once, in that order, then the first d rows (orthogonality
+     rows, which lead) call it again at _EPSILON, a stability sample
+     whose top vectors must agree across the two weights.  The rounding
+     then runs once, on the (scale, row) stack of every output; a zero or
+     non-finite output rounds to a NaN top vector, which fails the
+     rounding and every later test of its scale;
+  4. orthogonality and transition checks, one stack for all scales,
+     read from the images by index with no map call;
+  5. synthesis of the implementing (anti)unitary per scale, read the
+     same way;
+  6. cross-scale consistency of the synthesized operators up to phase,
+     every scale pair of one kind in one stack;
   7. verification of phi(A) = U A U* (or the antiunitary variant) on
      fresh samples.
 
 Violations do not abort the pipeline: each failed stage is recorded so
-the report localizes which preserver property broke.
+the report localizes which preserver property broke.  Every stage test
+reads ``not residual <= tol``, so a NaN residual fails its stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .divergence import Alpha
 from .ensembles import pd_stack
 from .errors import Chi2LabError
-from .linalg import SpectralDecomposition, _dots, _hs_squares, hermitian_part, op_norm
+from .linalg import SpectralDecomposition, _dots, _hs_squares, hermitian_part
 from .matio import matrix_to_obj
 from .operators import PdOperator, _unchecked, _unit_rows
 from .wigner import (
     UNITARY,
     ConjugationMap,
-    ProjectionMap,
     _family_rows,
+    _overlap_drifts,
     _sample_pairs,
-    check_orthogonality_preservation,
-    check_transition_probabilities,
-    wigner_synthesize,
+    _synthesize,
 )
 
 __all__ = ["DecompileReport", "preserver_decompile"]
@@ -143,33 +146,45 @@ def _samples(d: int, rng: np.random.Generator, n: int) -> list[PdOperator]:
 
 
 @lru_cache(maxsize=16)
-def _probe_plan(d: int, seed: int) -> np.ndarray:
+def _probe_plan(d: int, seed: int) -> tuple[np.ndarray, ...]:
     """Every row stages 4 and 5 image at one scale, as one read-only stack in
     first-seen order: the orthogonality pairs ``[a; b]`` of
     ``_sample_pairs(d, _CHECK_SAMPLES, seed)``, their unit sums ``a + b``
     (the transition check's other rows), then ``_family_rows(d)``; each
     row once, with the bytes the checks and the synthesis send.  From
-    d = 5 on the pairs are basis pairs alone, and the plan is the family."""
+    d = 5 on the pairs are basis pairs alone, and the plan is the family.
+
+    Returned beside the rows, as read-only indices into them: the rows
+    ``[a; b]`` of the orthogonality check, ``[a; a; b; a + b]`` of the
+    transition check, and the family."""
     a, b = _sample_pairs(d, _CHECK_SAMPLES, seed)
-    rows = np.concatenate([_unit_rows(np.concatenate([a, b, a + b])), _family_rows(d)])
-    keys = dict.fromkeys(row.tobytes() for row in rows)
-    return np.frombuffer(b"".join(keys), dtype=np.complex128).reshape(-1, d)
+    m = len(a)
+    rows = np.concatenate([_unit_rows(np.concatenate([a, b, a + b])), _family_rows(d)[0]])
+    keys: dict[bytes, int] = {}
+    at = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in rows])
+    pa, pb, sums = at[:m], at[m:2 * m], at[2 * m:3 * m]
+    index = (np.concatenate([pa, pb]), np.concatenate([pa, pa, pb, sums]), at[3 * m:])
+    for idx in index:
+        idx.flags.writeable = False
+    return np.frombuffer(b"".join(keys), dtype=np.complex128).reshape(-1, d), *index
 
 
-def _phase_aligned_distance(u1: np.ndarray, u2: np.ndarray) -> float:
-    """``||u1 u2* - c I||_op`` with ``c = tr / |tr|`` for ``tr = tr(u1 u2*)``,
-    or ``c = 1`` when ``|tr| < 1e-12``.
+def _phase_aligned_distance(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Per pair of ``(..., d, d)`` stacks, ``||u1 u2* - c I||_op`` with
+    ``c = tr / |tr|`` for ``tr = tr(u1 u2*)``, or ``c = 1`` when
+    ``|tr| < 1e-12``.
 
     An upper bound on the minimum over unimodular c, not the minimum
     itself, so it errs toward flagging ``scale-consistency``: ``u1 = I``
     and ``u2 = diag(1, -1)`` read 2 where the minimum is sqrt(2).
     """
-    m = u1 @ u2.conj().T
-    tr = np.trace(m)
-    if abs(tr) < 1e-12:
-        return float(op_norm(m - np.eye(m.shape[0])))
-    c = tr / abs(tr)
-    return float(op_norm(m - c * np.eye(m.shape[0])))
+    m = u1 @ u2.conj().swapaxes(-1, -2)
+    # c per pair in scalar arithmetic: the stacked np.abs may round |tr|
+    # differently from abs, and c would move the distance by an ulp
+    c = np.array([t / abs(t) if abs(t) >= 1e-12 else 1.0
+                  for t in np.trace(m, axis1=-2, axis2=-1).reshape(-1)])
+    c = c.reshape(m.shape[:-2])[..., None, None]
+    return np.linalg.norm(m - c * np.eye(m.shape[-1]), 2, axis=(-2, -1))
 
 
 def preserver_decompile(
@@ -189,9 +204,10 @@ def preserver_decompile(
     so only d <= 4 draws any: d = 6 checks its 15 basis pairs alone.
     Each scale images its whole probe plan (``_probe_plan``: the stage-4
     pairs, their sums, then the stage-5 probe family, each row once) in
-    one request before stage 4, so the rounding runs once per scale and
-    the checks and the synthesis make no map call.  Samples and probes
-    carry the default tolerances.
+    one request before stage 4, all three scales in turn, so the rounding
+    runs once for every scale and the checks and the synthesis make no
+    map call.  Samples and probes carry the default tolerances.  A zero
+    or non-finite map output is recorded as a failed stage, not raised.
     """
     Alpha(alpha)
     if d < 2:
@@ -202,90 +218,93 @@ def preserver_decompile(
     eye = np.eye(d, dtype=np.complex128)
 
     # stage 1: trace preservation
-    trace_residual = 0.0
+    diffs = []
     for sample in _samples(d, rng, _TRACE_SAMPLES):
-        diff = abs(phi(sample).trace() - sample.trace())
-        trace_residual = max(trace_residual, diff)
-        if diff > _TRACE_TOL * max(1.0, sample.trace()):
+        diffs.append(abs(phi(sample).trace() - sample.trace()))
+        if not diffs[-1] <= _TRACE_TOL * max(1.0, sample.trace()):
             if "trace" not in failures:
                 failures.append("trace")
+    trace_residual = float(np.max(diffs))
     stage_queries = {"trace": phi.count}
 
-    # stages 2-3: per scale, one request images every row stages 4 and 5
-    # read: each row at _EPSILON / 2, then the first d, this scale's
-    # stability sample, at _EPSILON; those stages make no map call
-    plan = _probe_plan(d, seed + 1)
+    # stages 2-3: one request images every row stages 4 and 5 read, scale
+    # after scale: each row at _EPSILON / 2, then the first d, that scale's
+    # stability sample, at _EPSILON; those stages make no map call.  The
+    # outputs of all scales are rounded as one (scale, row) stack
+    plan, orth, trans, family = _probe_plan(d, seed + 1)
     n = len(plan)
     v = np.concatenate([plan, plan[:d]])[:, :, None]
     eps = np.repeat([_EPSILON / 2.0, _EPSILON], [n, d])[:, None, None]
     states = (1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * eye
-    keys = [row.tobytes() for row in plan]
+    lams = np.array(_SCALES)[:, None, None, None]
+    # one read-only stack, so each input wraps its slice without a copy
+    inputs = (lams * states).reshape(-1, d, d)
+    inputs.flags.writeable = False
+    outs = [phi(_unchecked(PdOperator, m)).mat for m in inputs]
+    # a zero, overflowing or non-finite output rounds to a NaN top vector,
+    # which fails every test below instead of raising or warning
+    with np.errstate(all="ignore"):
+        outs = np.array(outs).reshape(len(_SCALES), n + d, d, d) / lams
+        tops, bounds = _top_vector(hermitian_part(outs))
+    stability = 1.0 - np.abs(_dots(tops[:, :d], tops[:, n:])) ** 2
+    if not np.maximum(bounds.max(), stability.max()) <= _ROUNDING_TOL:
+        failures.append("projection-rounding")
+    tops = tops[:, :n].reshape(-1, d)
+    finite = np.isfinite(tops).all(axis=1)
+    images = np.full_like(tops, np.nan)
+    images[finite] = _unit_rows(tops[finite])
+    images = images.reshape(len(_SCALES), n, d)
 
-    def restricted_projection_map(lam: float) -> ProjectionMap:
-        outs = [phi(_unchecked(PdOperator, m)).mat for m in lam * states]
-        tops, bounds = _top_vector(hermitian_part(np.array(outs) / lam))
-        stability = 1.0 - np.abs(_dots(tops[:d], tops[n:])) ** 2
-        if max(bounds.max(), stability.max()) > _ROUNDING_TOL:
-            if "projection-rounding" not in failures:
-                failures.append("projection-rounding")
-        images = dict(zip(keys, tops))
-        return ProjectionMap(lambda rows: np.array([images[row.tobytes()] for row in rows]))
-
-    maps = {lam: restricted_projection_map(lam) for lam in _SCALES}
-
-    # stage 4: orthogonality and transition checks per scale
-    orth_residual = 0.0
-    trans_residual = 0.0
-    for lam, xi in maps.items():
-        _, worst_orth = check_orthogonality_preservation(
-            xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
-        )
-        _, worst_trans = check_transition_probabilities(
-            xi, d, samples=_CHECK_SAMPLES, seed=seed + 1
-        )
-        orth_residual = max(orth_residual, worst_orth)
-        trans_residual = max(trans_residual, worst_trans)
+    # stage 4: orthogonality and transition checks, every scale at once
+    orth_residual = float(_overlap_drifts(plan[orth], images[:, orth]).max())
+    trans_residual = float(_overlap_drifts(plan[trans], images[:, trans]).max())
     orthogonality_pass = orth_residual <= _ORTHOGONALITY_TOL
     if not orthogonality_pass:
         failures.append("orthogonality")
-    if trans_residual > _TRANSITION_TOL:
+    if not trans_residual <= _TRANSITION_TOL:
         failures.append("transition")
 
     # stage 5: Wigner synthesis per scale
     synthesized: dict[float, ConjugationMap] = {}
-    for lam, xi in maps.items():
+    for lam, iv in zip(_SCALES, images[:, family]):
         try:
-            synthesized[lam] = wigner_synthesize(xi, d)
+            synthesized[lam] = _synthesize(iv, d)
         except Chi2LabError:
             failures.append(f"wigner(scale={lam:g})")
 
-    # stage 6: cross-scale consistency up to a unimodular factor
+    # stage 6: cross-scale consistency up to a unimodular factor, every
+    # scale pair of one kind at once
+    pairs = []
+    for a, b in combinations(synthesized.values(), 2):
+        if a.kind != b.kind:
+            if "kind-mismatch" not in failures:
+                failures.append("kind-mismatch")
+            continue
+        pairs.append((a.u, b.u))
     scale_residual = 0.0
-    lams = sorted(synthesized)
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            a, b = synthesized[lams[i]], synthesized[lams[j]]
-            if a.kind != b.kind:
-                if "kind-mismatch" not in failures:
-                    failures.append("kind-mismatch")
-                continue
-            scale_residual = max(scale_residual, _phase_aligned_distance(a.u, b.u))
-    if scale_residual > _SCALE_TOL:
+    if pairs:
+        u1, u2 = np.array(pairs).swapaxes(0, 1)
+        scale_residual = float(_phase_aligned_distance(u1, u2).max())
+    if not scale_residual <= _SCALE_TOL:
         failures.append("scale-consistency")
 
     # stage 7: final verification on fresh samples
     stage_queries["images"] = phi.count - stage_queries["trace"]
     if synthesized:
-        preferred = 1.0 if 1.0 in synthesized else lams[0]
+        preferred = 1.0 if 1.0 in synthesized else min(synthesized)
         recovered = synthesized[preferred].normalize_phase()
     else:
         failures.append("synthesis")
         recovered = ConjugationMap(np.eye(d), UNITARY)
     samples = _samples(d, rng, _VERIFY_SAMPLES)
     drifts = (np.array([phi(sample).mat for sample in samples])
-              - np.array([recovered.apply(sample.mat) for sample in samples]))
-    verify_residual = float(np.linalg.norm(drifts, 2, axis=(-2, -1)).max())
-    if verify_residual > _VERIFY_TOL:
+              - recovered.apply(np.array([sample.mat for sample in samples])))
+    # a non-finite output has no operator norm: its drift reads NaN
+    finite = np.isfinite(drifts).all(axis=(-2, -1))
+    norms = np.full(len(drifts), np.nan)
+    norms[finite] = np.linalg.norm(drifts[finite], 2, axis=(-2, -1))
+    verify_residual = float(norms.max())
+    if not verify_residual <= _VERIFY_TOL:
         failures.append("verification")
     stage_queries["verification"] = phi.count - sum(stage_queries.values())
 

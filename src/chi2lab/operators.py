@@ -295,10 +295,14 @@ def _unchecked(cls, mat: np.ndarray, *, tol: Tolerances = DEFAULT_TOL,
     """Wrap an array in an operator type without running invariant checks.
 
     Internal fast path for values that are positive (semi)definite by
-    construction; callers are responsible for the invariant.
+    construction; callers are responsible for the invariant.  A read-only
+    complex array is wrapped as it is, not copied: its owner keeps it
+    read-only too, as ``preserver_decompile`` does with its stack of probe
+    states.
     """
     obj = object.__new__(cls)
-    object.__setattr__(obj, "mat", _freeze(mat))
+    frozen = mat.dtype == np.complex128 and not mat.flags.writeable
+    object.__setattr__(obj, "mat", mat if frozen else _freeze(mat))
     object.__setattr__(obj, "tol", tol)
     if spectrum is not None:
         obj.__dict__["_spectrum"] = spectrum

@@ -118,9 +118,14 @@ def conjugation_projection_map(conj: ConjugationMap) -> ProjectionMap:
 
 
 @lru_cache(maxsize=16)
-def _family_rows(d: int) -> np.ndarray:
-    """The unit vectors of ``projection_family(d)`` as one read-only stack."""
-    return _freeze(np.array([p.vector for p in projection_family(d)]))
+def _family_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vectors of ``projection_family(d)`` as one read-only stack,
+    and their read-only transition probabilities ``|<p, q>|^2``, which
+    every synthesis compares its images against."""
+    pv = _freeze(np.array([p.vector for p in projection_family(d)]))
+    overlaps = np.abs(pv.conj() @ pv.T) ** 2
+    overlaps.flags.writeable = False
+    return pv, overlaps
 
 
 @lru_cache(maxsize=16)
@@ -140,13 +145,14 @@ def _sample_pairs(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return _freeze(a), _freeze(b)
 
 
-def _overlap_drifts(xi: ProjectionMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``|tr(xi(P) xi(R)) - tr(P R)|`` for P, R along each pair of rows of
-    ``a`` and ``b``; both stacks reach ``xi`` as one stack of unit rows."""
-    n = len(a)
-    rows = _unit_rows(np.concatenate([a, b]))
-    images = xi(rows)
-    before, after = _dots(rows[:n], rows[n:]), _dots(images[:n], images[n:])
+def _overlap_drifts(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """``|tr(xi(P) xi(R)) - tr(P R)|`` for P, R along each pair of unit rows
+    ``rows[k]``, ``rows[n + k]`` of a ``(2n, d)`` stack, read from their
+    images under ``xi``: one ``(..., 2n, d)`` stack per map, so the drifts
+    come back as ``(..., n)``."""
+    n = len(rows) // 2
+    before = _dots(rows[:n], rows[n:])
+    after = _dots(images[..., :n, :], images[..., n:, :])
     return np.abs(np.abs(after) ** 2 - np.abs(before) ** 2)
 
 
@@ -157,7 +163,8 @@ def check_orthogonality_preservation(
 
     Returns (all pairs within 1e-8, worst residual).
     """
-    worst = float(_overlap_drifts(xi, *_sample_pairs(d, samples, seed)).max())
+    rows = _unit_rows(np.concatenate(_sample_pairs(d, samples, seed)))
+    worst = float(_overlap_drifts(rows, xi(rows)).max())
     return worst <= 1e-8, worst
 
 
@@ -174,8 +181,8 @@ def check_transition_probabilities(
     a, b = _sample_pairs(d, samples, seed)
     # a + b stays unnormalised: _unit_rows scales it to the same bytes as
     # the (e_i + e_j) probe of projection_family
-    drifts = _overlap_drifts(xi, np.concatenate([a, a]), np.concatenate([b, a + b]))
-    worst = float(drifts.max())
+    rows = _unit_rows(np.concatenate([a, a, b, a + b]))
+    worst = float(_overlap_drifts(rows, xi(rows)).max())
     return worst <= 1e-8, worst
 
 
@@ -188,12 +195,26 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     orthonormal within ConjugationMap's 1e-8, and InconsistentSymmetry if
     no phase assignment or kind reproduces the images within 1e-7.
     """
-    pv = _family_rows(d)
-    iv = xi(pv)
-    drift = np.abs(np.abs(iv.conj() @ iv.T) ** 2 - np.abs(pv.conj() @ pv.T) ** 2)
-    off = np.argwhere(np.triu(drift > 1e-6, 1))
-    if off.size:
-        i, j = off[0]
+    return _synthesize(xi(_family_rows(d)[0]), d)
+
+
+def _with_kind(conj: ConjugationMap, kind: str) -> ConjugationMap:
+    """``conj``'s checked, read-only U under ``kind``, not checked again."""
+    out = object.__new__(ConjugationMap)
+    object.__setattr__(out, "u", conj.u)
+    object.__setattr__(out, "kind", kind)
+    return out
+
+
+def _synthesize(iv: np.ndarray, d: int) -> ConjugationMap:
+    """``wigner_synthesize`` from the ``(d^2, d)`` unit image rows of
+    ``_family_rows(d)``; a non-finite image fails the transition check."""
+    pv, overlaps = _family_rows(d)
+    drift = np.abs(np.abs(iv.conj() @ iv.T) ** 2 - overlaps)
+    within = drift <= 1e-6
+    # unit rows keep the diagonal within 1e-6 (a NaN row fails its pairs)
+    if not within.all():
+        i, j = np.argwhere(np.triu(~within, 1))[0]
         raise NotASymmetry(
             f"probe pair ({i}, {j}) transition probability off by {drift[i, j]:.3e}"
         )
@@ -215,22 +236,20 @@ def wigner_synthesize(xi: ProjectionMap, d: int) -> ConjugationMap:
     ratio = aj / a0
     cols[1:] *= (ratio / np.abs(ratio))[:, None]
     try:
-        kinds = [ConjugationMap(cols.T, kind) for kind in (UNITARY, ANTIUNITARY)]
+        unitary = ConjugationMap(cols.T, UNITARY)
     except ValueError as exc:
         # the 1e-6 drift bound lets basis images overlap by up to 1e-3
         raise NotASymmetry(f"basis probe images are not orthonormal: {exc}") from None
     # the imaginary probe (e_0 + i e_1)/sqrt2 separates the two kinds:
     # its image matches U v for a unitary and U conj(v) for an antiunitary
-    candidates = []
-    for cand in kinds:
-        predicted = _unit_rows(cand.apply_vector(pv[d + 1]))
+    for result in (unitary, _with_kind(unitary, ANTIUNITARY)):
+        predicted = _unit_rows(result.apply_vector(pv[d + 1]))
         if 1.0 - abs(np.vdot(iv[d + 1], predicted)) ** 2 <= 1e-7:
-            candidates.append(cand)
-    if not candidates:
+            break
+    else:
         raise InconsistentSymmetry(
             "probe images match neither the unitary nor the antiunitary action"
         )
-    result = candidates[0]
     # for unit vectors p, q: ||p p* - q q*||_op = ||q - p (p* q)||, free of
     # the cancellation in sqrt(1 - |p* q|^2)
     pred = result.apply_vector(pv.T).T

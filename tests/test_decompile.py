@@ -7,15 +7,21 @@ import pytest
 from chi2lab import (
     ConjugationMap,
     PdOperator,
+    ProjectionMap,
     RankOneProjection,
+    check_orthogonality_preservation,
+    check_transition_probabilities,
     preserver_decompile,
     projection_family,
+    wigner_synthesize,
 )
 from chi2lab import decompile, linalg
 from chi2lab.decompile import _phase_aligned_distance, _top_vector
 from chi2lab.ensembles import haar_unitary, pd_stack, random_hermitian
+from chi2lab.errors import Chi2LabError
 from chi2lab.linalg import hermitian_part, jacobi_eigh, op_norm
-from chi2lab.operators import _unchecked
+from chi2lab.operators import _unchecked, _unit_rows
+from chi2lab.wigner import _family_rows, _sample_pairs
 
 
 def test_identity_map():
@@ -328,7 +334,7 @@ def test_stacked_top_vector_slices_match_their_own_calls():
             assert bounds[k].tobytes() == bound.tobytes()
 
 
-def test_top_vector_runs_once_per_scale(monkeypatch):
+def test_top_vector_runs_once_for_all_scales(monkeypatch):
     calls = []
 
     def counted(h):
@@ -338,8 +344,8 @@ def test_top_vector_runs_once_per_scale(monkeypatch):
     monkeypatch.setattr(decompile, "_top_vector", counted)
     truth = ConjugationMap(haar_unitary(6, np.random.default_rng(6)), "antiunitary")
     assert preserver_decompile(truth.as_preserver(), 6, 0.5).ok
-    # 36 projections plus a stability sample of 6, per scale
-    assert calls == [(42, 6, 6)] * 3
+    # 3 scales x (36 projections plus a stability sample of 6)
+    assert calls == [(3, 42, 6, 6)]
 
 
 def test_probe_plan_is_built_once_and_read_only():
@@ -348,11 +354,38 @@ def test_probe_plan_is_built_once_and_read_only():
     preserver_decompile(lambda a: a, 3, 0.5, seed=4)
     info = decompile._probe_plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    plan = decompile._probe_plan(3, 5)
-    assert not plan.flags.writeable
+    plan, orth, trans, family = decompile._probe_plan(3, 5)
+    assert not any(x.flags.writeable for x in (plan, orth, trans, family))
     # each row once: the 9 family probes (the 3 basis pairs and their sums
     # among them), then 7 Haar pairs and their sums, 3 rows a pair
     assert len({row.tobytes() for row in plan}) == len(plan) == 9 + 3 * 7
+    # the indices read the rows each reader sends, byte for byte
+    a, b = _sample_pairs(3, 10, 5)
+    assert plan[orth].tobytes() == _unit_rows(np.concatenate([a, b])).tobytes()
+    assert plan[trans].tobytes() == _unit_rows(np.concatenate([a, a, b, a + b])).tobytes()
+    assert plan[family].tobytes() == _family_rows(3)[0].tobytes()
+
+
+def test_stacked_phase_aligned_distances_match_the_pairwise_formula():
+    # one pair at a time in scalar arithmetic: c from abs(tr), which
+    # np.abs on a stack may round differently
+    def pairwise(u1, u2):
+        m = u1 @ u2.conj().T
+        tr = np.trace(m)
+        c = 1.0 if abs(tr) < 1e-12 else tr / abs(tr)
+        return op_norm(m - c * np.eye(len(m)))
+
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 6, 9, 16):
+        for _ in range(12):
+            u = haar_unitary(d, rng)
+            h = rng.standard_normal((d, d)) * 10 ** rng.uniform(-15, -1)
+            w, v = np.linalg.eigh(h + h.T)
+            near = u @ (v * np.exp(1j * w)) @ v.conj().T
+            u1 = np.array([u, near, u])
+            u2 = np.array([np.exp(1j * rng.uniform(0, 6.3)) * near, u, haar_unitary(d, rng)])
+            got = _phase_aligned_distance(u1, u2)
+            assert [float(x) for x in got] == [pairwise(*p) for p in zip(u1, u2)]
 
 
 def test_phase_aligned_distance_is_an_upper_bound():
@@ -360,3 +393,198 @@ def test_phase_aligned_distance_is_an_upper_bound():
     u1, u2 = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
     assert _phase_aligned_distance(u1, u2) == 2.0
     assert op_norm(u1 @ u2.conj().T - 1j * np.eye(2)) == pytest.approx(np.sqrt(2.0))
+
+
+def _nan_image(a):
+    return _unchecked(PdOperator, a.mat * np.nan, tol=a.tol)
+
+
+def _calls_where(pick, image):
+    """The identity map, except that the calls ``pick(k, a)`` selects (k
+    counts from 1) return ``image(a)``."""
+    calls = [0]
+
+    def phi(a):
+        calls[0] += 1
+        return image(a) if pick(calls[0], a) else a
+
+    return phi
+
+
+def test_non_finite_trace_outputs_fail_stage_one():
+    # abs(nan - t) compares false against the bound: the residual carries
+    # the NaN and the stage fails
+    report = preserver_decompile(_calls_where(lambda k, a: k <= 8, _nan_image), 3, 0.5)
+    assert report.failures == ("trace",)
+    assert np.isnan(report.trace_preservation_residual)
+
+
+@pytest.mark.parametrize("image", [_nan_image, lambda a: _unchecked(PdOperator, 0 * a.mat),
+                                   lambda a: _unchecked(PdOperator, 1e300 * a.mat)],
+                         ids=["nan", "zero", "overflowing"])
+def test_non_finite_or_zero_images_at_one_scale_fail_that_scale(image):
+    # every probe state at scale 2 has trace 2: its images round to NaN top
+    # vectors, with no warning, which fail the rounding, both checks and
+    # that scale's synthesis; the other two scales synthesize and agree
+    def at_scale_two(k, a):
+        return abs(a.trace() - 2.0) <= 1e-9
+
+    report = preserver_decompile(_calls_where(at_scale_two, image), 3, 0.5)
+    assert report.failures == ("projection-rounding", "orthogonality", "transition",
+                               "wigner(scale=2)")
+    assert np.isnan(report.orthogonality_residual) and not report.orthogonality_pass
+    assert np.isnan(report.transition_residual)
+    assert report.scale_consistency_residual <= 1e-12
+    assert report.verification_residual <= 1e-12
+    assert report.stage_queries == {"trace": 8, "images": 99, "verification": 8}
+
+
+def test_non_finite_verification_outputs_fail_verification():
+    report = preserver_decompile(_calls_where(lambda k, a: k > 8 + 99, _nan_image), 3, 0.5)
+    assert report.failures == ("verification",)
+    assert np.isnan(report.verification_residual)
+    assert report.recovered.kind == "unitary"
+
+
+def _reference_decompile(phi, d, alpha, seed):
+    """Reference: the per-scale formulation of ``preserver_decompile``.  Per
+    scale one request and one rounding, a ``ProjectionMap`` over a dict of
+    that scale's images, the two public checks and ``wigner_synthesize``;
+    each scale pair's phase-aligned distance on its own."""
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return phi(a)
+
+    rng = np.random.default_rng(seed)
+    failures = []
+    trace_residual = 0.0
+    for sample in decompile._samples(d, rng, 8):
+        diff = abs(counted(sample).trace() - sample.trace())
+        trace_residual = max(trace_residual, diff)
+        if diff > 1e-8 * max(1.0, sample.trace()) and "trace" not in failures:
+            failures.append("trace")
+    stage_queries = {"trace": calls[0]}
+
+    a, b = _sample_pairs(d, 10, seed + 1)
+    rows = np.concatenate([_unit_rows(np.concatenate([a, b, a + b])), _family_rows(d)[0]])
+    plan = np.array(list({row.tobytes(): row for row in rows}.values()))
+    n = len(plan)
+    v = np.concatenate([plan, plan[:d]])[:, :, None]
+    eps = np.repeat([1e-4 / 2.0, 1e-4], [n, d])[:, None, None]
+    states = (1.0 - eps) * (v * v.conj().swapaxes(-1, -2)) + (eps / d) * np.eye(d)
+    maps = {}
+    for lam in (0.5, 1.0, 2.0):
+        outs = [counted(_unchecked(PdOperator, m)).mat for m in lam * states]
+        tops, bounds = _top_vector(hermitian_part(np.array(outs) / lam))
+        stability = 1.0 - np.abs(linalg._dots(tops[:d], tops[n:])) ** 2
+        if max(bounds.max(), stability.max()) > 1e-6 and "projection-rounding" not in failures:
+            failures.append("projection-rounding")
+        images = dict(zip([row.tobytes() for row in plan], tops))
+        maps[lam] = ProjectionMap(
+            lambda rows, images=images: np.array([images[row.tobytes()] for row in rows]))
+
+    orth_residual = trans_residual = 0.0
+    for xi in maps.values():
+        orth_residual = max(orth_residual,
+                            check_orthogonality_preservation(xi, d, 10, seed + 1)[1])
+        trans_residual = max(trans_residual,
+                             check_transition_probabilities(xi, d, 10, seed + 1)[1])
+    if orth_residual > 1e-8:
+        failures.append("orthogonality")
+    if trans_residual > 1e-8:
+        failures.append("transition")
+
+    synthesized = {}
+    for lam, xi in maps.items():
+        try:
+            synthesized[lam] = wigner_synthesize(xi, d)
+        except Chi2LabError:
+            failures.append(f"wigner(scale={lam:g})")
+    scale_residual = 0.0
+    lams = sorted(synthesized)
+    for i in range(len(lams)):
+        for j in range(i + 1, len(lams)):
+            u1, u2 = synthesized[lams[i]], synthesized[lams[j]]
+            if u1.kind != u2.kind:
+                if "kind-mismatch" not in failures:
+                    failures.append("kind-mismatch")
+                continue
+            m = u1.u @ u2.u.conj().T
+            tr = np.trace(m)
+            c = 1.0 if abs(tr) < 1e-12 else tr / abs(tr)
+            scale_residual = max(scale_residual, op_norm(m - c * np.eye(d)))
+    if scale_residual > 1e-5:
+        failures.append("scale-consistency")
+
+    stage_queries["images"] = calls[0] - stage_queries["trace"]
+    if synthesized:
+        recovered = synthesized[1.0 if 1.0 in synthesized else lams[0]].normalize_phase()
+    else:
+        failures.append("synthesis")
+        recovered = ConjugationMap(np.eye(d), "unitary")
+    samples = decompile._samples(d, rng, 8)
+    drifts = (np.array([counted(sample).mat for sample in samples])
+              - np.array([recovered.apply(sample.mat) for sample in samples]))
+    verify_residual = float(np.linalg.norm(drifts, 2, axis=(-2, -1)).max())
+    if verify_residual > 1e-6:
+        failures.append("verification")
+    stage_queries["verification"] = calls[0] - sum(stage_queries.values())
+    return decompile.DecompileReport(
+        recovered, trace_residual, orth_residual <= 1e-8, orth_residual, trans_residual,
+        scale_residual, verify_residual, calls[0], stage_queries, tuple(failures)).to_obj()
+
+
+def _sweep_map(kind, d, rng):
+    """A black-box map of each kind the stack must report exactly as the
+    per-scale loop does: (anti)unitary preservers, a non-unitary
+    congruence, 2A, the transpose, a depolarizing mix, an A^2-like map and
+    a kind mismatch across the scales."""
+    if kind in ("unitary", "antiunitary"):
+        return ConjugationMap(haar_unitary(d, rng), kind).as_preserver()
+    if kind == "congruence":
+        s = haar_unitary(d, rng) @ np.diag(np.linspace(0.6, 1.6, d)) @ haar_unitary(d, rng)
+        return lambda a: _unchecked(PdOperator, s @ a.mat @ s.conj().T, tol=a.tol)
+    return {
+        "double": lambda a: PdOperator(2 * a.mat),
+        "transpose": lambda a: PdOperator(a.mat.T),
+        "depolarizing": lambda a: PdOperator((a.mat + a.trace() * np.eye(d) / d) / 2),
+        "square": lambda a: _unchecked(PdOperator, a.mat @ a.mat / a.trace(), tol=a.tol),
+        "kind-mismatch": lambda a: PdOperator(a.mat.conj()) if a.trace() > 1.5 else a,
+        "rotating": lambda a: _rotated(a, d),
+    }[kind]
+
+
+def _rotated(a, d):
+    # conjugation by a rotation in the (e_0, e_1) plane whose angle grows
+    # with lambda_min, so the synthesized operators differ across scales
+    t = 1e3 * a.spectrum().lmin
+    r = np.eye(d)
+    r[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return PdOperator(r @ a.mat @ r.T)
+
+
+_SWEEP_KINDS = ("unitary", "antiunitary", "congruence", "double", "transpose",
+                "depolarizing", "square", "kind-mismatch", "rotating")
+_SWEEP_FAILURES = {"trace", "projection-rounding", "orthogonality", "transition",
+                   "wigner(scale=0.5)", "wigner(scale=1)", "wigner(scale=2)",
+                   "kind-mismatch", "scale-consistency", "synthesis", "verification"}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_stacked_scales_report_the_per_scale_loop_bit_for_bit(d):
+    # 9 map kinds x 3 seeds at d <= 4, where the checks draw Haar pairs,
+    # and x 1 seed above: 108 reports over the sweep
+    failures = set()
+    for seed in range(3 if d <= 4 else 1):
+        for k, kind in enumerate(_SWEEP_KINDS):
+            rng = np.random.default_rng(100 * d + 10 * seed + k)
+            phi = _sweep_map(kind, d, rng)
+            alpha = (0.0, 0.5, 1.0)[(seed + k) % 3]
+            got = preserver_decompile(phi, d, alpha, seed=seed).to_obj()
+            assert json.dumps(got) == json.dumps(_reference_decompile(phi, d, alpha, seed))
+            failures.update(got["failures"])
+    # every stage fails somewhere at each d, so each failure path is held to
+    # the loop too
+    assert failures == _SWEEP_FAILURES

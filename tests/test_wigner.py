@@ -19,6 +19,7 @@ from chi2lab import (
 from chi2lab.ensembles import haar_unitary, random_hermitian
 from chi2lab.linalg import op_norm
 from chi2lab import wigner
+from chi2lab.operators import _unit_rows
 from chi2lab.wigner import _sample_pairs
 
 
@@ -294,3 +295,49 @@ def test_checks_reject_dimensions_below_two(d):
     for check in (check_orthogonality_preservation, check_transition_probabilities):
         with pytest.raises(ValueError, match="at least 2"):
             check(xi, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+def test_synthesis_checks_unitarity_once_and_keeps_the_two_candidate_result(
+        monkeypatch, d, kind):
+    truth = ConjugationMap(haar_unitary(d, np.random.default_rng(40 + d)), kind)
+    xi = conjugation_projection_map(truth)
+    checked = []
+    post_init = ConjugationMap.__post_init__
+
+    def counted(self):
+        checked.append(np.array(self.u))
+        post_init(self)
+
+    monkeypatch.setattr(ConjugationMap, "__post_init__", counted)
+    got = wigner_synthesize(xi, d)
+    assert len(checked) == 1
+    monkeypatch.undo()
+    # the two-candidate form: both kinds built and checked, the first whose
+    # action matches the imaginary probe (e_0 + i e_1)/sqrt2 kept
+    pv = wigner._family_rows(d)[0]
+    iv = xi(pv)
+    candidates = [ConjugationMap(checked[0], k) for k in ("unitary", "antiunitary")]
+    want = next(c for c in candidates
+                if 1.0 - abs(np.vdot(iv[d + 1], _unit_rows(c.apply_vector(pv[d + 1])))) ** 2
+                <= 1e-7)
+    assert got.kind == want.kind == kind
+    assert got.u.tobytes() == want.u.tobytes()
+    assert not got.u.flags.writeable
+
+
+def test_family_overlaps_are_cached_read_only():
+    pv, overlaps = wigner._family_rows(3)
+    assert wigner._family_rows(3)[1] is overlaps
+    assert not overlaps.flags.writeable
+    assert overlaps.tobytes() == (np.abs(pv.conj() @ pv.T) ** 2).tobytes()
+
+
+def test_non_finite_family_images_fail_the_synthesis_transition_check():
+    # the private core takes images unchecked; NaN compares false against
+    # every bound, so it must fail the drift check rather than pass it
+    iv = np.array(wigner._family_rows(2)[0])
+    iv[1] = np.nan
+    with pytest.raises(NotASymmetry, match="probe pair \\(0, 1\\)"):
+        wigner._synthesize(iv, 2)
