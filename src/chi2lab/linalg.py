@@ -517,6 +517,17 @@ def _spectral_fn(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+def _pow(base: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``base ** p``, ``p`` of the result's shape, by numpy's vector pow
+    alone.  A single pair would be one loop step, whose exponent numpy reads
+    at stride 0 and then serves by its scalar square, sqrt or reciprocal
+    (differing in the last bit); the pair is raised as two copies instead,
+    so a 1x1 spectrum's float call equals its stack and order-axis calls."""
+    if p.size > 1:
+        return base**p
+    return (np.repeat(base, 2) ** np.repeat(p, 2))[:1].reshape(p.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """``M = V diag(w) V*``: read-only non-increasing eigenvalues ``w`` and
@@ -638,7 +649,7 @@ class SpectralDecomposition:
         ``pseudo=True``, otherwise SingularOperator is raised.  ``p`` may
         also be an array of K exponents on a leading axis, ``(K, 1)`` for
         one spectrum or ``(K, 1, 1)`` for a stack, giving K powers of each
-        slice, each equal to its float call bit for bit when d >= 2.
+        slice, each equal to its float call bit for bit.
         """
         return _spectral_fn(self.v, self._powers(p, pseudo=pseudo, support_rel=support_rel)[0])
 
@@ -648,13 +659,13 @@ class SpectralDecomposition:
         leading axis) fill a ``(len(ps), [K,] *w.shape)`` array by one
         transposed assignment, so ``**`` reads them contiguous (a stride-0
         exponent may round differently) and every (order, slice) matches
-        its float call bit for bit (d >= 2)."""
+        its float call bit for bit."""
         cutoff, full = self._cutoff(support_rel)
         ps = np.array(ps)
         p = np.empty((len(ps), *ps.shape[1:-self.w.ndim], *self.w.shape))
         p.T[...] = ps.T
         if full:
-            return self.w**p
+            return _pow(self.w, p)
         if not pseudo and p.min() < 0.0:
             raise SingularOperator(
                 "negative power of a singular operator; pass pseudo=True "
@@ -662,10 +673,9 @@ class SpectralDecomposition:
             )
         # kernel eigenvalues are raised as 1, then zeroed, so ``**`` reads w
         # and p whole: a lone selected pair of differently shaped operands
-        # would read the exponent at stride 0 and take numpy's scalar square,
-        # sqrt or reciprocal, as a 1x1 spectrum's float call still does
+        # would read the exponent at stride 0 (see ``_pow``)
         above = self.w > cutoff
-        return np.where(above, np.where(above, self.w, 1.0) ** p, 0.0)
+        return np.where(above, _pow(np.where(above, self.w, 1.0), p), 0.0)
 
     def support(self, support_rel: float = DEFAULT_TOL.support) -> np.ndarray:
         """Orthogonal projection onto the span of the above-cutoff eigenspaces

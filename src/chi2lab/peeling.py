@@ -15,20 +15,27 @@ and fits (Phi a) * (Phi b) = q by least squares (Golub and Pereyra, SIAM
 J. Numer. Anal. 10, 1973; Björck, "Numerical Methods for Least Squares
 Problems", 1996):
 
+- Exact orders.  At alpha = 0 (A = I) and alpha = 1 (B = I) one factor
+  is <v, v> = 1 and q(v) = <v, D^-1 v> is one form, linear in its
+  parameters: the fit is the design's pseudo-inverse times q, with the
+  other form I.  The route is taken at exactly 0 and 1 only: next to them
+  q is still a product, and a linear fit would lose digits (4e-10 to
+  7e-9 on a graded spectrum at alpha = 1e-9).
 - Start.  By Cauchy-Schwarz sqrt(q(v)) >= <v, S v>, S = D^-1/2, with
   equality at D's eigenvectors and, at alpha = 1/2, everywhere.  A linear
   fit of sqrt(q) gives S, and the fit starts at A0 = |S|^(2 alpha),
   B0 = |S|^(2 - 2 alpha); a start with A0 = B0 would never leave the
-  swap-symmetric set.
-- Steps.  Undamped Gauss-Newton, J = [diag(Phi b) Phi, diag(Phi a) Phi].
-  The scale direction (a, -b) is in J's null space, so a gauge row
-  (a, -b) with right-hand side 0 is appended; the step comes from the
-  triangular factor of the QR of [J | -r].  A step is kept if it lowers
-  the sum of squared residuals, and the fit goes on while steps more than
-  halve it: the convergence is quadratic, so a step that does not is at
-  the floor of rounding or noise, and an exact fit (a zero sum) ends it.
-  At alpha = 1/2 the start is exact and J singular (A = B), and the first
-  step ends the fit.
+  swap-symmetric set.  At alpha = 1/2 the start is exact and is the fit.
+- Steps.  At every other order, undamped Gauss-Newton, J = [diag(Phi b)
+  Phi, diag(Phi a) Phi].  The scale direction (a, -b) is in J's null
+  space, so a gauge row (a, -b) with right-hand side 0 is appended; the
+  step comes from the triangular factor of the QR of [J | -r].  A step is
+  kept if it lowers the sum of squared residuals, and the fit goes on
+  while steps more than halve it and the sum lies above the rounding
+  floor n (eps max q)^2 of the n probes: the convergence is quadratic, so
+  a step that does not halve it is at the floor of rounding or noise, and
+  a sum at the floor (an exact fit among them) needs no step to confirm
+  it.
 
 A/tr(A) + B/tr(B) = h(D) with h(l) = l^-alpha / tr(A) + l^(alpha-1) /
 tr(B) strictly decreasing for every alpha in [0, 1], so its eigensolve
@@ -45,9 +52,9 @@ its parts out of order; since h is strictly decreasing, neighbouring
 eigenspaces whose readouts do not decrease are merged.
 
 A query value outside (0, inf) raises ``ReconstructionError`` (a fit
-query before the start's square root), and so does a fitted probe off by
-more than ``1e-6 * max|q| + 10 * oracle.noise_sigma``, a misfit.  A run
-costs exactly 2d² + 2d queries, 84 at d = 6.
+query before the fit), and so does a fitted probe off by more than
+``1e-6 * max|q| + 10 * oracle.noise_sigma``, a misfit.  A run costs
+exactly 2d² + 2d queries, 84 at d = 6.
 """
 
 from __future__ import annotations
@@ -67,6 +74,8 @@ __all__ = ["spectral_peel"]
 
 #: seed of the probe designs; part of the method, not a setting
 _DESIGN_SEED = 20170
+
+_EPS = np.finfo(np.float64).eps
 
 
 @lru_cache(maxsize=1)
@@ -113,22 +122,35 @@ def _positive(values: list[float], what: str) -> np.ndarray:
 
 def _fit(q: np.ndarray, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian A and B with ``(phi @ a) * (phi @ b) ~ q`` for their
-    parameters a and b, and the residual per probe.  The augmented
-    matrix ``[J | -r; gauge | 0]`` is allocated once and refilled in place
-    per step, and each step's forms ``phi @ a``, ``phi @ b`` are the ones
-    its residual was taken from."""
+    parameters a and b, and the residual per probe.  At alpha exactly 0 or
+    1 one form is I and the other the linear fit ``pinv @ q``; at 1/2 the
+    start is the fit; at any other order Gauss-Newton runs from the start
+    until a step no longer halves the sum of squared residuals or the sum
+    reaches the rounding floor ``n (eps max q)^2`` of n probes.  The
+    augmented matrix ``[J | -r; gauge | 0]`` is allocated once and refilled
+    in place per step, and each step's forms ``phi @ a``, ``phi @ b`` are
+    the ones its residual was taken from."""
     _, phi, pinv, _ = _design(d)
     n, m = phi.shape
+    if alpha == 0.0 or alpha == 1.0:
+        x = pinv @ q
+        form, eye = _hermitian(x, d), np.eye(d, dtype=np.complex128)
+        a, b = (eye, form) if alpha == 0.0 else (form, eye)
+        return a, b, phi @ x - q
     w, u = np.linalg.eigh(_hermitian(pinv @ np.sqrt(q), d))
     x = np.concatenate([_parameters((u * np.abs(w) ** p) @ u.conj().T)
                         for p in (2.0 * alpha, 2.0 - 2.0 * alpha)])
     fa, fb = phi @ x[:m], phi @ x[m:]
     r = fa * fb - q
+    if alpha == 0.5:
+        # the start is exact, and J singular (A = B): no step would be kept
+        return _hermitian(x[:m], d), _hermitian(x[m:], d), r
     cost = r @ r
+    floor = n * (_EPS * q.max()) ** 2
     # [J | -r] over the gauge row [a, -b | 0], J = [diag(phi b) phi, diag(phi a) phi]
     aug = np.empty((n + 1, 2 * m + 1))
     aug[n, -1] = 0.0
-    while True:
+    while cost > floor:
         np.multiply(fb[:, None], phi, out=aug[:n, :m])
         np.multiply(fa[:, None], phi, out=aug[:n, m:-1])
         np.negative(r, out=aug[:n, -1])
@@ -141,10 +163,10 @@ def _fit(q: np.ndarray, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray, n
         cost_new = r_new @ r_new
         if cost_new < cost:
             x, r, fa, fb = x_new, r_new, fa_new, fb_new
-        # strict, so that a zero cost (an exact fit) ends the fit
         if not cost_new < cost / 2:
-            return _hermitian(x[:m], d), _hermitian(x[m:], d), r
+            break
         cost = cost_new
+    return _hermitian(x[:m], d), _hermitian(x[m:], d), r
 
 
 def spectral_peel(
@@ -166,6 +188,9 @@ def spectral_peel(
     ``ReconstructionError`` on a query value outside (0, inf) and on a
     fitted probe off by more than ``1e-6 * max|q| + 10 * oracle.noise_sigma``
     (noise that the query function adds itself must be declared there).
+    The fit takes no iteration at alpha exactly 0, 1/2 or 1, where it is
+    linear in the queries or in their square roots, and Gauss-Newton
+    steps down to the rounding floor at every other order.
     """
     alpha = float(Alpha(alpha))
     if d < 1:

@@ -787,6 +787,26 @@ def test_power_exponent_axis_matches_float_calls():
                     assert got[j, k].tobytes() == want and one_by_axis[j].tobytes() == want
 
 
+def test_power_of_a_one_by_one_spectrum_matches_its_stack_and_order_axis():
+    # d = 1 and one float exponent is a single pair, which numpy's pow would
+    # serve by its scalar square, sqrt or reciprocal (last-bit differences at
+    # 2, 0.5 and -1); it must take the vector pow of its stack and order axis
+    rng = np.random.default_rng(24)
+    n = 300
+    w = rng.uniform(0.1, 3.0, (n, 1))
+    v = np.exp(2j * np.pi * rng.random((n, 1, 1)))
+    p = np.array([2.0, 0.5, -1.0, -0.5, 0.25])
+    stack = SpectralDecomposition(w, v)
+    by_stack = stack.power(p[:, None, None])
+    for k in range(n):
+        one = SpectralDecomposition(w[k], v[k])
+        by_axis = one.power(p[:, None])
+        for j, e in enumerate(p.tolist()):
+            want = one.power(e).tobytes()
+            assert by_stack[j, k].tobytes() == want and by_axis[j].tobytes() == want
+            assert stack.power(e)[k].tobytes() == want
+
+
 def test_real_form_of_v_multiplies_complex_rows_like_v():
     rng = np.random.default_rng(23)
     _, stack = pd_stack(4, rng, 5)

@@ -3,6 +3,7 @@ import pytest
 
 from chi2lab import (
     DivergenceOracle,
+    NonsingularDensity,
     PdOperator,
     RankOneProjection,
     ReconstructionError,
@@ -267,8 +268,9 @@ def test_one_bad_fit_query_raises_before_the_start(bad):
 
 @pytest.mark.parametrize("d", [3, 6])
 def test_peel_rejects_queries_that_are_not_a_product_of_two_forms(d):
-    # <v, A v>^2 + <v, B v>^2 is positive and smooth, but not a product of
-    # two Hermitian forms: no spectrum may come back
+    # <v, A v>^2 + <v, B v>^2 is positive and smooth, but neither one form
+    # (the linear fit at alpha 0 and 1) nor a product of two (the start at
+    # 1/2, Gauss-Newton otherwise): no spectrum may come back
     rng = np.random.default_rng(30 + d)
     a, b = (random_nonsingular_density(d, rng).mat for _ in range(2))
 
@@ -276,10 +278,11 @@ def test_peel_rejects_queries_that_are_not_a_product_of_two_forms(d):
         v = r.vector
         return np.vdot(v, a @ v).real ** 2 + np.vdot(v, b @ v).real ** 2
 
-    oracle = DivergenceOracle(query)
-    with pytest.raises(ReconstructionError, match="not a product of two Hermitian forms"):
-        spectral_peel(oracle, d, 0.5)
-    assert oracle.count == 2 * d * d + d
+    for alpha in (0.0, 0.25, 0.5, 1.0):
+        oracle = DivergenceOracle(query)
+        with pytest.raises(ReconstructionError, match="not a product of two Hermitian forms"):
+            spectral_peel(oracle, d, alpha)
+        assert oracle.count == 2 * d * d + d
 
 
 def test_large_declared_noise_passes_the_fit_check():
@@ -365,10 +368,20 @@ def test_query_landscape_has_no_spurious_minimum(alpha):
 _SWEEP = (0.0, 1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7, 1.0)
 
 
-def _fit_by_blocks(q, d, alpha):
-    """``peeling._fit`` written plainly, as the reference: ``triu_indices``
-    per conversion, and J, the gauge row and ``[J | -r; gauge | 0]`` built
-    anew on every step by hstack, concatenate and ``np.block``."""
+def _hermitian_by_blocks(x, d):
+    i, k = np.triu_indices(d, 1)
+    mat = np.diag(x[:d].astype(np.complex128))
+    mat[i, k] = x[d:d + len(i)] + 1j * x[d + len(i):]
+    mat[k, i] = mat[i, k].conj()
+    return mat
+
+
+def _gauss_newton_by_blocks(q, d, alpha, floor):
+    """Gauss-Newton from the start fitted to sqrt(q), until a step no longer
+    halves the sum of squared residuals or the sum is at most ``floor``:
+    ``triu_indices`` per conversion, and J, the gauge row and ``[J | -r;
+    gauge | 0]`` built anew on every step by hstack, concatenate and
+    ``np.block``.  ``floor`` 0 is the fit that iterated at every order."""
     _, phi, pinv, _ = peeling._design(d)
     m = d * d
 
@@ -376,19 +389,12 @@ def _fit_by_blocks(q, d, alpha):
         i, k = np.triu_indices(d, 1)
         return np.concatenate([mat.diagonal().real, mat[i, k].real, mat[i, k].imag])
 
-    def hermitian(x):
-        i, k = np.triu_indices(d, 1)
-        mat = np.diag(x[:d].astype(np.complex128))
-        mat[i, k] = x[d:d + len(i)] + 1j * x[d + len(i):]
-        mat[k, i] = mat[i, k].conj()
-        return mat
-
-    w, u = np.linalg.eigh(hermitian(pinv @ np.sqrt(q)))
+    w, u = np.linalg.eigh(_hermitian_by_blocks(pinv @ np.sqrt(q), d))
     x = np.concatenate([parameters((u * np.abs(w) ** p) @ u.conj().T)
                         for p in (2.0 * alpha, 2.0 - 2.0 * alpha)])
     r = (phi @ x[:m]) * (phi @ x[m:]) - q
     cost = r @ r
-    while True:
+    while cost > floor:
         jac = np.hstack([(phi @ x[m:])[:, None] * phi, (phi @ x[:m])[:, None] * phi])
         gauge = np.concatenate([x[:m], -x[m:]])
         tri = np.linalg.qr(np.block([[jac, -r[:, None]], [gauge, 0.0]]), mode="r")
@@ -398,8 +404,23 @@ def _fit_by_blocks(q, d, alpha):
         if cost_new < cost:
             x, r = x_new, r_new
         if not cost_new < cost / 2:
-            return hermitian(x[:m]), hermitian(x[m:]), r
+            break
         cost = cost_new
+    return _hermitian_by_blocks(x[:m], d), _hermitian_by_blocks(x[m:], d), r
+
+
+def _fit_by_blocks(q, d, alpha):
+    """``peeling._fit`` written plainly, as the reference: at alpha 0 and 1
+    I and the linear fit of q, at 1/2 the start, otherwise Gauss-Newton down
+    to the rounding floor ``n (eps max q)^2``."""
+    _, phi, pinv, _ = peeling._design(d)
+    if alpha in (0.0, 1.0):
+        x = pinv @ q
+        eye = np.eye(d, dtype=np.complex128)
+        form = _hermitian_by_blocks(x, d)
+        return ((eye, form) if alpha == 0.0 else (form, eye)) + (phi @ x - q,)
+    floor = np.inf if alpha == 0.5 else len(q) * (np.finfo(np.float64).eps * q.max()) ** 2
+    return _gauss_newton_by_blocks(q, d, alpha, floor)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
@@ -415,6 +436,93 @@ def test_fit_equals_the_fit_built_step_by_step(d):
             q = np.array([oracle.query(r) for r in peeling._design(d)[0]])
             got, want = peeling._fit(q, d, alpha), _fit_by_blocks(q, d, alpha)
             assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """A count of the QR factorizations ``peeling`` makes, one per
+    Gauss-Newton step."""
+    calls = [0]
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(peeling.np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_exact_orders_take_no_gauss_newton_step(d, qr_calls):
+    # at 0 and 1 q is one form, fitted linearly; at 1/2 sqrt(q) is, and the
+    # start is the fit
+    rng = np.random.default_rng(140 + d)
+    for alpha in (0.0, 0.5, 1.0):
+        hidden = random_nonsingular_density(d, rng)
+        oracle = rank_one_query_oracle(hidden, alpha)
+        spec = spectral_peel(oracle, d, alpha)
+        assert oracle.count == _budget(d)
+        assert _rel_err(spec, hidden) <= 1e-12
+    assert qr_calls[0] == 0
+    spectral_peel(rank_one_query_oracle(random_nonsingular_density(d, rng), 0.25), d, 0.25)
+    assert qr_calls[0] > 0
+
+
+def _bench_inputs(seed):
+    """The ``reconstruct`` bench workload's ten d = 6 inputs at one seed: the
+    spectra of ten ``random_nonsingular_density`` draws from seed 0, in
+    eigenbases drawn from ``seed``, at the orders 0, 1/4, 1/2, 3/4, 1 in
+    turn."""
+    spectra, rng = np.random.default_rng(0), np.random.default_rng(seed)
+    for j in range(10):
+        base = random_nonsingular_density(6, spectra)
+        v = haar_unitary(6, rng)
+        yield DEFAULT_ALPHAS[j % 5], NonsingularDensity(v @ base.mat @ v.conj().T)
+
+
+def test_gauss_newton_stops_at_the_rounding_floor(qr_calls):
+    # the step that would only confirm an exact fit is not taken: 3 steps at
+    # 1/4 and 4 at 3/4 on the bench's spectra (the first workload seeds; over
+    # seeds 1-100 the floor is met that early in 184 and 199 of 200 fits, the
+    # rest take one step more, as every fit did before the floor)
+    limits = {0.25: 3, 0.75: 4}
+    for seed in range(1, 6):
+        for alpha, hidden in _bench_inputs(seed):
+            if alpha in limits:
+                qr_calls[0] = 0
+                spec = spectral_peel(rank_one_query_oracle(hidden, alpha), 6, alpha)
+                assert 1 <= qr_calls[0] <= limits[alpha]
+                assert _rel_err(spec, hidden) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_half_order_fit_is_the_start_bit_for_bit(d):
+    # the Gauss-Newton step that the fit once took at 1/2 was never kept at
+    # d >= 2, exact or noisy: returning the start gives the same bytes
+    rng = np.random.default_rng(160 + d)
+    for sigma in (0.0, 1e-9, 1e-6):
+        for seed in range(3):
+            oracle = rank_one_query_oracle(random_nonsingular_density(d, rng), 0.5,
+                                           noise_sigma=sigma, seed=seed)
+            q = np.array([oracle.query(r) for r in peeling._design(d)[0]])
+            got, want = peeling._fit(q, d, 0.5), _gauss_newton_by_blocks(q, d, 0.5, 0.0)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 16])
+def test_orders_next_to_the_exact_ones_stay_on_gauss_newton(d, qr_calls):
+    # the routes test alpha for equality: at 1e-9 a linear fit would read
+    # these eigenvalues to only 4e-10 (d = 4) to 7e-9 (d = 16)
+    lam = np.logspace(0, -6, d)
+    u = haar_unitary(d, np.random.default_rng(d))
+    mat = (u * lam) @ u.conj().T
+    hidden = PdOperator((mat + mat.conj().T) / 2)
+    for alpha in (1e-10, 1e-9, 1.0 - 1e-10):
+        qr_calls[0] = 0
+        spec = spectral_peel(rank_one_query_oracle(hidden, alpha), d, alpha)
+        assert qr_calls[0] >= 1
+        assert np.all(np.abs(spec.w - lam) <= 1e-10 * lam)
 
 
 def _run(hidden, d, sigma):
