@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import NotPositiveDefinite
-from .linalg import _CACHED_ORDERS, _SAFE_EXP, SpectralDecomposition, _dots, _ldexp
+from .linalg import _SAFE_EXP, SpectralDecomposition, _dots, _ldexp
 from .operators import (PdOperator, PsdOperator, RankOneProjection, _require_same_dim,
                         support_contained)
 
@@ -128,26 +128,16 @@ def _gram_value(diff: np.ndarray, spec: SpectralDecomposition, alpha: float,
     product of ``power``'s weights per order.  Each term is a product of
     nonnegative floats, so every value is >= 0 bit for bit, and 0.0 for a
     zero ``diff``; each (order, slice) value equals its own float, 2-D call
-    bit for bit.
-
-    The lean path, one ``(d, d)`` ``diff`` at one float order against one
-    spectrum (``chi2``, ``chi2_extended`` and every ``chi2_oracle`` query),
-    reads the weights from the spectrum's cache
-    (``SpectralDecomposition._gram_weights``, the latest 16 orders), so a
-    repeated order costs the congruence and one ``np.vdot``; stacks and
-    order axes build their weights on every call."""
-    lean = isinstance(alpha, float) and diff.ndim == 2 and spec.w.ndim == 1
-    if lean:
-        weights = spec._gram_weights(alpha, support_rel, pseudo)
-    else:
-        left, right = spec._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
-        weights = right[..., :, None] * left[..., None, :]
+    bit for bit.  The weights come from ``SpectralDecomposition.
+    _gram_weights``, which keeps them on one spectrum at a float order, so
+    a repeated order costs the congruence and one ``np.vdot``."""
+    weights = spec._gram_weights(alpha, support_rel, pseudo)
     e = spec._real_v
     y = np.ascontiguousarray(diff, dtype=np.complex128).view(np.float64) @ e
     xh = np.conjugate(y.view(np.complex128).swapaxes(-1, -2), order="C").view(np.float64) @ e
     sq = np.multiply(xh, xh, out=xh)
     sq = sq[..., 0::2] + sq[..., 1::2]  # |X_ij|^2 at [j, i]
-    if lean:
+    if sq.ndim == weights.ndim == 2:
         return np.vdot(sq, weights)
     return _dots(sq.reshape(*sq.shape[:-2], -1), weights.reshape(*weights.shape[:-2], -1))
 
@@ -232,33 +222,6 @@ def chi2_limit_probe(
     return [_finite_gram(diff - e * eye, spec.shift(e), alpha, 0.0, pseudo=False) for e in eps]
 
 
-def _query_powers(spec: SpectralDecomposition, alpha: float) -> np.ndarray:
-    """``[D^-alpha; D^(alpha-1)]``, the two powers stacked along the rows:
-    ``(2n, n)``, or one such stack per slice of a stacked spectrum, and per
-    order of an order axis as ``power`` takes it."""
-    return np.concatenate([
-        spec.power(-alpha, support_rel=0.0),
-        spec.power(alpha - 1.0, support_rel=0.0),
-    ], axis=-2)
-
-
-def _query_stack(d: PdOperator, spec: SpectralDecomposition, alpha: float) -> np.ndarray:
-    """Read-only ``_query_powers`` of D.
-
-    Built from the spectrum once per (operator, alpha) and cached on the
-    immutable operator beside its spectrum, for the latest 16 orders.
-    """
-    stacks = d.__dict__.setdefault("_query_stacks", {})
-    stack = stacks.get(alpha)
-    if stack is None:
-        stack = _query_powers(spec, alpha)
-        stack.flags.writeable = False
-        if len(stacks) >= _CACHED_ORDERS:
-            del stacks[next(iter(stacks))]
-        stacks[alpha] = stack
-    return stack
-
-
 def _shifted_values(stack: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """``tr(R D^-alpha) * tr(R D^(alpha-1))`` for ``R = v v*`` and a unit
     vector ``v``, read off a query stack: one ``(n,)`` vector, or a stack of
@@ -286,13 +249,13 @@ def chi2_shifted(r: RankOneProjection, d: PdOperator, alpha: float) -> float:
     them.  This public function
     checks the order, the dimensions and positive definiteness of D on
     every call; ``rank_one_query_oracle`` checks the order and D once,
-    when it is built.  The two powers of D are built once per (D, alpha)
-    from D's cached eigendecomposition; after that a call in dimension n
-    costs one ``(2n, n)`` matrix-vector product and one ``(2, n)``
-    product, O(n^2).
+    when it is built.  The two powers of D are kept on D's cached
+    spectrum for its latest 16 orders (``SpectralDecomposition.
+    _query_powers``); a call at a kept order in dimension n costs one
+    ``(2n, n)`` matrix-vector product and one ``(2, n)`` product, O(n^2).
     """
     alpha = Alpha(alpha)
     _require_same_dim(r, d)
     spec = d.spectrum()
     _require_pd(spec, d.tol)
-    return float(_shifted_values(_query_stack(d, spec, float(alpha)), r.vector))
+    return float(_shifted_values(spec._query_powers(float(alpha)), r.vector))

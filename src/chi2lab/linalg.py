@@ -39,7 +39,7 @@ solve of that slice bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -67,9 +67,7 @@ _MAX_SWEEPS = 100
 #: eigensolves first rescale by an exact power of two
 _SAFE_EXP = 300
 
-#: per-order arrays kept on one spectrum (``SpectralDecomposition.
-#: _gram_weights``) or one operator (``divergence._query_stack``), the
-#: oldest evicted first; as many as ``tomography._design`` keeps orders
+#: per-order arrays a spectrum keeps (``_kept_per_order``), and orders ``tomography._design`` keeps
 _CACHED_ORDERS = 16
 
 
@@ -497,6 +495,33 @@ def _one_sided(l: np.ndarray, max_sweeps: int):
     return w, y / np.sqrt(w)[:, None, :], stuck
 
 
+def _kept_per_order(build):
+    """The keep rule of a spectrum's per-order method ``build(self, alpha,
+    *args)``: on one spectrum at a float order the array is read-only and
+    kept in ``__dict__["_kept"]`` under ``(build's name, alpha, *args)``
+    for the latest 16 keys, oldest evicted first; on a stack or an order
+    axis it is built on every call."""
+    name = build.__name__
+
+    def kept(self, alpha, *args):
+        if self.w.ndim != 1 or not isinstance(alpha, float):
+            return build(self, alpha, *args)
+        keep = self.__dict__.get("_kept")
+        if keep is None:
+            keep = self.__dict__["_kept"] = {}
+        key = (name, alpha, *args)
+        array = keep.get(key)
+        if array is None:
+            array = build(self, alpha, *args)
+            array.flags.writeable = False
+            if len(keep) >= _CACHED_ORDERS:
+                del keep[next(iter(keep))]
+            keep[key] = array
+        return array
+
+    return wraps(build)(kept)
+
+
 def _gram(y: np.ndarray) -> np.ndarray:
     """``Y* Y`` per slice, one BLAS product each."""
     return y.conj().swapaxes(-1, -2) @ y
@@ -541,10 +566,11 @@ class SpectralDecomposition:
     ``is_positive_definite`` and ``validate`` act slice by slice.
 
     Being immutable, a spectrum caches what is derived from it alone in
-    its ``__dict__``: ``_real_v``, and on one spectrum the divergence
-    kernel's weights per float order, at most 16 of them, the oldest
-    evicted first (``_gram_weights``).  ``shift`` and ``scale`` build new
-    spectra, whose caches start empty.
+    its ``__dict__``: ``_real_v``, and on one spectrum its per-order arrays
+    (the divergence kernel's ``_gram_weights`` and the rank-one query's
+    ``_query_powers``) for the latest 16 keys, the oldest evicted first
+    (``_kept_per_order``).  ``shift`` and ``scale`` build new spectra,
+    whose caches start empty.
     """
 
     w: np.ndarray
@@ -596,26 +622,24 @@ class SpectralDecomposition:
         e.flags.writeable = False
         return e
 
-    def _gram_weights(self, alpha: float, support_rel: float, pseudo: bool) -> np.ndarray:
-        """Read-only ``(d, d)`` weights of one spectrum at one float order:
-        ``w_j^(-alpha) w_i^(alpha-1)`` at ``[j, i]`` under ``_powers``'
-        support rule, bit for bit the outer product of the two rows of
-        ``_powers(alpha - 1, -alpha)``.  Kept per ``(alpha, support_rel,
-        pseudo)`` for the latest 16 keys; a miss raises
-        ``_powers``' SingularOperator where it would."""
-        cache = self.__dict__.get("_gram_cache")
-        if cache is None:
-            cache = self.__dict__["_gram_cache"] = {}
-        key = (alpha, support_rel, pseudo)
-        weights = cache.get(key)
-        if weights is None:
-            f = self._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
-            weights = f[1, :, None] * f[0]
-            weights.setflags(write=False)
-            if len(cache) >= _CACHED_ORDERS:
-                del cache[next(iter(cache))]
-            cache[key] = weights
-        return weights
+    @_kept_per_order
+    def _gram_weights(self, alpha, support_rel: float, pseudo: bool) -> np.ndarray:
+        """The divergence kernel's weights ``w_j^(-alpha) w_i^(alpha-1)`` at
+        ``[..., j, i]`` under ``_powers``' support rule: ``(d, d)`` per slice,
+        and per order of an order axis as ``power`` takes it, each bit for
+        bit the outer product of the two rows of ``_powers(alpha - 1,
+        -alpha)``.  A miss raises ``_powers``' SingularOperator where it
+        would."""
+        f = self._powers(alpha - 1.0, -alpha, pseudo=pseudo, support_rel=support_rel)
+        return f[1, ..., :, None] * f[0, ..., None, :]
+
+    @_kept_per_order
+    def _query_powers(self, alpha) -> np.ndarray:
+        """The rank-one query's stack ``[D^-alpha; D^(alpha-1)]``, the two
+        powers (cutoff 0) along the rows: ``(2d, d)`` per slice, and per
+        order of an order axis as ``power`` takes it."""
+        return np.concatenate([self.power(-alpha, support_rel=0.0),
+                               self.power(alpha - 1.0, support_rel=0.0)], axis=-2)
 
     def reassemble(self) -> np.ndarray:
         """The Hermitian part of ``V diag(w) V*``."""

@@ -278,11 +278,8 @@ class RankOneProjection:
 
     @property
     def matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_matrix")
-        if cached is None:
-            cached = _freeze(np.outer(self.vector, self.vector.conj()))
-            self.__dict__["_matrix"] = cached
-        return cached
+        """Read-only ``v v*``, built on every call."""
+        return _freeze(np.outer(self.vector, self.vector.conj()))
 
     def overlap(self, other: "RankOneProjection") -> float:
         """Transition probability tr(P Q) = |<v, w>|^2."""

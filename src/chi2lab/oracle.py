@@ -3,10 +3,11 @@
 An oracle answers divergence queries about one hidden operator: exact by
 default, optionally corrupted by seeded additive Gaussian noise.  The
 hidden operator is immutable, so whatever a query does not need to
-re-check is checked, or built, once when the oracle is constructed: the
+re-check is checked, or fetched, once when the oracle is constructed: the
 order, and for the rank-one oracle the hidden operator's positive
-definiteness and its query stack.  A query then checks only its probe and
-runs the code the public divergence functions run after their own checks.
+definiteness and the query stack its spectrum keeps.  A query then checks
+only its probe and runs the code the public divergence functions run
+after their own checks.
 
 Raised at construction: ``ValueError`` for an order outside [0, 1] or a
 bad ``noise_sigma``, and from ``rank_one_query_oracle``
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import Alpha, _chi2, _query_stack, _require_pd, _shifted_values
+from .divergence import Alpha, _chi2, _require_pd, _shifted_values
 from .operators import PdOperator, PsdOperator, RankOneProjection, _require_same_dim
 
 __all__ = ["DivergenceOracle", "chi2_oracle", "rank_one_query_oracle"]
@@ -69,13 +70,14 @@ def rank_one_query_oracle(hidden: PdOperator, alpha: float, *,
     """Oracle answering R -> chi2_shifted(R, hidden, alpha).
 
     The order and the hidden operator's positive definiteness are checked
-    here, and its query stack is built here.  Each query checks only the
-    probe's dimension, and returns ``chi2_shifted``'s value bit for bit.
+    here, and the query stack ``chi2_shifted`` reads is fetched here.  Each
+    query checks only the probe's dimension, and returns
+    ``chi2_shifted``'s value bit for bit.
     """
     alpha = float(Alpha(alpha))
     spec = hidden.spectrum()
     _require_pd(spec, hidden.tol)
-    stack = _query_stack(hidden, spec, alpha)
+    stack = spec._query_powers(alpha)
 
     def query(probe: RankOneProjection) -> float:
         _require_same_dim(probe, hidden)

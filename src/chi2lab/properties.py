@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .divergence import Alpha, _gram_value, _query_powers, _require_pd, _shifted_values
+from .divergence import Alpha, _gram_value, _require_pd, _shifted_values
 from .ensembles import (
     haar_stack,
     hermitian_stack,
@@ -137,7 +137,7 @@ def _prop_rank_one_query(rng, alpha, d, n):
     dens, ds = nonsingular_density_stack(d, rng, n)
     v = unit_vector_stack(d, rng, n)
     r = _outer(v)
-    shifted = _shifted_values(_query_powers(ds, alpha), v)
+    shifted = _shifted_values(ds._query_powers(alpha), v)
     direct = _chi2s(r, dens, ds, alpha) + 1.0
     residual = np.abs(shifted - direct)
     ok = residual <= 1e-10

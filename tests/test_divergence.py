@@ -17,7 +17,7 @@ from chi2lab import (
     quadratic_relative_entropy,
     rank_one_query_oracle,
 )
-from chi2lab.divergence import _gram_value, _query_powers, _query_stack, _shifted_values
+from chi2lab.divergence import _gram_value, _shifted_values
 from chi2lab.ensembles import (
     haar_unitary,
     hermitian_stack,
@@ -256,10 +256,9 @@ def test_shifted_matches_eigenprojection_sum():
 
 
 def test_shifted_query_stack_is_cached_and_read_only():
-    dens = random_nonsingular_density(3, np.random.default_rng(1))
-    spec = dens.spectrum()
-    stack = _query_stack(dens, spec, 0.25)
-    assert stack is _query_stack(dens, spec, 0.25)
+    spec = random_nonsingular_density(3, np.random.default_rng(1)).spectrum()
+    stack = spec._query_powers(0.25)
+    assert stack is spec._query_powers(0.25)
     assert stack.shape == (6, 3)
     np.testing.assert_allclose(stack[:3], spec.power(-0.25), atol=1e-14)
     np.testing.assert_allclose(stack[3:], spec.power(-0.75), atol=1e-14)
@@ -269,14 +268,51 @@ def test_shifted_query_stack_is_cached_and_read_only():
 
 
 def test_an_operator_keeps_the_query_stacks_of_its_latest_16_orders():
+    # the operator keeps them on its spectrum, not in its own __dict__
     dens = random_nonsingular_density(3, np.random.default_rng(3))
     spec = dens.spectrum()
     orders = np.linspace(0.0, 1.0, 40).tolist()
-    first = [_query_stack(dens, spec, alpha) for alpha in orders]
-    assert list(vars(dens)["_query_stacks"]) == orders[-16:]
-    again = _query_stack(dens, spec, orders[0])
+    first = [spec._query_powers(alpha) for alpha in orders]
+    keep = vars(spec)["_kept"]
+    assert list(keep) == [("_query_powers", alpha) for alpha in orders[-16:]]
+    again = spec._query_powers(orders[0])
     assert again is not first[0] and again.tobytes() == first[0].tobytes()
-    assert list(vars(dens)["_query_stacks"]) == orders[-15:] + orders[:1]
+    assert [key[1] for key in keep] == orders[-15:] + orders[:1]
+    # weights and query stacks share the spectrum's one keep
+    spec._gram_weights(0.5, 1e-10, False)
+    assert list(keep)[-1] == ("_gram_weights", 0.5, 1e-10, False)
+    assert [key[1] for key in keep][:-1] == orders[-14:] + orders[:1]
+
+
+def test_rank_one_oracle_and_chi2_shifted_read_one_kept_stack(monkeypatch):
+    import chi2lab.divergence as divergence
+    import chi2lab.oracle as oracle_mod
+
+    seen = []
+
+    def spy(stack, v):
+        seen.append(stack)
+        return _shifted_values(stack, v)
+
+    monkeypatch.setattr(divergence, "_shifted_values", spy)
+    monkeypatch.setattr(oracle_mod, "_shifted_values", spy)
+    dens = random_nonsingular_density(4, np.random.default_rng(4))
+    r = RankOneProjection([1.0, 1.0j, 0.0, 2.0])
+    for alpha in (0.0, 0.25, 1.0):
+        oracle = rank_one_query_oracle(dens, alpha)
+        assert oracle.query(r) == chi2_shifted(r, dens, alpha)
+        assert seen[-1] is seen[-2] is dens.spectrum()._query_powers(alpha)
+        assert not seen[-1].flags.writeable
+
+
+def test_no_operator_keeps_a_query_stack():
+    dens = random_nonsingular_density(3, np.random.default_rng(5))
+    before = set(vars(dens)) | {"_spectrum"}
+    r = RankOneProjection([1.0, 0.0, 1.0])
+    for alpha in (0.0, 0.5, 0.75):
+        chi2_shifted(r, dens, alpha)
+        rank_one_query_oracle(dens, alpha).query(r)
+    assert set(vars(dens)) == before
 
 
 def test_shifted_checks_run_on_every_query():
@@ -285,7 +321,7 @@ def test_shifted_checks_run_on_every_query():
     for _ in range(2):
         with pytest.raises(NotPositiveDefinite):
             chi2_shifted(r, singular, 0.5)
-    assert "_query_stacks" not in singular.__dict__
+    assert "_kept" not in vars(singular.spectrum())
     dens = random_nonsingular_density(3, np.random.default_rng(2))
     chi2_shifted(RankOneProjection([1.0, 0.0, 0.0]), dens, 0.5)
     for _ in range(2):
@@ -378,7 +414,7 @@ def test_stacked_shifted_values_slices_equal_their_one_vector_calls(d):
     _, spec = nonsingular_density_stack(d, rng, n)
     v = unit_vector_stack(d, rng, n)
     for alpha in _KERNEL_ALPHAS:
-        stacks = _query_powers(spec, alpha)
+        stacks = spec._query_powers(alpha)
         stacked = _shifted_values(stacks, v)
         for k in range(n):
             one = _shifted_values(stacks[k], v[k])
@@ -525,9 +561,9 @@ def test_eigenbasis_kernel_is_as_accurate_as_the_sandwich_on_graded_b():
             assert new <= 2.0 * old + 1e-15
 
 
-# The lean path: one (d, d) diff at one float order against one spectrum
-# reads its weights from the spectrum's cache; an order axis builds them
-# through _powers on every call.
+# One (d, d) diff at one float order against one spectrum reads its
+# weights from the spectrum's keep; an order axis builds them through
+# _powers on every call.
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 16])
@@ -585,12 +621,40 @@ def test_a_spectrum_keeps_the_weights_of_its_latest_16_orders():
     spec = random_pd(3, rng).spectrum()
     orders = np.linspace(0.0, 1.0, 40).tolist()
     first = [spec._gram_weights(alpha, 1e-10, False) for alpha in orders]
-    cache = vars(spec)["_gram_cache"]
-    assert [key[0] for key in cache] == orders[-16:]
+    keep = vars(spec)["_kept"]
+    assert list(keep) == [("_gram_weights", alpha, 1e-10, False) for alpha in orders[-16:]]
     # an evicted order is built again, to the same bytes, and evicts the oldest
     again = spec._gram_weights(orders[0], 1e-10, False)
     assert again is not first[0] and again.tobytes() == first[0].tobytes()
-    assert [key[0] for key in cache] == orders[-15:] + orders[:1]
+    assert [key[1] for key in keep] == orders[-15:] + orders[:1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+def test_stacks_and_order_axes_never_fill_the_keep(d):
+    # a stack or an order axis builds its arrays on every call, each
+    # (order, slice) equal bit for bit to the array one spectrum keeps
+    rng = np.random.default_rng(111 + d)
+    n, orders = 5, np.array(_KERNEL_ALPHAS)
+    _, stacked = nonsingular_density_stack(d, rng, n)
+    single = SpectralDecomposition(stacked.w[0], stacked.v[0])
+    calls = (
+        (lambda s, a: s._gram_weights(a, 1e-10, False)),
+        (lambda s, a: s._query_powers(a)),
+    )
+    for build in calls:
+        by_axis = build(stacked, orders[:, None, None])
+        one_by_axis = build(single, orders[:, None])
+        for j, alpha in enumerate(orders.tolist()):
+            by_float = build(stacked, alpha)
+            assert by_float is not build(stacked, alpha)
+            for k in range(n):
+                one = SpectralDecomposition(stacked.w[k], stacked.v[k])
+                kept = build(one, alpha)
+                assert kept is build(one, alpha) and not kept.flags.writeable
+                assert by_axis[j, k].tobytes() == by_float[k].tobytes() == kept.tobytes()
+            assert one_by_axis[j].tobytes() == build(single, alpha).tobytes()
+    assert "_kept" not in vars(stacked)
+    assert len(vars(single)["_kept"]) == 2 * len(orders)
 
 
 def test_shift_and_scale_start_with_empty_caches():
@@ -598,9 +662,11 @@ def test_shift_and_scale_start_with_empty_caches():
     b = random_pd(3, rng)
     spec, diff = b.spectrum(), random_psd(3, rng).mat - b.mat
     _gram_value(diff, spec, 0.5, 1e-10, False)
-    assert {"_gram_cache", "_real_v"} <= set(vars(spec))
+    spec._query_powers(0.5)
+    assert {"_kept", "_real_v"} <= set(vars(spec))
     for other in (spec.shift(0.25), spec.scale(2.0)):
-        assert not {"_gram_cache", "_real_v"} & set(vars(other))
+        assert not {"_kept", "_real_v"} & set(vars(other))
         fresh = SpectralDecomposition(other.w, other.v)
+        assert other._query_powers(0.5).tobytes() == fresh._query_powers(0.5).tobytes()
         assert (_gram_value(diff, other, 0.5, 1e-10, False).tobytes()
                 == _gram_value(diff, fresh, 0.5, 1e-10, False).tobytes())

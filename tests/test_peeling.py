@@ -18,6 +18,19 @@ from chi2lab.ensembles import haar_unitary, random_nonsingular_density
 from chi2lab.linalg import op_norm, spectral_decomposition
 
 
+def _reference_eigenvalues(b):
+    """Eigenvalues of b, decreasing, computed by mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    d = b.shape[0]
+    with mpmath.workdps(40):
+        m = mpmath.matrix(d, d)
+        for i in range(d):
+            for j in range(d):
+                m[i, j] = mpmath.mpc(b[i, j].real, b[i, j].imag)
+        eigs = mpmath.eigh(m, eigvals_only=True)
+        return np.array(sorted((float(e) for e in eigs), reverse=True))
+
+
 def _rel_err(spec, hidden):
     return op_norm(spec.reassemble() - hidden.mat) / op_norm(hidden.mat)
 
@@ -124,10 +137,12 @@ def test_readout_probes_are_the_eigenvectors_of_the_fitted_partial_trace(d):
 @pytest.mark.parametrize("top, bottom", [(0, -6), (3, -3)])
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_graded_spectra_recover_to_ten_digits(d, top, bottom):
-    lam = np.logspace(top, bottom, d)
     u = haar_unitary(d, np.random.default_rng(d))
-    mat = (u * lam) @ u.conj().T
+    mat = (u * np.logspace(top, bottom, d)) @ u.conj().T
     hidden = PdOperator((mat + mat.conj().T) / 2)
+    # the stored matrix's own eigenvalues, not the logspace it was built
+    # from: rounding moves them by up to 2.1e-11 relative on these inputs
+    lam = _reference_eigenvalues(hidden.mat)
     for alpha in DEFAULT_ALPHAS:
         spec = spectral_peel(rank_one_query_oracle(hidden, alpha), d, alpha)
         assert np.all(np.abs(spec.w - lam) <= 1e-10 * lam)

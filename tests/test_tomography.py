@@ -153,7 +153,7 @@ def test_cold_and_warm_probe_states_give_the_same_bytes(d):
             assert _run(hidden, d, sigma, alpha) == want
             assert _run(hidden, d, sigma, alpha) == want
         for state in (c for row in tomography._probe_states(d, DEFAULT_TOL) for c in row):
-            assert [key[0] for key in vars(state.spectrum())["_gram_cache"]] == orders[-16:]
+            assert [key[1] for key in vars(state.spectrum())["_kept"]] == orders[-16:]
         for alpha, want in zip(orders[:4], cold):
             assert _run(hidden, d, sigma, alpha) == want
 
